@@ -222,33 +222,34 @@ def cmd_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fuzz_failure(src: str, fuel: int) -> str:
-    """Classify what goes wrong for this source; '' when everything is fine
-    (including a clean type rejection)."""
+def _fuzz_failure(src: str, fuel: int) -> tuple:
+    """Classify what goes wrong for this source: (failure, accepted).
+    failure is '' when everything is fine (including a clean type
+    rejection); accepted tells whether the program typechecked."""
     try:
         p = _load(src)
     except ParseError as e:
-        return f"frontend: {e}"
+        return f"frontend: {e}", False
     try:
         typecheck_program(p)
     except SearchExhausted:
-        return ""  # inconclusive, not a failure
+        return "", False  # inconclusive, not a failure
     except TypeCheckError:
-        return ""  # clean rejection
+        return "", False  # clean rejection
     except Exception as e:  # noqa: BLE001 - crashes must be reported
-        return f"checker-crash: {type(e).__name__}"
+        return f"checker-crash: {type(e).__name__}", False
     try:
         sp, trace = _reduce(p, fuel)
     except OutOfFuel:
-        return "out-of-fuel"
+        return "out-of-fuel", True
     except ReductionError as e:
-        return f"reduction: {type(e).__name__}"
+        return f"reduction: {type(e).__name__}", True
     except Exception as e:  # noqa: BLE001
-        return f"reducer-crash: {type(e).__name__}"
+        return f"reducer-crash: {type(e).__name__}", True
     violations = verify_trace(sp.table, trace)
     if violations:
-        return "meta: " + violations[0].theorem
-    return ""
+        return "meta: " + violations[0].theorem, True
+    return "", True
 
 
 def cmd_fuzz(args) -> int:
@@ -257,18 +258,13 @@ def cmd_fuzz(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         src = gen_source(GenConfig(seed=seed, size=args.size))
-        failure = _fuzz_failure(src, args.fuel)
-        try:
-            p = _load(src)
-            typecheck_program(p)
-            accepted += 1
-        except Exception:
-            pass
+        failure, ok = _fuzz_failure(src, args.fuel)
+        accepted += ok
         if failure:
             failures += 1
             kind = failure.split(":")[0]
             shrunk = shrink(
-                src, lambda s: _fuzz_failure(s, args.fuel).startswith(kind)
+                src, lambda s: _fuzz_failure(s, args.fuel)[0].startswith(kind)
             )
             out = f"caps_repro_{seed}.caps"
             with open(out, "w", encoding="utf-8") as f:

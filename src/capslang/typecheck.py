@@ -14,8 +14,13 @@ goal-directed backtracking search:
   failed structurally, for each lent group disjoint from the restricted set;
 * unrestriction is attempted when the goal is capsule/imm/int.
 
-Results are memoized per top-level judgment, keyed by subterm identity, a
-canonical context fingerprint and the goal; a configurable budget bounds the
+Results are memoized per judgment, keyed by subterm identity, the context
+and the goal.  A TypeContext hashes a canonical fingerprint of itself (gamma,
+sorted groups, sorted restricted set) computed once when it is built, and
+compares by that fingerprint, so a memo probe costs the same however large
+gamma is; the recovery rules re-ask a subterm under many derived contexts,
+which makes this probe the checker's hot path.  Failures are memoized as
+message and span and re-raised fresh.  A configurable budget bounds the
 search (exhausting it raises SearchExhausted, which is distinct from a typing
 failure).
 """
@@ -73,22 +78,64 @@ class SearchExhausted(TypeCheckError):
     kind = "SearchExhausted"
 
 
-class MalformedContext(TypeCheckError):
-    kind = "MalformedContext"
+class _Failure:
+    """A memoized IllTyped: message and span only.  Keeping the exception
+    itself would keep its traceback, and through it the search frames and
+    the Checker, alive in a reference cycle."""
+
+    __slots__ = ("message", "span")
+
+    def __init__(self, err: IllTyped):
+        self.message = str(err)
+        self.span = err.span
+
+    def error(self) -> IllTyped:
+        return IllTyped(self.message, self.span)
 
 
-@dataclass(frozen=True)
 class TypeContext:
     """Gamma plus the lent groups (xss) and restricted variables (ys).
 
     Lent-ness of a variable is encoded by membership in a lent group while its
     gamma entry stays mut; the mutable group is derived (mut variables not in
     any lent group).
+
+    A context is its own memo key.  Its canonical fingerprint (gamma, the
+    groups as sorted tuples in sorted order, the sorted restricted set) and
+    the fingerprint's hash are computed once, when it is built; contexts are
+    equal exactly when their fingerprints are, so the order of the groups
+    does not matter.  The name-indexed views behind `lookup`, `group_of` and
+    `mutable_group` are built on first use and kept.  A context derived from
+    `base` over the same gamma tuple reuses base's gamma hash and env.
     """
 
-    gamma: tuple  # sorted tuple of (name, Type)
-    groups: tuple = ()  # of frozenset
-    restricted: frozenset = frozenset()
+    __slots__ = (
+        "gamma", "groups", "restricted",
+        "_gamma_hash", "_fp", "_hash", "_env", "_group_index", "_mutable",
+    )
+
+    def __init__(
+        self,
+        gamma: tuple,  # sorted tuple of (name, Type)
+        groups: tuple = (),  # of frozenset
+        restricted: frozenset = frozenset(),
+        base: Optional["TypeContext"] = None,
+    ):
+        self.gamma = gamma
+        self.groups = groups
+        self.restricted = restricted
+        if base is not None and base.gamma is gamma:
+            self._gamma_hash = base._gamma_hash
+            self._env = base._env
+        else:
+            self._gamma_hash = hash(gamma)
+            self._env = None
+        groups_fp = tuple(sorted(tuple(sorted(g)) for g in groups))
+        restricted_fp = tuple(sorted(restricted))
+        self._fp = (gamma, groups_fp, restricted_fp)
+        self._hash = hash((self._gamma_hash, groups_fp, restricted_fp))
+        self._group_index = None
+        self._mutable = None
 
     @staticmethod
     def make(gamma: dict, groups=(), restricted=frozenset()) -> "TypeContext":
@@ -98,40 +145,62 @@ class TypeContext:
             frozenset(restricted),
         )
 
-    def lookup(self, x: str) -> Optional[Type]:
-        for (n, t) in self.gamma:
-            if n == x:
-                return t
-        return None
+    def __hash__(self) -> int:
+        return self._hash
 
-    def gamma_dict(self) -> dict:
-        return dict(self.gamma)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TypeContext):
+            return NotImplemented
+        return self._hash == other._hash and self._fp == other._fp
+
+    def __repr__(self) -> str:
+        return (
+            f"TypeContext(gamma={self.gamma!r}, groups={self.groups!r}, "
+            f"restricted={self.restricted!r})"
+        )
+
+    @property
+    def env(self) -> dict:
+        """Gamma as a dict; shared, so callers copy before extending it."""
+        env = self._env
+        if env is None:
+            env = self._env = dict(self.gamma)
+        return env
+
+    def lookup(self, x: str) -> Optional[Type]:
+        return self.env.get(x)
 
     def mutable_group(self) -> frozenset:
-        grouped = frozenset().union(*self.groups) if self.groups else frozenset()
-        return frozenset(
-            n
-            for (n, t) in self.gamma
-            if isinstance(t, RefType) and t.qualifier is Qualifier.MUT and n not in grouped
-        )
+        mg = self._mutable
+        if mg is None:
+            grouped = frozenset().union(*self.groups)
+            mg = self._mutable = frozenset(
+                n
+                for (n, t) in self.gamma
+                if isinstance(t, RefType)
+                and t.qualifier is Qualifier.MUT
+                and n not in grouped
+            )
+        return mg
 
     def group_of(self, x: str) -> Optional[frozenset]:
-        for g in self.groups:
-            if x in g:
-                return g
-        return None
+        index = self._group_index
+        if index is None:
+            index = self._group_index = {}
+            for g in self.groups:
+                for n in g:
+                    index.setdefault(n, g)  # the first group holding n wins
+        return index.get(x)
 
     def fingerprint(self) -> tuple:
-        return (
-            self.gamma,
-            tuple(sorted((tuple(sorted(g)) for g in self.groups))),
-            tuple(sorted(self.restricted)),
-        )
+        return self._fp
 
 
 def wf_context(ctx: TypeContext) -> bool:
     """The four context well-formedness conditions."""
-    gamma = ctx.gamma_dict()
+    gamma = ctx.env
     seen = set()
     for g in ctx.groups:
         if seen & g:
@@ -191,7 +260,7 @@ def _swap_groups(ctx: TypeContext, g: frozenset) -> TypeContext:
     groups = tuple(h for h in ctx.groups if h != g)
     if mg:
         groups = groups + (mg,)
-    return TypeContext(ctx.gamma, groups, ctx.restricted)
+    return TypeContext(ctx.gamma, groups, ctx.restricted, base=ctx)
 
 
 class _InProgress:
@@ -218,19 +287,19 @@ class Checker:
         """Derive a judgment for e whose result is <= goal (or the structural
         minimum when goal is None)."""
         self._tick()
-        key = (id(e), ctx.fingerprint(), goal)
+        key = (id(e), ctx, goal)
         hit = self.memo.get(key)
-        if hit is _IN_PROGRESS:
-            raise IllTyped("cyclic search", _span(e))
         if hit is not None:
-            if isinstance(hit, Judgment):
+            if hit.__class__ is Judgment:
                 return hit
-            raise hit
+            if hit is _IN_PROGRESS:
+                raise IllTyped("cyclic search", _span(e))
+            raise hit.error()
         self.memo[key] = _IN_PROGRESS
         try:
             j = self._check(ctx, e, goal)
         except IllTyped as err:
-            self.memo[key] = err
+            self.memo[key] = _Failure(err)
             raise
         except SearchExhausted:
             del self.memo[key]
@@ -246,15 +315,17 @@ class Checker:
     # ------------------------------------------------------------------
 
     def _check(self, ctx: TypeContext, e: Expr, goal: Optional[Type]) -> Judgment:
-        first_err: Optional[IllTyped] = None
+        # the first failure is kept as a record, not as the exception: a
+        # local holding the exception would tie this frame into a cycle
+        first: Optional[_Failure] = None
         try:
             j = self._structural(ctx, e, goal)
             if goal is None or subtype(j.result, goal):
                 return self._sub(j, goal)
         except IllTyped as err:
-            first_err = err
+            first = _Failure(err)
         if goal is None:
-            raise first_err or IllTyped(
+            raise first.error() if first else IllTyped(
                 f"has type that does not fit here", _span(e)
             )
         if isinstance(goal, RefType):
@@ -263,19 +334,20 @@ class Checker:
                 try:
                     return self._sub(self._try_capsule(ctx, e, goal.cname), goal)
                 except IllTyped as err:
-                    first_err = first_err or err
+                    first = first or _Failure(err)
             if goal.qualifier is Qualifier.IMM:
                 try:
                     return self._try_imm(ctx, e, goal.cname)
                 except IllTyped as err:
-                    first_err = first_err or err
+                    first = first or _Failure(err)
         # group swap
         for g in ctx.groups:
             if g & ctx.restricted:
                 continue
+            swapped = _swap_groups(ctx, g)
             for inner_goal in self._swap_goals(goal):
                 try:
-                    j = self.check(_swap_groups(ctx, g), e, inner_goal)
+                    j = self.check(swapped, e, inner_goal)
                 except IllTyped:
                     continue
                 weakened = _weaken(j.result)
@@ -288,7 +360,7 @@ class Checker:
             isinstance(goal, IntType)
             or goal.qualifier in (Qualifier.CAPSULE, Qualifier.IMM)
         ):
-            ctx2 = TypeContext(ctx.gamma, ctx.groups, frozenset())
+            ctx2 = TypeContext(ctx.gamma, ctx.groups, frozenset(), base=ctx)
             try:
                 j = self.check(ctx2, e, goal)
                 if isinstance(j.result, IntType) or qual_leq(
@@ -296,8 +368,8 @@ class Checker:
                 ):
                     return Judgment(ctx, e, j.result, "t-unrst", (j,))
             except IllTyped as err:
-                first_err = first_err or err
-        raise first_err or IllTyped(
+                first = first or _Failure(err)
+        raise first.error() if first else IllTyped(
             f"no derivation for goal {goal}", _span(e)
         )
 
@@ -317,7 +389,7 @@ class Checker:
     def _try_capsule(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
         mg = ctx.mutable_group()
         groups = ctx.groups + ((mg,) if mg else ())
-        ctx2 = TypeContext(ctx.gamma, groups, ctx.restricted)
+        ctx2 = TypeContext(ctx.gamma, groups, ctx.restricted, base=ctx)
         j = self.check(ctx2, e, RefType(Qualifier.MUT, cname))
         return Judgment(
             ctx, e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,),
@@ -333,7 +405,7 @@ class Checker:
             if isinstance(t, RefType)
             and t.qualifier in (Qualifier.MUT, Qualifier.READ)
         )
-        ctx2 = TypeContext(ctx.gamma, groups, restricted)
+        ctx2 = TypeContext(ctx.gamma, groups, restricted, base=ctx)
         j = self.check(ctx2, e, RefType(Qualifier.READ, cname))
         return Judgment(
             ctx, e, RefType(Qualifier.IMM, cname), "t-imm", (j,),
@@ -458,7 +530,7 @@ class Checker:
         return Judgment(ctx, e, sig.ret, "t-static-call", premises)
 
     def _receiver_class(self, ctx: TypeContext, recv: Expr) -> str:
-        t = shape_type(self.table, _shape_gamma(ctx), recv)
+        t = shape_type(self.table, ctx.env, recv)
         if not isinstance(t, RefType):
             raise IllTyped("receiver is not an object", _span(recv))
         if t.cname not in self.table:
@@ -477,7 +549,7 @@ class Checker:
             j = self.check(ctx, block.body, goal)
             return Judgment(ctx, block, j.result, "t-block", (j,))
         dom = frozenset(d.name for d in decls)
-        gamma = ctx.gamma_dict()
+        gamma = dict(ctx.env)
         for d in decls:
             if d.dtype is None:
                 raise IllTyped(
@@ -502,11 +574,13 @@ class Checker:
                 f"block has {len(lent_locals)} lent locals (cap {MAX_LENT_LOCALS})",
                 block.span,
             )
-        first_err: Optional[IllTyped] = None
+        first: Optional[_Failure] = None
+        ctx_body = None
         for groups in self._group_candidates(
             block, lent_locals, base_groups, mut_locals
         ):
-            ctx_body = TypeContext(gamma_items, groups, restricted)
+            # every candidate shares the block's gamma (hash and env)
+            ctx_body = TypeContext(gamma_items, groups, restricted, base=ctx_body)
             if not wf_context(ctx_body):
                 continue
             try:
@@ -532,9 +606,11 @@ class Checker:
                     note=("groups", tuple(tuple(sorted(g)) for g in groups)),
                 )
             except IllTyped as err:
-                first_err = first_err or err
+                first = first or _Failure(err)
                 continue
-        raise first_err or IllTyped("no lent-group assignment typechecks", block.span)
+        raise first.error() if first else IllTyped(
+            "no lent-group assignment typechecks", block.span
+        )
 
     def _try_consume(self, block: Block, d: Decl, gamma: dict, ctx: TypeContext):
         """A capsule (or imm) declaration may consume a sibling local together
@@ -760,10 +836,6 @@ def _span(e: Expr):
 # restrictions.  Used to find receiver classes, to fill in the declared types
 # of statement-sugar discards, and by the simplified-form translation.
 # ---------------------------------------------------------------------------
-
-
-def _shape_gamma(ctx: TypeContext) -> dict:
-    return ctx.gamma_dict()
 
 
 def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:

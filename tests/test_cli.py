@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from capslang import cli
 from capslang.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -14,6 +15,8 @@ from capslang.cli import (
     EXIT_TYPE,
     main,
 )
+from capslang.generator import GenConfig, gen_source
+from capslang.typecheck import TypeCheckError, typecheck_program
 
 from conftest import CORPUS
 
@@ -127,6 +130,30 @@ class TestFuzzCommand:
         assert rc == EXIT_OK, out
         assert "25 programs" in out
         assert not list(tmp_path.glob("caps_repro_*.caps"))
+
+    def test_typechecks_each_program_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(p, budget=None):
+            calls.append(p)
+            return typecheck_program(p, budget)
+
+        monkeypatch.setattr(cli, "typecheck_program", counting)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["fuzz", "--seed", "0", "--count", "12", "--fuel", "2000"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK, out
+        assert len(calls) == 12
+        # the summary counts what a separate load-and-typecheck accepts
+        accepted = 0
+        for seed in range(12):
+            try:
+                typecheck_program(cli._load(gen_source(GenConfig(seed=seed))))
+                accepted += 1
+            except TypeCheckError:
+                pass
+        assert 0 < accepted < 12
+        assert out == f"12 programs, {accepted} accepted, 0 failures\n"
 
 
 class TestCorpus:

@@ -1,21 +1,32 @@
 """Typechecker verdicts: recovery of capsule/imm types, group handling,
 restricted references, and rejection of aliasing violations."""
 
-import pytest
+import gc
+import weakref
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse, parse_expr
 from capslang.syntax import INT, Qualifier, RefType
 from capslang.typecheck import (
+    _IN_PROGRESS,
     Checker,
     IllTyped,
+    Judgment,
     SearchExhausted,
     TypeCheckError,
     TypeContext,
+    _span,
     discard_type,
+    method_context,
     resolve_implicit_types,
     typecheck_program,
     wf_context,
 )
+
+from conftest import CORPUS
 
 CLS = """
 class D { int f; }
@@ -249,3 +260,181 @@ class TestBudget:
         p = resolve_implicit_types(parse(src))
         with pytest.raises(SearchExhausted):
             typecheck_program(p, budget=5)
+
+
+# ---------------------------------------------------------------------------
+# The context memo key
+# ---------------------------------------------------------------------------
+
+
+def naive_fingerprint(ctx):
+    return (
+        ctx.gamma,
+        tuple(sorted(tuple(sorted(g)) for g in ctx.groups)),
+        tuple(sorted(ctx.restricted)),
+    )
+
+
+class FingerprintKeyChecker(Checker):
+    """Reference checker: the memo is keyed on the fingerprint tuple rebuilt
+    and hashed on every call, and failures are memoized as the exceptions
+    themselves.  The production key must mean exactly the same."""
+
+    def check(self, ctx, e, goal):
+        self._tick()
+        key = (id(e), naive_fingerprint(ctx), goal)
+        hit = self.memo.get(key)
+        if hit is _IN_PROGRESS:
+            raise IllTyped("cyclic search", _span(e))
+        if hit is not None:
+            if isinstance(hit, Judgment):
+                return hit
+            raise hit
+        self.memo[key] = _IN_PROGRESS
+        try:
+            j = self._check(ctx, e, goal)
+        except IllTyped as err:
+            self.memo[key] = err
+            raise
+        except SearchExhausted:
+            del self.memo[key]
+            raise
+        self.memo[key] = j
+        return j
+
+
+def judgments(p, checker_cls):
+    """Every method body and main, each with a fresh checker: the verdict
+    (result and rule path, or error kind, message and span), ticks and memo
+    size."""
+    goals = [
+        (method_context(p.table, cname, sig), sig.body, sig.ret)
+        for cname, cd in p.table.classes.items()
+        for sig in cd.methods.values()
+    ]
+    goals.append((TypeContext.make({}), p.main, None))
+    out = []
+    for ctx, body, goal in goals:
+        c = checker_cls(p.table)
+        try:
+            j = c.check(ctx, body, goal)
+            verdict = ("ok", str(j.result), tuple(j.rule_path()))
+        except TypeCheckError as err:
+            verdict = (err.kind, str(err), err.span)
+        out.append((verdict, c.ticks, len(c.memo)))
+    return out
+
+
+def assert_same_as_reference(sources):
+    for src in sources:
+        p = resolve_implicit_types(parse(src))
+        assert judgments(p, Checker) == judgments(p, FingerprintKeyChecker), src
+
+
+class TestContextKey:
+    def test_corpus_matches_reference(self):
+        assert_same_as_reference(p.read_text() for p in sorted(CORPUS.glob("*/*.caps")))
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_generated_match_reference(self, size):
+        assert_same_as_reference(
+            gen_source(GenConfig(seed=s, size=size)) for s in range(200)
+        )
+
+    def test_rejecting_checker_is_freed_without_gc(self):
+        p = resolve_implicit_types(
+            parse((CORPUS / "reject" / "group_leak.caps").read_text())
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            c = Checker(p.table)
+            with pytest.raises(IllTyped):
+                c.infer(TypeContext.make({}), p.main)
+            ref = weakref.ref(c)
+            del c
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_group_of_first_group_wins(self):
+        mut = RefType(Qualifier.MUT, "C")
+        g1, g2 = frozenset({"x", "y"}), frozenset({"y", "z"})
+        ctx = TypeContext.make({"x": mut, "y": mut, "z": mut}, groups=(g1, g2))
+        assert ctx.group_of("y") is g1
+        assert ctx.group_of("z") is g2
+        assert ctx.group_of("w") is None
+
+
+NAMES = ("a", "b", "c", "d", "e")
+TYPES = st.sampled_from(
+    [INT]
+    + [
+        RefType(q, c)
+        for q in Qualifier
+        if q is not Qualifier.LENT
+        for c in ("C", "D")
+    ]
+)
+
+
+@st.composite
+def wf_contexts(draw):
+    """(gamma, groups, restricted) of a well-formed context."""
+    gamma = draw(st.dictionaries(st.sampled_from(NAMES), TYPES))
+    muts = sorted(
+        n for n, t in gamma.items()
+        if isinstance(t, RefType) and t.qualifier is Qualifier.MUT
+    )
+    slots = draw(st.lists(st.integers(-1, 2), min_size=len(muts), max_size=len(muts)))
+    groups = tuple(
+        g
+        for g in (frozenset(n for n, s in zip(muts, slots) if s == i) for i in range(3))
+        if g
+    )
+    grouped = frozenset().union(*groups)
+    restrictable = sorted(
+        n for n, t in gamma.items()
+        if isinstance(t, RefType)
+        and (t.qualifier is Qualifier.READ or n in grouped)
+    )
+    restricted = frozenset(draw(st.lists(st.sampled_from(restrictable), unique=True))
+                           if restrictable else ())
+    return gamma, groups, restricted
+
+
+class TestContextViews:
+    @settings(max_examples=300, deadline=None)
+    @given(wf_contexts(), st.randoms(use_true_random=False))
+    def test_views_agree_with_linear_definitions(self, parts, rnd):
+        gamma, groups, restricted = parts
+        ctx = TypeContext.make(gamma, groups, restricted)
+        assert wf_context(ctx)
+        assert ctx.fingerprint() == naive_fingerprint(ctx)
+        grouped = frozenset().union(*groups)
+        assert ctx.mutable_group() == frozenset(
+            n for n, t in ctx.gamma
+            if isinstance(t, RefType) and t.qualifier is Qualifier.MUT
+            and n not in grouped
+        )
+        for x in NAMES + ("this",):
+            assert ctx.lookup(x) == next((t for n, t in ctx.gamma if n == x), None)
+            assert ctx.group_of(x) == next((g for g in groups if x in g), None)
+        # permuted groups and gamma insertion order: the same key
+        shuffled = list(groups)
+        rnd.shuffle(shuffled)
+        items = list(gamma.items())
+        rnd.shuffle(items)
+        other = TypeContext.make(dict(items), tuple(shuffled), restricted)
+        assert other == ctx and hash(other) == hash(ctx)
+        derived = TypeContext(ctx.gamma, tuple(shuffled), restricted, base=ctx)
+        assert derived == ctx and hash(derived) == hash(ctx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wf_contexts(), wf_contexts())
+    def test_equal_exactly_when_fingerprints_equal(self, p1, p2):
+        c1, c2 = TypeContext.make(*p1), TypeContext.make(*p2)
+        assert (c1 == c2) == (naive_fingerprint(c1) == naive_fingerprint(c2))
+        if c1 == c2:
+            assert hash(c1) == hash(c2)
