@@ -6,7 +6,8 @@ dot (export the object store as Graphviz), fuzz (random differential testing
 with shrinking).
 
 Exit codes: 0 success; 1 type error or metatheory violation; 2 parse or
-well-formedness error; 3 resource exhaustion (search budget or fuel).
+well-formedness error; 3 resource exhaustion (search budget, fuel, or a
+program nested too deeply for the recursion limit).
 """
 
 from __future__ import annotations
@@ -313,7 +314,14 @@ def main(argv=None) -> int:
     f.set_defaults(fn=cmd_fuzz)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        print(
+            "resource exhausted: program nested too deeply for the recursion limit",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

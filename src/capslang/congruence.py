@@ -96,13 +96,6 @@ def all_mut(decls: tuple) -> bool:
     )
 
 
-def all_imm(decls: tuple) -> bool:
-    return all(
-        isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM
-        for d in decls
-    )
-
-
 def wf_store_decl(d: Decl) -> bool:
     """A single evaluated declaration as part of a well-formed store."""
     if isinstance(d.dtype, IntType):

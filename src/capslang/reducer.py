@@ -5,8 +5,16 @@ block frames, the hole always sitting in a declaration's right-hand side) and
 a pre-redex: a field access/method call/field assignment on values, an int
 operation, or a block whose next declaration is evaluated but not well-formed
 store (alias, int literal, capsule, or a block right-value that must be moved
-out).  Exactly one rule applies at the unique decomposition; the result is
-re-normalized (value congruence) after every step.
+out).  Exactly one rule applies at the unique decomposition.
+
+Every term of a trace is in normal form: each value position holds a fixed
+point of value congruence (`Reducer.normalize_term`).  A step rebuilds only
+the path from the root to what it changed and shares every other node with
+the previous term.  A `Reducer` records, by identity, the nodes it has seen to
+be fixed points of normalization and the declarations it has seen to be
+well-formed store; normalizing and decomposing the next term skip them, so a
+step costs what it changes rather than what the term holds.  The terms are
+the ones a full re-normalization of every term would give, name for name.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .syntax import (
     is_evaluated,
     is_objstate,
     is_value,
+    map_children,
     substitute,
 )
 
@@ -134,15 +143,24 @@ def is_simplified(e: Expr, is_rhs: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def decompose(e: Expr) -> Optional[Decomposition]:
+def decompose(e: Expr, stored: Optional[dict] = None) -> Optional[Decomposition]:
     """Unique decomposition into (context frames, pre-redex); None when e is
-    fully reduced (a value whose every declaration is well-formed store)."""
+    fully reduced (a value whose every declaration is well-formed store).
+
+    `stored` maps id(d) to d for declarations known to be evaluated
+    well-formed store: they are skipped, and each declaration found to be one
+    is added."""
+    if stored is None:
+        stored = {}
     if isinstance(e, Block):
         for i, d in enumerate(e.decls):
+            if id(d) in stored:
+                continue
             if is_evaluated(d) and wf_store_decl(d):
+                stored[id(d)] = d
                 continue
             if isinstance(d.init, Block):
-                inner = decompose(d.init)
+                inner = decompose(d.init, stored)
             elif is_value(d.init):
                 inner = None
             else:
@@ -262,30 +280,8 @@ def _rename(e: Expr, ren: dict, namer) -> Expr:
     """Structure-preserving walk applying `ren` to variables; block binders
     get new names chosen by `namer(old_name)`."""
     if isinstance(e, Var):
-        return Var(ren.get(e.name, e.name), e.span)
-    if isinstance(e, IntLit):
-        return e
-    if isinstance(e, FieldAccess):
-        return FieldAccess(_rename(e.recv, ren, namer), e.fname, e.span)
-    if isinstance(e, FieldAssign):
-        return FieldAssign(
-            _rename(e.recv, ren, namer), e.fname, _rename(e.value, ren, namer), e.span
-        )
-    if isinstance(e, MethodCall):
-        return MethodCall(
-            _rename(e.recv, ren, namer),
-            e.mname,
-            tuple(_rename(a, ren, namer) for a in e.args),
-            e.span,
-        )
-    if isinstance(e, StaticCall):
-        return StaticCall(
-            e.cname, e.mname, tuple(_rename(a, ren, namer) for a in e.args), e.span
-        )
-    if isinstance(e, New):
-        return New(e.cname, tuple(_rename(a, ren, namer) for a in e.args), e.span)
-    if isinstance(e, Plus):
-        return Plus(_rename(e.left, ren, namer), _rename(e.right, ren, namer), e.span)
+        name = ren.get(e.name, e.name)
+        return e if name == e.name else Var(name, e.span)
     if isinstance(e, Block):
         ren2 = dict(ren)
         for d in e.decls:
@@ -298,7 +294,7 @@ def _rename(e: Expr, ren: dict, namer) -> Expr:
             _rename(e.body, ren2, namer),
             e.span,
         )
-    raise TypeError(f"not an expression: {e!r}")
+    return map_children(e, _rename, ren, namer)
 
 
 def freshen(e: Expr, supply: NameSupply, taken: Optional[set] = None) -> Expr:
@@ -337,65 +333,50 @@ class Reducer:
     def __init__(self, table: ClassTable, supply: Optional[NameSupply] = None):
         self.table = table
         self.supply = supply or NameSupply()
+        # identity tables, id(node) -> node (the reference keeps the id from
+        # being reused): fixed points of normalize_term(., top=False), and
+        # declarations known to be evaluated well-formed store
+        self._normal: dict = {}
+        self._stored: dict = {}
 
     # -- normalization -----------------------------------------------------
 
     def normalize_term(self, e: Expr, top: bool = True) -> Expr:
         """Apply value congruence to every value position.  The outermost
         block is the program store: its structure (including unreferenced
-        declarations) is preserved, only its components are normalized."""
+        declarations) is preserved, only its components are normalized.
+
+        Unchanged subterms are shared with e.  Known fixed points are
+        returned at once.  A node is recorded as one only when it is an
+        output of `normalize_value`, or when a pass returned it unchanged:
+        normalization is not idempotent in general, since a block that
+        becomes a value in one pass is flattened by the next."""
+        if not top and id(e) in self._normal:
+            return e
         if isinstance(e, Block) and (top or not is_value(e)):
-            decls = tuple(
-                Decl(d.dtype, d.name, self.normalize_term(d.init, False), d.span)
-                for d in e.decls
-            )
-            body = self.normalize_term(e.body, False)
-            if not decls:
-                return body
-            return Block(decls, body, e.span)
-        if is_value(e):
-            return normalize_value(e, self.table, self.supply)
-        if isinstance(e, FieldAccess):
-            return FieldAccess(self.normalize_term(e.recv, False), e.fname, e.span)
-        if isinstance(e, FieldAssign):
-            return FieldAssign(
-                self.normalize_term(e.recv, False),
-                e.fname,
-                self.normalize_term(e.value, False),
-                e.span,
-            )
-        if isinstance(e, MethodCall):
-            return MethodCall(
-                self.normalize_term(e.recv, False),
-                e.mname,
-                tuple(self.normalize_term(a, False) for a in e.args),
-                e.span,
-            )
-        if isinstance(e, StaticCall):
-            return StaticCall(
-                e.cname,
-                e.mname,
-                tuple(self.normalize_term(a, False) for a in e.args),
-                e.span,
-            )
-        if isinstance(e, New):
-            return New(
-                e.cname, tuple(self.normalize_term(a, False) for a in e.args), e.span
-            )
-        if isinstance(e, Plus):
-            return Plus(
-                self.normalize_term(e.left, False),
-                self.normalize_term(e.right, False),
-                e.span,
-            )
-        return e
+            out = map_children(e, self.normalize_term, False)
+            if not out.decls:
+                return out.body
+        elif is_value(e):
+            return self._normal_value(e)
+        else:
+            out = map_children(e, self.normalize_term, False)
+        if out is e and not top:
+            self._normal[id(e)] = e
+        return out
+
+    def _normal_value(self, v: Expr) -> Expr:
+        """`normalize_value`, recording its output as a fixed point."""
+        out = normalize_value(v, self.table, self.supply)
+        self._normal[id(out)] = out
+        return out
 
     # -- stepping ------------------------------------------------------------
 
     def step(self, e: Expr):
         """One reduction step: (rule name, new term), or None when e is
         fully reduced."""
-        d = decompose(e)
+        d = decompose(e, self._stored)
         if d is None:
             return None
         redex, frames = d.redex, d.frames
@@ -417,8 +398,7 @@ class Reducer:
             raise StuckTerm(f"no field {redex.fname} in {cname}")
         i = self.table.field_index(cname, redex.fname)
         v = field_lookup(frames, redex.recv, i)
-        v = normalize_value(v, self.table, self.supply)
-        return ("field-access", plug(frames, v))
+        return ("field-access", plug(frames, self._normal_value(v)))
 
     def _invoke(self, frames, redex):
         if isinstance(redex, StaticCall):

@@ -178,6 +178,66 @@ def children(e: Expr) -> Iterator[Expr]:
         raise TypeError(f"not an expression: {e!r}")
 
 
+def map_children(e: Expr, f, *extra) -> Expr:
+    """e with each child expression c replaced by f(c, *extra), in the order
+    of `children`.  Unchanged parts are shared: e itself is returned when f
+    returns every child unchanged (`is`), and a declaration keeps its object
+    when its initializer is unchanged."""
+    if isinstance(e, (Var, IntLit)):
+        return e
+    if isinstance(e, FieldAccess):
+        recv = f(e.recv, *extra)
+        return e if recv is e.recv else FieldAccess(recv, e.fname, e.span)
+    if isinstance(e, MethodCall):
+        recv = f(e.recv, *extra)
+        args = _map_tuple(e.args, f, extra)
+        if recv is e.recv and args is e.args:
+            return e
+        return MethodCall(recv, e.mname, args, e.span)
+    if isinstance(e, StaticCall):
+        args = _map_tuple(e.args, f, extra)
+        return e if args is e.args else StaticCall(e.cname, e.mname, args, e.span)
+    if isinstance(e, FieldAssign):
+        recv = f(e.recv, *extra)
+        value = f(e.value, *extra)
+        if recv is e.recv and value is e.value:
+            return e
+        return FieldAssign(recv, e.fname, value, e.span)
+    if isinstance(e, New):
+        args = _map_tuple(e.args, f, extra)
+        return e if args is e.args else New(e.cname, args, e.span)
+    if isinstance(e, Plus):
+        left = f(e.left, *extra)
+        right = f(e.right, *extra)
+        if left is e.left and right is e.right:
+            return e
+        return Plus(left, right, e.span)
+    if isinstance(e, Block):
+        decls = []
+        changed = False
+        for d in e.decls:
+            init = f(d.init, *extra)
+            if init is not d.init:
+                d = Decl(d.dtype, d.name, init, d.span)
+                changed = True
+            decls.append(d)
+        body = f(e.body, *extra)
+        if not changed and body is e.body:
+            return e
+        return Block(tuple(decls), body, e.span)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _map_tuple(xs: tuple, f, extra: tuple) -> tuple:
+    ys = []
+    changed = False
+    for x in xs:
+        y = f(x, *extra)
+        changed = changed or y is not x
+        ys.append(y)
+    return tuple(ys) if changed else xs
+
+
 # ---------------------------------------------------------------------------
 # Class table
 # ---------------------------------------------------------------------------
@@ -263,42 +323,14 @@ def substitute(e: Expr, v: Expr, x: str) -> Expr:
 
     Blocks declaring x are left untouched; the caller is responsible for
     avoiding capture (alpha-renaming), as all binders here are kept globally
-    fresh by the front end.
+    fresh by the front end.  Subterms where x is not free are shared with e:
+    when x is not free in e the result is e itself.
     """
     if isinstance(e, Var):
         return v if e.name == x else e
-    if isinstance(e, IntLit):
+    if isinstance(e, Block) and any(d.name == x for d in e.decls):
         return e
-    if isinstance(e, FieldAccess):
-        return FieldAccess(substitute(e.recv, v, x), e.fname, e.span)
-    if isinstance(e, MethodCall):
-        return MethodCall(
-            substitute(e.recv, v, x),
-            e.mname,
-            tuple(substitute(a, v, x) for a in e.args),
-            e.span,
-        )
-    if isinstance(e, StaticCall):
-        return StaticCall(
-            e.cname, e.mname, tuple(substitute(a, v, x) for a in e.args), e.span
-        )
-    if isinstance(e, FieldAssign):
-        return FieldAssign(
-            substitute(e.recv, v, x), e.fname, substitute(e.value, v, x), e.span
-        )
-    if isinstance(e, New):
-        return New(e.cname, tuple(substitute(a, v, x) for a in e.args), e.span)
-    if isinstance(e, Plus):
-        return Plus(substitute(e.left, v, x), substitute(e.right, v, x), e.span)
-    if isinstance(e, Block):
-        if x in (d.name for d in e.decls):
-            return e
-        return Block(
-            tuple(Decl(d.dtype, d.name, substitute(d.init, v, x), d.span) for d in e.decls),
-            substitute(e.body, v, x),
-            e.span,
-        )
-    raise TypeError(f"not an expression: {e!r}")
+    return map_children(e, substitute, v, x)
 
 
 # ---------------------------------------------------------------------------

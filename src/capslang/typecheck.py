@@ -789,16 +789,14 @@ class Checker:
             return x
 
         pairs = []
-
-        def scan(e: Expr):
+        stack = [block]  # preorder, as a recursive walk would visit
+        while stack:
+            e = stack.pop()
             if isinstance(e, FieldAssign) and isinstance(e.recv, Var) and isinstance(
                 e.value, Var
             ):
                 pairs.append((e.recv.name, e.value.name))
-            for c in children(e):
-                scan(c)
-
-        scan(block)
+            stack.extend(reversed(tuple(children(e))))
         join: dict = {}  # union-find root -> base group index
         for (a, b) in pairs:
             if a in parent and b in parent:

@@ -37,6 +37,15 @@ y
 """
 
 
+def plus_chain(n):
+    return "class D { int f; }\nnew D(" + " + ".join(["1"] * n) + ")\n"
+
+
+def assert_resource_exhausted(err):
+    (line,) = err.splitlines()
+    assert line.startswith("resource exhausted: ")
+
+
 class TestCheck:
     def test_ok_output(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, GOOD)]) == EXIT_OK
@@ -71,6 +80,10 @@ class TestCheck:
         assert main(["check", write(tmp_path, src), "--budget", "5"]) == EXIT_RESOURCE
         assert "search exhausted" in capsys.readouterr().err
 
+    def test_too_deep(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, plus_chain(2000))]) == EXIT_RESOURCE
+        assert_resource_exhausted(capsys.readouterr().err)
+
 
 class TestRun:
     def test_final_term(self, tmp_path, capsys):
@@ -95,6 +108,10 @@ class TestRun:
         """
         assert main(["run", write(tmp_path, src), "--fuel", "40"]) == EXIT_RESOURCE
         assert "fuel" in capsys.readouterr().err
+
+    def test_too_deep(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, plus_chain(400))]) == EXIT_RESOURCE
+        assert_resource_exhausted(capsys.readouterr().err)
 
 
 class TestDot:

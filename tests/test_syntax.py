@@ -3,15 +3,22 @@ static well-formedness checks on programs and class tables."""
 
 import itertools
 
+from hypothesis import given, settings, strategies as st
+
 from capslang.parser import parse, parse_expr
 from capslang.syntax import (
     INT,
     Block,
     Decl,
+    FieldAccess,
+    FieldAssign,
     IntLit,
+    MethodCall,
     New,
+    Plus,
     Qualifier,
     RefType,
+    StaticCall,
     Var,
     free_vars,
     is_evaluated,
@@ -91,6 +98,70 @@ class TestFreeVarsSubstitute:
     def test_substitute_stops_at_binder(self):
         e = parse_expr("{mut C x = new C(x); x}")
         assert substitute(e, Var("z"), "x") == e
+
+
+def rebuild_substitute(e, v, x):
+    """Substitution that rebuilds every node, sharing nothing."""
+    if isinstance(e, Var):
+        return v if e.name == x else Var(e.name, e.span)
+    if isinstance(e, IntLit):
+        return IntLit(e.value, e.span)
+    if isinstance(e, FieldAccess):
+        return FieldAccess(rebuild_substitute(e.recv, v, x), e.fname, e.span)
+    if isinstance(e, MethodCall):
+        args = tuple(rebuild_substitute(a, v, x) for a in e.args)
+        return MethodCall(rebuild_substitute(e.recv, v, x), e.mname, args, e.span)
+    if isinstance(e, StaticCall):
+        args = tuple(rebuild_substitute(a, v, x) for a in e.args)
+        return StaticCall(e.cname, e.mname, args, e.span)
+    if isinstance(e, FieldAssign):
+        recv = rebuild_substitute(e.recv, v, x)
+        return FieldAssign(recv, e.fname, rebuild_substitute(e.value, v, x), e.span)
+    if isinstance(e, New):
+        return New(e.cname, tuple(rebuild_substitute(a, v, x) for a in e.args), e.span)
+    if isinstance(e, Plus):
+        left = rebuild_substitute(e.left, v, x)
+        return Plus(left, rebuild_substitute(e.right, v, x), e.span)
+    if isinstance(e, Block):
+        if x in (d.name for d in e.decls):
+            return Block(e.decls, e.body, e.span)
+        decls = tuple(
+            Decl(d.dtype, d.name, rebuild_substitute(d.init, v, x), d.span)
+            for d in e.decls
+        )
+        return Block(decls, rebuild_substitute(e.body, v, x), e.span)
+    raise TypeError(e)
+
+
+NAMES = st.sampled_from(["x", "y", "z"])
+LEAVES = st.one_of(NAMES.map(Var), st.integers(0, 9).map(IntLit))
+
+
+def _extend(sub):
+    args = st.lists(sub, max_size=2).map(tuple)
+    decl = st.builds(Decl, st.just(RefType(Q.MUT, "C")), NAMES, sub)
+    return st.one_of(
+        st.builds(FieldAccess, sub, st.just("f")),
+        st.builds(MethodCall, sub, st.just("m"), args),
+        st.builds(StaticCall, st.just("C"), st.just("s"), args),
+        st.builds(FieldAssign, sub, st.just("f"), sub),
+        st.builds(New, st.just("C"), args),
+        st.builds(Plus, sub, sub),
+        st.builds(Block, st.lists(decl, max_size=2).map(tuple), sub),
+    )
+
+
+EXPRS = st.recursive(LEAVES, _extend, max_leaves=12)
+
+
+@given(EXPRS, EXPRS, NAMES)
+@settings(max_examples=300, deadline=None)
+def test_substitute_shares_what_it_does_not_change(e, v, x):
+    out = substitute(e, v, x)
+    if x not in free_vars(e):
+        assert out is e
+    else:
+        assert out == rebuild_substitute(e, v, x)
 
 
 class TestValuePredicates:

@@ -346,7 +346,10 @@ class TestContextKey:
             parse((CORPUS / "reject" / "group_leak.caps").read_text())
         )
         enabled = gc.isenabled()
+        debug = gc.get_debug()
         gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             c = Checker(p.table)
             with pytest.raises(IllTyped):
@@ -354,7 +357,12 @@ class TestContextKey:
             ref = weakref.ref(c)
             del c
             assert ref() is None
+            # nor does the check leave any other reference cycle behind
+            gc.collect()
+            assert gc.garbage == []
         finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
             if enabled:
                 gc.enable()
 
