@@ -9,8 +9,6 @@ this pass.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .congruence import NameSupply
 from .syntax import (
     Block,
@@ -35,9 +33,9 @@ from .typecheck import _method_this_qual, _stored_type, shape_type
 
 
 class _Translator:
-    def __init__(self, table: ClassTable, supply: Optional[NameSupply] = None):
+    def __init__(self, table: ClassTable):
         self.table = table
-        self.supply = supply or NameSupply()
+        self.supply = NameSupply()
 
     # returns (bindings, value)
     def value(self, e: Expr, gamma: dict):
@@ -121,19 +119,10 @@ class _Translator:
         return Block(tuple(bs) + (Decl(t, z, rhs, e.span),), Var(z), e.span)
 
 
-def simplify_expr(
-    e: Expr,
-    table: ClassTable,
-    gamma: Optional[dict] = None,
-    supply: Optional[NameSupply] = None,
-) -> Expr:
-    return _Translator(table, supply).expr(e, gamma or {})
-
-
-def simplify_program(p: Program, supply: Optional[NameSupply] = None) -> Program:
+def simplify_program(p: Program) -> Program:
     """Translate the main expression and every method body to simplified
     form."""
-    tr = _Translator(p.table, supply)
+    tr = _Translator(p.table)
     classes = {}
     for cname, cd in p.table.classes.items():
         methods = {}

@@ -5,9 +5,11 @@ run (reduce it, optionally tracing every step and verifying the metatheory),
 dot (export the object store as Graphviz), fuzz (random differential testing
 with shrinking).
 
-Exit codes: 0 success; 1 type error or metatheory violation; 2 parse or
-well-formedness error; 3 resource exhaustion (search budget, fuel, or a
-program nested too deeply for the recursion limit).
+Exit codes: 0 success; 1 type error, reduction error or metatheory
+violation; 2 parse or well-formedness error, or a file that cannot be read;
+3 resource exhaustion (search budget, fuel, or a program nested too deeply
+for the recursion limit).  The commands raise; `main` maps each exception
+to its exit code and one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -20,20 +22,17 @@ from .congruence import NameSupply, canonical
 from .generator import GenConfig, gen_source, shrink
 from .metatheory import verify_trace
 from .parser import ParseError, parse, pretty_print
-from .reducer import OutOfFuel, Reducer, ReductionError, StuckTerm
+from .reducer import OutOfFuel, Reducer, ReductionError
 from .syntax import (
     Block,
-    IntLit,
     New,
     Qualifier,
     RefType,
     Var,
-    is_evaluated,
     validate_classtable,
     validate_wellformedness,
 )
 from .typecheck import (
-    IllTyped,
     SearchExhausted,
     TypeCheckError,
     resolve_implicit_types,
@@ -60,20 +59,8 @@ def _read(path: str) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        p = _load(_read(args.file))
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        out = typecheck_program(p, budget=args.budget)
-    except SearchExhausted as e:
-        print(f"search exhausted: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except TypeCheckError as e:
-        print(f"type error: {e}", file=sys.stderr)
-        return EXIT_TYPE
-    j = out["main"]
+    p = _load(_read(args.file))
+    j = typecheck_program(p, budget=args.budget)["main"]
     print(f"main : {j.result}")
     print("rules:", " ".join(j.rule_path()))
     return EXIT_OK
@@ -86,27 +73,9 @@ def _reduce(p, fuel: int):
 
 
 def cmd_run(args) -> int:
-    try:
-        p = _load(_read(args.file))
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        typecheck_program(p, budget=args.budget)
-    except SearchExhausted as e:
-        print(f"search exhausted: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except TypeCheckError as e:
-        print(f"type error: {e}", file=sys.stderr)
-        return EXIT_TYPE
-    try:
-        sp, trace = _reduce(p, args.fuel)
-    except OutOfFuel as e:
-        print(f"out of fuel after {len(e.trace.steps)} steps", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ReductionError as e:
-        print(f"reduction error: {e}", file=sys.stderr)
-        return EXIT_TYPE
+    p = _load(_read(args.file))
+    typecheck_program(p, budget=args.budget)
+    sp, trace = _reduce(p, args.fuel)
     if args.trace:
         for i, (rule, term) in enumerate(trace.steps):
             print(f"#{i + 1} [{rule}] {pretty_print(canonical(term))}")
@@ -191,18 +160,11 @@ def store_dot(term) -> str:
 
 
 def cmd_dot(args) -> int:
-    try:
-        p = _load(_read(args.file))
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    p = _load(_read(args.file))
     try:
         sp, trace = _reduce(p, args.fuel)
     except OutOfFuel as e:
-        trace = e.trace
-    except ReductionError as e:
-        print(f"reduction error: {e}", file=sys.stderr)
-        return EXIT_TYPE
+        trace = e.trace  # draw the store as far as reduction got
     if args.at_step is None:
         term = trace.final
     elif args.at_step == 0:
@@ -229,14 +191,11 @@ def _fuzz_failure(src: str, fuel: int) -> tuple:
     rejection); accepted tells whether the program typechecked."""
     try:
         p = _load(src)
+        typecheck_program(p)
     except ParseError as e:
         return f"frontend: {e}", False
-    try:
-        typecheck_program(p)
-    except SearchExhausted:
-        return "", False  # inconclusive, not a failure
     except TypeCheckError:
-        return "", False  # clean rejection
+        return "", False  # a clean rejection or an inconclusive search
     except Exception as e:  # noqa: BLE001 - crashes must be reported
         return f"checker-crash: {type(e).__name__}", False
     try:
@@ -316,6 +275,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except (ParseError, OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except SearchExhausted as e:
+        print(f"search exhausted: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except TypeCheckError as e:
+        print(f"type error: {e}", file=sys.stderr)
+        return EXIT_TYPE
+    except OutOfFuel as e:
+        print(f"out of fuel after {len(e.trace.steps)} steps", file=sys.stderr)
+        return EXIT_RESOURCE
+    except ReductionError as e:
+        print(f"reduction error: {e}", file=sys.stderr)
+        return EXIT_TYPE
     except RecursionError:
         print(
             "resource exhausted: program nested too deeply for the recursion limit",

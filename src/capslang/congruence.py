@@ -28,6 +28,7 @@ from .syntax import (
     is_objstate,
     is_rightvalue,
     is_value,
+    map_children,
 )
 
 
@@ -248,23 +249,8 @@ def canonical(e: Expr) -> Expr:
 
     def walk(e: Expr, ren: dict) -> Expr:
         if isinstance(e, Var):
-            return Var(ren.get(e.name, e.name))
-        if isinstance(e, IntLit):
-            return IntLit(e.value)
-        if isinstance(e, FieldAccess):
-            return FieldAccess(walk(e.recv, ren), e.fname)
-        if isinstance(e, FieldAssign):
-            return FieldAssign(walk(e.recv, ren), e.fname, walk(e.value, ren))
-        if isinstance(e, MethodCall):
-            return MethodCall(
-                walk(e.recv, ren), e.mname, tuple(walk(a, ren) for a in e.args)
-            )
-        if isinstance(e, StaticCall):
-            return StaticCall(e.cname, e.mname, tuple(walk(a, ren) for a in e.args))
-        if isinstance(e, New):
-            return New(e.cname, tuple(walk(a, ren) for a in e.args))
-        if isinstance(e, Plus):
-            return Plus(walk(e.left, ren), walk(e.right, ren))
+            name = ren.get(e.name, e.name)
+            return e if name == e.name else Var(name)
         if isinstance(e, Block):
             ordered: list = []
             run: list = []
@@ -286,7 +272,7 @@ def canonical(e: Expr) -> Expr:
                 ),
                 walk(e.body, ren2),
             )
-        raise TypeError(f"not an expression: {e!r}")
+        return map_children(e, walk, ren)
 
     return walk(e, {})
 

@@ -26,7 +26,6 @@ from .syntax import (
     IntType,
     New,
     Program,
-    Qualifier,
     RefType,
     Var,
 )
@@ -288,10 +287,6 @@ def gen_source(cfg: GenConfig) -> str:
     classes = g.gen_classes()
     main = g.gen_main()
     return classes + "\n" + main + "\n"
-
-
-def gen_program(cfg: GenConfig) -> Program:
-    return parse(gen_source(cfg))
 
 
 # ---------------------------------------------------------------------------

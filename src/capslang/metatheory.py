@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .congruence import all_mut, canonical, wf_rightvalue
+from .congruence import all_mut, wf_rightvalue, wf_store_decl
 from .parser import pretty_print
 from .reducer import ReductionTrace
 from .syntax import (
@@ -33,7 +33,6 @@ from .syntax import (
     IntLit,
     IntType,
     New,
-    Program,
     Qualifier,
     RefType,
     Type,
@@ -42,6 +41,7 @@ from .syntax import (
     free_vars,
     is_evaluated,
     is_objstate,
+    is_value,
 )
 from .typecheck import (
     Checker,
@@ -196,9 +196,6 @@ def check_progress(table: ClassTable, trace: ReductionTrace) -> list:
     """A completed trace proves progress by construction; this validates the
     terminal term: it must be a value whose declarations are all well-formed
     store.  (A StuckTerm raised during reduction is reported by the caller.)"""
-    from .congruence import wf_store_decl
-    from .syntax import is_value
-
     out: list = []
     if not trace.done:
         return out
@@ -276,8 +273,6 @@ def _check_decl_shape(
         if not isinstance(d.init, IntLit):
             out.append(bad("evaluated int declaration does not hold a literal"))
         return out
-    from .congruence import wf_store_decl
-
     q = d.dtype.qualifier
     # clause: the right-value's class agrees with the declared class
     cname = _rv_class(d.init, env)
@@ -393,8 +388,6 @@ def check_immutable_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     """Once an imm binder holds a settled right-value, the object graph
     reachable from it never changes for the rest of the trace, and the
     right-value is closed except for imm references."""
-    from .congruence import wf_store_decl
-
     out: list = []
     first_seen: dict = {}  # binder -> (step, reachable-graph snapshot)
     for step, term in _trace_terms(trace):

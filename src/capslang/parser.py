@@ -36,7 +36,6 @@ from .syntax import (
     FieldAccess,
     FieldAssign,
     IntLit,
-    IntType,
     MethodCall,
     MethodSig,
     New,
@@ -47,7 +46,7 @@ from .syntax import (
     StaticCall,
     Type,
     Var,
-    children,
+    map_children,
 )
 
 RESERVED = {
@@ -395,12 +394,8 @@ class _Parser:
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
 
-def parse(text: str, filename: str = "<input>") -> Program:
-    try:
-        program = _Parser(tokenize(text)).parse_program()
-    except ParseError:
-        raise
-    return _resolve_static_calls(program)
+def parse(text: str) -> Program:
+    return _resolve_static_calls(_Parser(tokenize(text)).parse_program())
 
 
 def parse_expr(text: str) -> Expr:
@@ -420,8 +415,6 @@ def parse_expr(text: str) -> Expr:
 
 
 def _resolve_static(e: Expr, table: ClassTable, bound: frozenset) -> Expr:
-    if isinstance(e, (Var, IntLit)):
-        return e
     if isinstance(e, MethodCall):
         recv = e.recv
         if (
@@ -429,50 +422,10 @@ def _resolve_static(e: Expr, table: ClassTable, bound: frozenset) -> Expr:
             and recv.name in table
             and recv.name not in bound
         ):
-            return StaticCall(
-                recv.name,
-                e.mname,
-                tuple(_resolve_static(a, table, bound) for a in e.args),
-                e.span,
-            )
-        return MethodCall(
-            _resolve_static(recv, table, bound),
-            e.mname,
-            tuple(_resolve_static(a, table, bound) for a in e.args),
-            e.span,
-        )
-    if isinstance(e, StaticCall):
-        return StaticCall(
-            e.cname, e.mname, tuple(_resolve_static(a, table, bound) for a in e.args), e.span
-        )
-    if isinstance(e, FieldAccess):
-        return FieldAccess(_resolve_static(e.recv, table, bound), e.fname, e.span)
-    if isinstance(e, FieldAssign):
-        return FieldAssign(
-            _resolve_static(e.recv, table, bound),
-            e.fname,
-            _resolve_static(e.value, table, bound),
-            e.span,
-        )
-    if isinstance(e, New):
-        return New(e.cname, tuple(_resolve_static(a, table, bound) for a in e.args), e.span)
-    if isinstance(e, Plus):
-        return Plus(
-            _resolve_static(e.left, table, bound),
-            _resolve_static(e.right, table, bound),
-            e.span,
-        )
-    if isinstance(e, Block):
-        inner = bound | frozenset(d.name for d in e.decls)
-        return Block(
-            tuple(
-                Decl(d.dtype, d.name, _resolve_static(d.init, table, inner), d.span)
-                for d in e.decls
-            ),
-            _resolve_static(e.body, table, inner),
-            e.span,
-        )
-    raise TypeError(f"not an expression: {e!r}")
+            e = StaticCall(recv.name, e.mname, e.args, e.span)
+    elif isinstance(e, Block):
+        bound = bound | frozenset(d.name for d in e.decls)
+    return map_children(e, _resolve_static, table, bound)
 
 
 def _resolve_static_calls(p: Program) -> Program:

@@ -45,6 +45,7 @@ from .syntax import (
     RefType,
     StaticCall,
     Var,
+    children,
     free_vars,
     is_evaluated,
     is_objstate,
@@ -108,34 +109,12 @@ class Decomposition:
     redex: object  # FieldAccess|MethodCall|StaticCall|FieldAssign|Plus|NonWfDecl
 
 
-def is_simplified(e: Expr, is_rhs: bool = True) -> bool:
+def is_simplified(e: Expr) -> bool:
     """Every compound subterm is a value, except declaration right-hand
     sides; block bodies are values."""
-    if isinstance(e, (Var, IntLit)):
-        return True
-    if isinstance(e, New):
-        return all(is_value(a) and is_simplified(a, False) for a in e.args)
-    if isinstance(e, FieldAccess):
-        return is_value(e.recv) and is_simplified(e.recv, False)
-    if isinstance(e, FieldAssign):
-        return all(
-            is_value(x) and is_simplified(x, False) for x in (e.recv, e.value)
-        )
-    if isinstance(e, MethodCall):
-        return all(
-            is_value(x) and is_simplified(x, False) for x in (e.recv,) + e.args
-        )
-    if isinstance(e, StaticCall):
-        return all(is_value(a) and is_simplified(a, False) for a in e.args)
-    if isinstance(e, Plus):
-        return all(
-            is_value(x) and is_simplified(x, False) for x in (e.left, e.right)
-        )
     if isinstance(e, Block):
-        return is_value(e.body) and all(
-            is_simplified(d.init, True) for d in e.decls
-        )
-    return False
+        return is_value(e.body) and all(is_simplified(d.init) for d in e.decls)
+    return all(is_value(c) and is_simplified(c) for c in children(e))
 
 
 # ---------------------------------------------------------------------------

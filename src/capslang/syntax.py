@@ -395,7 +395,7 @@ def _count_occurrences(e: Expr, x: str) -> int:
     return sum(_count_occurrences(c, x) for c in children(e))
 
 
-def _check_expr_wf(e: Expr, capsule_scope: dict, out: list) -> None:
+def _check_expr_wf(e: Expr, out: list) -> None:
     if isinstance(e, Block):
         names = [d.name for d in e.decls]
         # capsule-typed locals: at most one occurrence in their scope
@@ -430,7 +430,7 @@ def _check_expr_wf(e: Expr, capsule_scope: dict, out: list) -> None:
                         )
                     )
     for c in children(e):
-        _check_expr_wf(c, capsule_scope, out)
+        _check_expr_wf(c, out)
 
 
 def validate_wellformedness(p: Program) -> list:
@@ -451,8 +451,8 @@ def validate_wellformedness(p: Program) -> list:
                                 "occurs more than once",
                             )
                         )
-            _check_expr_wf(m.body, {}, out)
-    _check_expr_wf(p.main, {}, out)
+            _check_expr_wf(m.body, out)
+    _check_expr_wf(p.main, out)
     return out
 
 

@@ -28,7 +28,6 @@ failure).
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,6 +52,7 @@ from .syntax import (
     Var,
     free_vars,
     is_evaluated,
+    map_children,
     qual_leq,
     subtype,
 )
@@ -273,9 +273,7 @@ _IN_PROGRESS = _InProgress()
 class Checker:
     def __init__(self, table: ClassTable, budget: Optional[int] = None):
         self.table = table
-        if budget is None:
-            budget = int(os.environ.get("CAPS_SEARCH_BUDGET", DEFAULT_BUDGET))
-        self.budget = budget
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.memo: dict = {}
         self.ticks = 0
 
@@ -907,39 +905,26 @@ def resolve_implicit_types(p: Program) -> Program:
     from .syntax import ClassDef, MethodSig
 
     def walk(e: Expr, gamma: dict) -> Expr:
-        if isinstance(e, Block):
-            g2 = dict(gamma)
-            for d in e.decls:
-                if d.dtype is not None:
-                    g2[d.name] = _stored_type(d.dtype)
-            new_decls = []
-            for d in e.decls:
-                init = walk(d.init, g2)
-                dtype = d.dtype
-                if dtype is None:
-                    dtype = discard_type(shape_type(p.table, g2, init))
-                    g2[d.name] = _stored_type(dtype)
-                new_decls.append(Decl(dtype, d.name, init, d.span))
-            return Block(tuple(new_decls), walk(e.body, g2), e.span)
-        if isinstance(e, (Var, IntLit)):
+        if not isinstance(e, Block):
+            return map_children(e, walk, gamma)
+        g2 = dict(gamma)
+        for d in e.decls:
+            if d.dtype is not None:
+                g2[d.name] = _stored_type(d.dtype)
+        decls = []
+        for d in e.decls:
+            init = walk(d.init, g2)
+            if d.dtype is None:
+                dtype = discard_type(shape_type(p.table, g2, init))
+                g2[d.name] = _stored_type(dtype)
+                d = Decl(dtype, d.name, init, d.span)
+            elif init is not d.init:
+                d = Decl(d.dtype, d.name, init, d.span)
+            decls.append(d)
+        body = walk(e.body, g2)
+        if body is e.body and all(d is d0 for d, d0 in zip(decls, e.decls)):
             return e
-        if isinstance(e, FieldAccess):
-            return FieldAccess(walk(e.recv, gamma), e.fname, e.span)
-        if isinstance(e, FieldAssign):
-            return FieldAssign(walk(e.recv, gamma), e.fname, walk(e.value, gamma), e.span)
-        if isinstance(e, MethodCall):
-            return MethodCall(
-                walk(e.recv, gamma), e.mname, tuple(walk(a, gamma) for a in e.args), e.span
-            )
-        if isinstance(e, StaticCall):
-            return StaticCall(
-                e.cname, e.mname, tuple(walk(a, gamma) for a in e.args), e.span
-            )
-        if isinstance(e, New):
-            return New(e.cname, tuple(walk(a, gamma) for a in e.args), e.span)
-        if isinstance(e, Plus):
-            return Plus(walk(e.left, gamma), walk(e.right, gamma), e.span)
-        raise TypeError(f"not an expression: {e!r}")
+        return Block(tuple(decls), body, e.span)
 
     classes = {}
     for cname, cd in p.table.classes.items():

@@ -30,7 +30,6 @@ from capslang.metatheory import (
 )
 from capslang.parser import parse, parse_expr
 from capslang.reducer import (
-    Decomposition,
     Frame,
     NonWfDecl,
     Reducer,

@@ -2,7 +2,6 @@
 (every accept/ file typechecks and runs clean; every reject/ file is refused
 with the diagnostic named in its first-line `// expect-error:` comment)."""
 
-import pathlib
 import re
 
 import pytest
@@ -41,9 +40,9 @@ def plus_chain(n):
     return "class D { int f; }\nnew D(" + " + ".join(["1"] * n) + ")\n"
 
 
-def assert_resource_exhausted(err):
+def assert_diagnostic(err, prefix):
     (line,) = err.splitlines()
-    assert line.startswith("resource exhausted: ")
+    assert line.startswith(prefix)
 
 
 class TestCheck:
@@ -82,7 +81,7 @@ class TestCheck:
 
     def test_too_deep(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, plus_chain(2000))]) == EXIT_RESOURCE
-        assert_resource_exhausted(capsys.readouterr().err)
+        assert_diagnostic(capsys.readouterr().err, "resource exhausted: ")
 
 
 class TestRun:
@@ -111,7 +110,7 @@ class TestRun:
 
     def test_too_deep(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, plus_chain(400))]) == EXIT_RESOURCE
-        assert_resource_exhausted(capsys.readouterr().err)
+        assert_diagnostic(capsys.readouterr().err, "resource exhausted: ")
 
 
 class TestDot:
@@ -137,6 +136,47 @@ class TestDot:
     def test_at_step_out_of_range(self, tmp_path, capsys):
         rc = main(["dot", write(tmp_path, self.SRC), "--at-step", "999"])
         assert rc == EXIT_PARSE
+
+
+# A discarded statement reading a field the class lacks: the declared type of
+# its discard variable cannot be inferred.
+UNKNOWN_FIELD_STATEMENT = "class K { int n; } { mut K k = new K(0); k.g; k }\n"
+
+COMMANDS = ["check", "run", "dot"]
+
+
+class TestFailures:
+    """Each failure ends in its documented exit code and a one-line
+    diagnostic, whichever command meets it."""
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_missing_file(self, tmp_path, capsys, cmd):
+        assert main([cmd, str(tmp_path / "missing.caps")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert_diagnostic(err, "error: ")
+        assert "missing.caps" in err
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_not_utf8(self, tmp_path, capsys, cmd):
+        f = tmp_path / "prog.caps"
+        f.write_bytes(b"\xff\xfe class D { int f; }")
+        assert main([cmd, str(f)]) == EXIT_PARSE
+        assert_diagnostic(capsys.readouterr().err, "error: ")
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_untypable_statement(self, tmp_path, capsys, cmd):
+        path = write(tmp_path, UNKNOWN_FIELD_STATEMENT)
+        assert main([cmd, path]) == EXIT_TYPE
+        assert_diagnostic(capsys.readouterr().err, "type error: no field g in class K")
+
+    def test_dot_of_ill_typed_program(self, capsys):
+        # dot does not typecheck; the simplified-form translation rejects it
+        path = str(CORPUS / "reject" / "unknown_field.caps")
+        assert main(["dot", path]) == EXIT_TYPE
+        assert_diagnostic(capsys.readouterr().err, "type error: no field g in class K")
+
+    def test_fuzz_counts_untypable_statement_as_rejection(self):
+        assert cli._fuzz_failure(UNKNOWN_FIELD_STATEMENT, 2000) == ("", False)
 
 
 class TestFuzzCommand:

@@ -2,7 +2,6 @@
 form used for comparison modulo alpha-conversion and declaration reordering."""
 
 from capslang.congruence import (
-    NameSupply,
     alpha_equiv,
     canonical,
     connected_closure,

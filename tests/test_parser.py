@@ -84,6 +84,23 @@ class TestBasics:
         )
         assert isinstance(p.main.decls[1].init, MethodCall)
 
+    def test_bound_class_name_not_static(self):
+        # a local binder or a method parameter named like a class shadows
+        # the class: `A.me()` stays a call on the variable
+        p = parse(
+            """
+            class A { int v;
+              mut A me(mut) { return this; }
+              mut A via(mut, mut A A) { return A.me(); }
+            }
+            mut A A = new A(0);
+            mut A b = { mut A c = A.me(); c };
+            b
+            """
+        )
+        assert isinstance(p.main.decls[1].init.decls[0].init, MethodCall)
+        assert isinstance(p.table.method("A", "via").body, MethodCall)
+
     def test_class_with_methods(self):
         p = parse(
             """

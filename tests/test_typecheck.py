@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capslang.generator import GenConfig, gen_source
-from capslang.parser import parse, parse_expr
+from capslang.parser import parse
 from capslang.syntax import INT, Qualifier, RefType
 from capslang.typecheck import (
     _IN_PROGRESS,
@@ -252,6 +252,30 @@ class TestContextsAndSubtyping:
             """
         accepts(a, "t-imm")
         accepts(b, "t-imm")
+
+
+class TestResolveImplicitTypes:
+    SRC = """
+    class D { int f; int get(read) { return this.f; } }
+    mut D y = new D(1 + 2);
+    mut D z = { mut D w = y; w };
+    %s
+    z
+    """
+
+    def test_shares_terms_without_statements(self):
+        p = parse(self.SRC % "")
+        q = resolve_implicit_types(p)
+        assert q.main is p.main
+        assert q.table.method("D", "get").body is p.table.method("D", "get").body
+
+    def test_fills_statement_types(self):
+        p = parse(self.SRC % "y.f = 4;")
+        q = resolve_implicit_types(p)
+        assert p.main.decls[2].dtype is None
+        assert q.main.decls[2].dtype == INT
+        assert q.main.decls[:2] == p.main.decls[:2]
+        assert q.main.decls[1] is p.main.decls[1]
 
 
 class TestBudget:
