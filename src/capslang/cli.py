@@ -161,6 +161,7 @@ def store_dot(term) -> str:
 
 def cmd_dot(args) -> int:
     p = _load(_read(args.file))
+    typecheck_program(p)
     try:
         sp, trace = _reduce(p, args.fuel)
     except OutOfFuel as e:

@@ -19,10 +19,22 @@ and the goal.  A TypeContext hashes a canonical fingerprint of itself (gamma,
 sorted groups, sorted restricted set) computed once when it is built, and
 compares by that fingerprint, so a memo probe costs the same however large
 gamma is; the recovery rules re-ask a subterm under many derived contexts,
-which makes this probe the checker's hot path.  Failures are memoized as
-message and span and re-raised fresh.  A configurable budget bounds the
-search (exhausting it raises SearchExhausted, which is distinct from a typing
-failure).
+which makes this probe the checker's hot path.  Derived contexts (a group
+swapped with the mutable group, the promotions' premise contexts) reuse the
+sorted forms of their groups, and each context keeps the swapped contexts it
+has built.  Failures are memoized as message and span and re-raised fresh.
+A configurable budget bounds the search (exhausting it raises
+SearchExhausted, which is distinct from a typing failure).
+
+A block's lent locals are grouped by search: `check_block` tries candidate
+group assignments in a fixed order, each set partition of the locals once,
+until one types every declaration and the body.  The search is pruned by
+conflict (Prosser, 1993): when a premise fails, its context projected onto
+the names the premise mentions is kept as a nogood for the rest of the
+`check_block` call, and a later candidate with a premise of the same
+projection fails at once.  The projection keeps everything the rules read
+(see `Checker._projection`), so the same candidate succeeds first and the
+same first failure is reported as without pruning.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from typing import Optional
 from .syntax import (
     INT,
     Block,
+    ClassDef,
     ClassTable,
     Decl,
     Expr,
@@ -42,6 +55,7 @@ from .syntax import (
     IntLit,
     IntType,
     MethodCall,
+    MethodSig,
     New,
     Plus,
     Program,
@@ -50,6 +64,7 @@ from .syntax import (
     StaticCall,
     Type,
     Var,
+    children,
     free_vars,
     is_evaluated,
     map_children,
@@ -105,13 +120,18 @@ class TypeContext:
     the fingerprint's hash are computed once, when it is built; contexts are
     equal exactly when their fingerprints are, so the order of the groups
     does not matter.  The name-indexed views behind `lookup`, `group_of` and
-    `mutable_group` are built on first use and kept.  A context derived from
-    `base` over the same gamma tuple reuses base's gamma hash and env.
+    `mutable_group` are built on first use and kept, and so are the contexts
+    `swap` builds.  A context derived from `base` over the same gamma tuple
+    reuses base's gamma hash, env and mut variables (and its sorted
+    restricted set when the set is the same); `sorted_groups`, the groups as
+    sorted tuples, is passed on by derived contexts so that no group is
+    sorted twice.
     """
 
     __slots__ = (
-        "gamma", "groups", "restricted",
-        "_gamma_hash", "_fp", "_hash", "_env", "_group_index", "_mutable",
+        "gamma", "groups", "restricted", "sorted_groups",
+        "_gamma_hash", "_fp", "_hash", "_env", "_muts", "_group_index",
+        "_mutable", "_mutable_sorted", "_swapped",
     )
 
     def __init__(
@@ -120,22 +140,33 @@ class TypeContext:
         groups: tuple = (),  # of frozenset
         restricted: frozenset = frozenset(),
         base: Optional["TypeContext"] = None,
+        sorted_groups: Optional[tuple] = None,  # groups as sorted tuples
     ):
         self.gamma = gamma
         self.groups = groups
         self.restricted = restricted
+        if sorted_groups is None:
+            sorted_groups = tuple(tuple(sorted(g)) for g in groups)
+        self.sorted_groups = sorted_groups
         if base is not None and base.gamma is gamma:
             self._gamma_hash = base._gamma_hash
             self._env = base._env
+            self._muts = base._muts
         else:
             self._gamma_hash = hash(gamma)
             self._env = None
-        groups_fp = tuple(sorted(tuple(sorted(g)) for g in groups))
-        restricted_fp = tuple(sorted(restricted))
+            self._muts = None
+        groups_fp = tuple(sorted(sorted_groups))
+        if base is not None and base.restricted is restricted:
+            restricted_fp = base._fp[2]
+        else:
+            restricted_fp = tuple(sorted(restricted))
         self._fp = (gamma, groups_fp, restricted_fp)
         self._hash = hash((self._gamma_hash, groups_fp, restricted_fp))
         self._group_index = None
         self._mutable = None
+        self._mutable_sorted = None
+        self._swapped = None
 
     @staticmethod
     def make(gamma: dict, groups=(), restricted=frozenset()) -> "TypeContext":
@@ -175,15 +206,21 @@ class TypeContext:
     def mutable_group(self) -> frozenset:
         mg = self._mutable
         if mg is None:
-            grouped = frozenset().union(*self.groups)
-            mg = self._mutable = frozenset(
-                n
-                for (n, t) in self.gamma
-                if isinstance(t, RefType)
-                and t.qualifier is Qualifier.MUT
-                and n not in grouped
-            )
+            muts = self._muts
+            if muts is None:
+                muts = self._muts = frozenset(
+                    n
+                    for (n, t) in self.gamma
+                    if isinstance(t, RefType) and t.qualifier is Qualifier.MUT
+                )
+            mg = self._mutable = muts.difference(*self.groups)
         return mg
+
+    def sorted_mutable_group(self) -> tuple:
+        key = self._mutable_sorted
+        if key is None:
+            key = self._mutable_sorted = tuple(sorted(self.mutable_group()))
+        return key
 
     def group_of(self, x: str) -> Optional[frozenset]:
         index = self._group_index
@@ -196,6 +233,41 @@ class TypeContext:
 
     def fingerprint(self) -> tuple:
         return self._fp
+
+    def swap(self, g: frozenset) -> "TypeContext":
+        """Lent group g exchanged with the mutable group; built once per
+        context and group."""
+        table = self._swapped
+        if table is None:
+            table = self._swapped = {}
+        out = table.get(g)
+        if out is None:
+            kept = [i for i, h in enumerate(self.groups) if h != g]
+            out = table[g] = self._with_mutable_group(
+                tuple(self.groups[i] for i in kept),
+                tuple(self.sorted_groups[i] for i in kept),
+                self.restricted,
+            )
+        return out
+
+    def grouped(self, restricted: frozenset) -> "TypeContext":
+        """The mutable group made one more lent group (the premise context of
+        capsule and immutability promotion), with the given restricted set."""
+        return self._with_mutable_group(self.groups, self.sorted_groups, restricted)
+
+    def _with_mutable_group(self, groups, sorted_groups, restricted) -> "TypeContext":
+        if self.mutable_group():
+            groups += (self._mutable,)
+            sorted_groups += (self.sorted_mutable_group(),)
+        return TypeContext(
+            self.gamma, groups, restricted, base=self, sorted_groups=sorted_groups
+        )
+
+    def unrestricted(self) -> "TypeContext":
+        return TypeContext(
+            self.gamma, self.groups, frozenset(), base=self,
+            sorted_groups=self.sorted_groups,
+        )
 
 
 def wf_context(ctx: TypeContext) -> bool:
@@ -254,13 +326,38 @@ def _weaken(t: Type) -> Type:
     return t
 
 
-def _swap_groups(ctx: TypeContext, g: frozenset) -> TypeContext:
-    """Exchange lent group g with the mutable group."""
-    mg = ctx.mutable_group()
-    groups = tuple(h for h in ctx.groups if h != g)
-    if mg:
-        groups = groups + (mg,)
-    return TypeContext(ctx.gamma, groups, ctx.restricted, base=ctx)
+def _growth_strings(n: int, k: int):
+    """Every assignment of n locals to k base groups (0..k-1) or to new
+    groups numbered k, k+1, ... in order of first use, in lexicographic
+    order: each set partition once, as a restricted growth string (Knuth,
+    TAOCP 7.2.1.5).  It is the order in which each partition first appears
+    among the tuples of itertools.product(range(k + n), repeat=n)."""
+    a = [0] * n
+    while True:
+        yield tuple(a)
+        # a[i] may reach one past the largest label before it (k - 1 at least)
+        top, bound = k - 1, []
+        for x in a:
+            bound.append(top + 1)
+            top = max(top, x)
+        i = n - 1
+        while i >= 0 and a[i] == bound[i]:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        a[i + 1:] = [0] * (n - 1 - i)
+
+
+def _premise_context(ctx_body: TypeContext, decls: tuple, i: int) -> TypeContext:
+    """The context of premise i of a block: the initializer of a grouped
+    local is typed with its own group made mutable; the body (i ==
+    len(decls)) and other initializers in the block's context."""
+    if i < len(decls):
+        own = ctx_body.group_of(decls[i].name)
+        if own:
+            return ctx_body.swap(own)
+    return ctx_body
 
 
 class _InProgress:
@@ -276,6 +373,7 @@ class Checker:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.memo: dict = {}
         self.ticks = 0
+        self._names: dict = {}  # id(e) -> _mentions(e)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -339,10 +437,10 @@ class Checker:
                 except IllTyped as err:
                     first = first or _Failure(err)
         # group swap
-        for g in ctx.groups:
+        for g, g_sorted in zip(ctx.groups, ctx.sorted_groups):
             if g & ctx.restricted:
                 continue
-            swapped = _swap_groups(ctx, g)
+            swapped = ctx.swap(g)
             for inner_goal in self._swap_goals(goal):
                 try:
                     j = self.check(swapped, e, inner_goal)
@@ -351,16 +449,15 @@ class Checker:
                 weakened = _weaken(j.result)
                 if subtype(weakened, goal):
                     return Judgment(
-                        ctx, e, weakened, "t-swap", (j,), note=("swap", tuple(sorted(g)))
+                        ctx, e, weakened, "t-swap", (j,), note=("swap", g_sorted)
                     )
         # unrestriction
         if ctx.restricted and (
             isinstance(goal, IntType)
             or goal.qualifier in (Qualifier.CAPSULE, Qualifier.IMM)
         ):
-            ctx2 = TypeContext(ctx.gamma, ctx.groups, frozenset(), base=ctx)
             try:
-                j = self.check(ctx2, e, goal)
+                j = self.check(ctx.unrestricted(), e, goal)
                 if isinstance(j.result, IntType) or qual_leq(
                     j.result.qualifier, Qualifier.IMM
                 ):
@@ -385,26 +482,21 @@ class Checker:
         return Judgment(j.context, j.expr, goal, "t-sub", (j,))
 
     def _try_capsule(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
-        mg = ctx.mutable_group()
-        groups = ctx.groups + ((mg,) if mg else ())
-        ctx2 = TypeContext(ctx.gamma, groups, ctx.restricted, base=ctx)
+        ctx2 = ctx.grouped(ctx.restricted)
         j = self.check(ctx2, e, RefType(Qualifier.MUT, cname))
         return Judgment(
             ctx, e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,),
-            note=("grouped", tuple(sorted(mg))),
+            note=("grouped", ctx.sorted_mutable_group()),
         )
 
     def _try_imm(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
-        mg = ctx.mutable_group()
-        groups = ctx.groups + ((mg,) if mg else ())
         restricted = frozenset(
             n
             for (n, t) in ctx.gamma
             if isinstance(t, RefType)
             and t.qualifier in (Qualifier.MUT, Qualifier.READ)
         )
-        ctx2 = TypeContext(ctx.gamma, groups, restricted, base=ctx)
-        j = self.check(ctx2, e, RefType(Qualifier.READ, cname))
+        j = self.check(ctx.grouped(restricted), e, RefType(Qualifier.READ, cname))
         return Judgment(
             ctx, e, RefType(Qualifier.IMM, cname), "t-imm", (j,),
             note=("restricted", tuple(sorted(restricted))),
@@ -572,6 +664,13 @@ class Checker:
                 f"block has {len(lent_locals)} lent locals (cap {MAX_LENT_LOCALS})",
                 block.span,
             )
+        # premise i < len(decls) checks declaration i, premise len(decls)
+        # the body, each against the same goal for every candidate; a failed
+        # premise is kept as a nogood, its context's projection (see
+        # _projection), computed only once a further candidate comes
+        terms = [d.init for d in decls] + [block.body]
+        nogoods: dict = {}  # premise index -> projections of its failed checks
+        failed = None  # (premise index, its context) of the last failure
         first: Optional[_Failure] = None
         ctx_body = None
         for groups in self._group_candidates(
@@ -581,34 +680,89 @@ class Checker:
             ctx_body = TypeContext(gamma_items, groups, restricted, base=ctx_body)
             if not wf_context(ctx_body):
                 continue
+            if failed is not None:
+                i, ctx_i = failed
+                nogoods.setdefault(i, set()).add(self._projection(ctx_i, terms[i]))
+                failed = None
+            if nogoods and any(
+                self._projection(_premise_context(ctx_body, decls, i), terms[i])
+                in known
+                for i, known in nogoods.items()
+            ):
+                continue  # a premise repeats a failed check
+            premises = []
             try:
-                premises = []
-                for d in decls:
-                    goal_d = gamma[d.name]
-                    own = ctx_body.group_of(d.name)
-                    # the initializer of a grouped local is typed with its
-                    # own group made mutable
-                    ctx_d = _swap_groups(ctx_body, own) if own else ctx_body
-                    j_own = self._try_consume(block, d, gamma, ctx_d)
-                    if j_own is not None:
-                        premises.append(j_own)
-                        continue
-                    premises.append(self.check(ctx_d, d.init, goal_d))
-                jb = self.check(ctx_body, block.body, goal)
-                return Judgment(
-                    ctx,
-                    block,
-                    jb.result,
-                    "t-block",
-                    tuple(premises) + (jb,),
-                    note=("groups", tuple(tuple(sorted(g)) for g in groups)),
-                )
+                for i, d in enumerate(decls):
+                    ctx_d = _premise_context(ctx_body, decls, i)
+                    j = self._try_consume(block, d, gamma, ctx_d)
+                    if j is None:
+                        j = self.check(ctx_d, d.init, gamma[d.name])
+                    premises.append(j)
+                i = len(decls)
+                premises.append(self.check(ctx_body, block.body, goal))
             except IllTyped as err:
                 first = first or _Failure(err)
+                failed = (i, _premise_context(ctx_body, decls, i))
                 continue
+            return Judgment(
+                ctx,
+                block,
+                premises[-1].result,
+                "t-block",
+                tuple(premises),
+                note=("groups", ctx_body.sorted_groups),
+            )
         raise first.error() if first else IllTyped(
             "no lent-group assignment typechecks", block.span
         )
+
+    def _projection(self, ctx: TypeContext, e: Expr) -> tuple:
+        """What a check of e can read of the groups of ctx, for the names e
+        mentions (free or bound): for each group in order, its members among
+        them, whether it has others and whether those include restricted
+        names; and whether the mutable group has members beyond them and
+        whether those include restricted names.
+
+        Every rule that reads a context reads no more than this and the
+        context's gamma and restricted set: `_var` (gamma, restricted,
+        grouped), capsule and imm promotion (the mutable group becomes a
+        group; imm restricts every mut and read variable), the swap loop
+        (groups in order, skipping those with restricted members),
+        unrestriction, `g - dom` in nested blocks (e's binders are among the
+        names) and `wf_context`.  Derived contexts keep the correspondence
+        group by group, so two contexts with the same gamma, restricted set
+        and projection give e the same search step for step.  Every premise
+        context of one `check_block` call has the same gamma and restricted
+        set, so within a call the projection alone decides.
+        """
+        names = self._mentions(e)[1]
+        restricted = ctx.restricted
+        mg = ctx.mutable_group()
+        return (
+            tuple(
+                (g & names, not g <= names, not restricted.isdisjoint(g - names))
+                for g in ctx.groups
+            ),
+            not mg <= names,
+            not restricted.isdisjoint(mg - names),
+        )
+
+    def _mentions(self, e: Expr) -> tuple:
+        """(e, the variable names e mentions), kept per term; holding e keeps
+        its id from being reused."""
+        hit = self._names.get(id(e))
+        if hit is None:
+            names = set()
+            stack = [e]
+            while stack:
+                x = stack.pop()
+                if isinstance(x, Var):
+                    names.add(x.name)
+                elif isinstance(x, Block):
+                    names.update(d.name for d in x.decls)
+                stack.extend(children(x))
+            hit = self._names[id(e)] = (e, frozenset(names))
+        return hit
 
     def _try_consume(self, block: Block, d: Decl, gamma: dict, ctx: TypeContext):
         """A capsule (or imm) declaration may consume a sibling local together
@@ -678,61 +832,40 @@ class Checker:
             note=("consumes", tuple(sorted(owned_names))),
         )
 
-    def _group_candidates(self, block: Block, lent_locals, base_groups, mut_locals=()):
+    def _group_candidates(self, block: Block, lent_locals, base_groups, mut_locals):
         """Group assignments for the block's locals.
 
         A seeded candidate (must-share constraints from field assignments,
-        singletons otherwise) is tried first, then all canonical assignments
-        of lent locals to existing groups or new groups among themselves.
-        As a last resort mut locals may join groups too: that is a pure
-        weakening (a grouped variable is usable as lent) which some store
-        shapes produced by reduction need.
+        singletons otherwise) is tried first, then every other assignment of
+        lent locals to existing groups or new groups among themselves, each
+        set partition once (`_growth_strings`).  As a last resort mut locals
+        may join groups too: that is a pure weakening (a grouped variable is
+        usable as lent) which some store shapes produced by reduction need.
+        Base groups are disjoint and non-empty, so no candidate repeats.
+        `check_block` skips a candidate when one of its premises repeats a
+        check that failed for an earlier candidate (see `_projection`).
         """
         if not lent_locals and not mut_locals:
             yield base_groups
             return
-        emitted = set()
-
-        def norm(groups):
-            return tuple(sorted(tuple(sorted(g)) for g in groups))
-
-        def enumerate_over(locals_, optional):
-            """All assignments of locals_ to base groups or fresh slots;
-            names in `optional` may also stay ungrouped."""
-            k = len(base_groups)
-            n = len(locals_)
-            ranges = [
-                range(-1, k + n) if x in optional else range(k + n)
-                for x in locals_
-            ]
-            for choice in itertools.product(*ranges):
-                groups = [set(g) for g in base_groups]
-                slots: dict = {}
-                for x, c in zip(locals_, choice):
-                    if c < 0:
-                        continue  # stays in the mutable group
-                    if c < k:
-                        groups[c].add(x)
-                    else:
-                        slots.setdefault(c, set()).add(x)
-                out = tuple(frozenset(g) for g in groups) + tuple(
-                    frozenset(s) for s in slots.values()
-                )
-                key = norm(out)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                yield out
-
+        lent = []  # the lent-local candidates, again for every fallback choice
         if lent_locals:
             seeded = self._seed_assignment(block, lent_locals, base_groups)
-            if seeded is not None:
-                emitted.add(norm(seeded))
-                yield seeded
-            yield from enumerate_over(list(lent_locals), frozenset())
+            for a in itertools.chain(
+                (seeded,),
+                (a for a in _growth_strings(len(lent_locals), len(base_groups))
+                 if a != seeded),
+            ):
+                groups = [set(g) for g in base_groups]
+                for x, c in zip(lent_locals, a):
+                    if c == len(groups):
+                        groups.append(set())
+                    groups[c].add(x)
+                lent.append(tuple(map(frozenset, groups)))
+                yield lent[-1]
         else:
+            lent.append(base_groups)
             yield base_groups
-            emitted.add(norm(base_groups))
         # fallback: a mut local whose initializer refers into an existing
         # group may join one of those groups (pure weakening; some store
         # shapes produced by reduction need it)
@@ -756,28 +889,19 @@ class Checker:
                 for (x, _), c in zip(eligible, choice):
                     if c is not None:
                         extra.setdefault(c, set()).add(x)
-                for lent_groups in (
-                    self._group_candidates(block, lent_locals, base_groups)
-                    if lent_locals
-                    else (base_groups,)
-                ):
-                    out = tuple(
+                for lent_groups in lent:
+                    yield tuple(
                         g | extra.get(i, set()) if i < len(base_groups) else g
                         for i, g in enumerate(lent_groups)
                     )
-                    key = norm(out)
-                    if key in emitted:
-                        continue
-                    emitted.add(key)
-                    yield out
 
-    def _seed_assignment(self, block: Block, lent_locals, base_groups):
+    def _seed_assignment(self, block: Block, lent_locals, base_groups) -> tuple:
         """Must-share pre-pass: variables appearing together as receiver and
         RHS of a field assignment must end up in the same group (both need to
         be mut under the same swap).  Remaining lent locals get singleton
-        groups."""
-        from .syntax import children
-
+        groups.  The result is an assignment as `_growth_strings` gives
+        them: base group indices, new groups numbered in order of first
+        use."""
         parent = {x: x for x in lent_locals}
 
         def find(x):
@@ -795,7 +919,7 @@ class Checker:
             ):
                 pairs.append((e.recv.name, e.value.name))
             stack.extend(reversed(tuple(children(e))))
-        join: dict = {}  # union-find root -> base group index
+        join: dict = {}  # union-find root -> group index
         for (a, b) in pairs:
             if a in parent and b in parent:
                 parent[find(a)] = find(b)
@@ -805,17 +929,14 @@ class Checker:
                     for i, g in enumerate(base_groups):
                         if other in g:
                             join[find(local)] = i
-        groups = [set(g) for g in base_groups]
-        slots: dict = {}
+        fresh = len(base_groups)
+        out = []
         for x in lent_locals:
             root = find(x)
-            if root in join:
-                groups[join[root]].add(x)
-            else:
-                slots.setdefault(root, set()).add(x)
-        return tuple(frozenset(g) for g in groups if g) + tuple(
-            frozenset(s) for s in slots.values()
-        )
+            if root not in join:
+                join[root], fresh = fresh, fresh + 1
+            out.append(join[root])
+        return tuple(out)
 
     def _tick(self):
         self.ticks += 1
@@ -902,7 +1023,6 @@ def discard_type(t: Type) -> Type:
 
 def resolve_implicit_types(p: Program) -> Program:
     """Fill in the declared types of statement-sugar discard declarations."""
-    from .syntax import ClassDef, MethodSig
 
     def walk(e: Expr, gamma: dict) -> Expr:
         if not isinstance(e, Block):

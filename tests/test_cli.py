@@ -170,10 +170,20 @@ class TestFailures:
         assert_diagnostic(capsys.readouterr().err, "type error: no field g in class K")
 
     def test_dot_of_ill_typed_program(self, capsys):
-        # dot does not typecheck; the simplified-form translation rejects it
+        # dot typechecks before it reduces, as run does
         path = str(CORPUS / "reject" / "unknown_field.caps")
         assert main(["dot", path]) == EXIT_TYPE
         assert_diagnostic(capsys.readouterr().err, "type error: no field g in class K")
+
+    @pytest.mark.parametrize("path", REJECT, ids=lambda p: p.name)
+    def test_dot_exits_as_check_does(self, capsys, path):
+        rc = main(["check", str(path)])
+        check_err = capsys.readouterr().err
+        assert rc in (EXIT_TYPE, EXIT_PARSE)
+        assert main(["dot", str(path)]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == check_err
 
     def test_fuzz_counts_untypable_statement_as_rejection(self):
         assert cli._fuzz_failure(UNKNOWN_FIELD_STATEMENT, 2000) == ("", False)

@@ -1,0 +1,408 @@
+"""The lent-group search against an unpruned oracle.
+
+`Checker.check_block` enumerates each group assignment once, as a
+restricted growth string, and skips a candidate when one of its premises
+repeats a check that already failed under the same projection of its
+context.  `UnprunedChecker` is the search as it was before: every tuple of
+`itertools.product` with duplicates dropped after sorting, and every
+candidate checked in full.  Both must reach the same verdict, message, span,
+derivation (rules and notes included), and the pruned search may not spend
+more ticks.
+"""
+
+import itertools
+import random
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from capslang.generator import GenConfig, gen_source
+from capslang.syntax import Block, IntLit, Qualifier, RefType, free_vars
+from capslang.typecheck import (
+    MAX_LENT_LOCALS,
+    Checker,
+    IllTyped,
+    Judgment,
+    TypeCheckError,
+    TypeContext,
+    _Failure,
+    _growth_strings,
+    _stored_type,
+    method_context,
+    wf_context,
+)
+
+from conftest import CORPUS, load
+
+
+def _norm(groups):
+    return tuple(sorted(tuple(sorted(g)) for g in groups))
+
+
+def place(base_groups, names, assignment):
+    """The groups of an assignment: names[i] joins base group a[i] or new
+    group a[i] (numbered on from the base groups in order of first use)."""
+    groups = [set(g) for g in base_groups]
+    slots: dict = {}
+    for x, c in zip(names, assignment):
+        if c < len(base_groups):
+            groups[c].add(x)
+        else:
+            slots.setdefault(c, set()).add(x)
+    return tuple(frozenset(g) for g in groups) + tuple(
+        frozenset(s) for s in slots.values()
+    )
+
+
+def product_candidates(names, base_groups, seeded):
+    """The seeded candidate, then every assignment of names to base groups
+    or new slots in itertools.product order, dropping a candidate whose
+    sorted form was seen before."""
+    emitted = {_norm(seeded)}
+    yield seeded
+    k, n = len(base_groups), len(names)
+    for choice in itertools.product(range(k + n), repeat=n):
+        out = place(base_groups, names, choice)
+        key = _norm(out)
+        if key not in emitted:
+            emitted.add(key)
+            yield out
+
+
+class UnprunedChecker(Checker):
+    """The oracle: product-plus-dedup enumeration, and every candidate's
+    premises checked in full until one candidate succeeds."""
+
+    def check_block(self, ctx, block, goal: Optional[RefType]):
+        decls = block.decls
+        if not decls:
+            j = self.check(ctx, block.body, goal)
+            return Judgment(ctx, block, j.result, "t-block", (j,))
+        dom = frozenset(d.name for d in decls)
+        gamma = dict(ctx.env)
+        for d in decls:
+            if d.dtype is None:
+                raise IllTyped(
+                    f"declaration {d.name} lacks a type (unresolved sugar)", d.span
+                )
+            gamma[d.name] = _stored_type(d.dtype)
+        gamma_items = tuple(sorted(gamma.items()))
+        base_groups = tuple(g - dom for g in ctx.groups if g - dom)
+        restricted = ctx.restricted - dom
+        quals = {d.name: getattr(d.dtype, "qualifier", None) for d in decls}
+        lent_locals = [x for x, q in quals.items() if q is Qualifier.LENT]
+        mut_locals = [x for x, q in quals.items() if q is Qualifier.MUT]
+        if len(lent_locals) > MAX_LENT_LOCALS:
+            return super().check_block(ctx, block, goal)  # raises SearchExhausted
+        first = None
+        candidates = self._group_candidates(block, lent_locals, base_groups, mut_locals)
+        for groups in candidates:
+            ctx_body = TypeContext(gamma_items, groups, restricted)
+            if not wf_context(ctx_body):
+                continue
+            try:
+                premises = []
+                for d in decls:
+                    own = ctx_body.group_of(d.name)
+                    ctx_d = ctx_body.swap(own) if own else ctx_body
+                    j_own = self._try_consume(block, d, gamma, ctx_d)
+                    premises.append(
+                        j_own if j_own is not None
+                        else self.check(ctx_d, d.init, gamma[d.name])
+                    )
+                jb = self.check(ctx_body, block.body, goal)
+                return Judgment(
+                    ctx, block, jb.result, "t-block", tuple(premises) + (jb,),
+                    note=("groups", tuple(tuple(sorted(g)) for g in groups)),
+                )
+            except IllTyped as err:
+                first = first or _Failure(err)
+        raise first.error() if first else IllTyped(
+            "no lent-group assignment typechecks", block.span
+        )
+
+    def _group_candidates(self, block, lent_locals, base_groups, mut_locals=()):
+        if not lent_locals and not mut_locals:
+            yield base_groups
+            return
+        if lent_locals:
+            seeded = place(
+                base_groups, lent_locals,
+                self._seed_assignment(block, lent_locals, base_groups),
+            )
+            lent = list(product_candidates(lent_locals, base_groups, seeded))
+        else:
+            lent = [base_groups]
+        yield from lent
+        emitted = {_norm(g) for g in lent}
+        inits = {d.name: d.init for d in block.decls}
+        eligible = []
+        for x in mut_locals:
+            touched = tuple(
+                i for i, g in enumerate(base_groups) if free_vars(inits[x]) & g
+            )
+            if touched:
+                eligible.append((x, touched))
+        if not eligible or len(eligible) > MAX_LENT_LOCALS:
+            return
+        for choice in itertools.product(*[(None,) + t for _, t in eligible]):
+            if all(c is None for c in choice):
+                continue
+            extra: dict = {}
+            for (x, _), c in zip(eligible, choice):
+                if c is not None:
+                    extra.setdefault(c, set()).add(x)
+            for lent_groups in lent:
+                out = tuple(
+                    g | extra.get(i, set()) if i < len(base_groups) else g
+                    for i, g in enumerate(lent_groups)
+                )
+                if _norm(out) not in emitted:
+                    emitted.add(_norm(out))
+                    yield out
+
+
+def derivation(j):
+    """Everything a judgment shows: rule, result, note and context of every
+    node, in preorder."""
+    out = [(j.rule, str(j.result), j.note, j.context)]
+    for p in j.premises:
+        out.extend(derivation(p))
+    return out
+
+
+def outcomes(p, checker_cls):
+    """(verdict, ticks) for every method body and main, each with a fresh
+    checker."""
+    goals = [
+        (method_context(p.table, cname, sig), sig.body, sig.ret)
+        for cname, cd in p.table.classes.items()
+        for sig in cd.methods.values()
+    ]
+    goals.append((TypeContext.make({}), p.main, None))
+    out = []
+    for ctx, body, goal in goals:
+        c = checker_cls(p.table)
+        try:
+            j = c.check(ctx, body, goal)
+            verdict = ("ok", tuple(j.rule_path()), derivation(j))
+        except TypeCheckError as err:
+            verdict = (err.kind, str(err), err.span)
+        out.append((verdict, c.ticks))
+    return out
+
+
+def assert_same_as_oracle(sources):
+    """Same outcome and no more ticks, except where the oracle runs out of
+    budget: the pruned search may then still reach a verdict."""
+    for src in sources:
+        p = load(src)
+        pruned, oracle = outcomes(p, Checker), outcomes(p, UnprunedChecker)
+        for (verdict, ticks), (want, oracle_ticks) in zip(pruned, oracle):
+            if want[0] != "SearchExhausted":
+                assert verdict == want, src
+                assert ticks <= oracle_ticks, src
+
+
+def lent_source(k: int, leak: bool, seed: int) -> str:
+    """A capsule initializer block with k lent locals, the last of which
+    stores the first into a field of the outer mut object x.  The block
+    ends in a fresh object (accepted) or in one built from the grouped z1,
+    which would leak x's group into the capsule (rejected).  The seed varies
+    class names, literals and a prefix shared by every variable."""
+    rng = random.Random(seed)
+    d, c = rng.choice(("D", "Node", "Leaf")), rng.choice(("C", "Pair", "Box"))
+    pre = rng.choice(("", "v", "t_"))
+    lit = lambda: rng.randrange(100)  # noqa: E731
+    locals_ = [f"lent {d} {pre}z{i} = new {d}({lit()});" for i in range(1, k)]
+    locals_.append(f"lent {d} {pre}u = ({pre}x.f1 = {pre}z1);")
+    body = f"{pre}z1" if leak else f"{pre}w"
+    return (
+        f"class {d} {{ int f; }}\n"
+        f"class {c} {{ mut {d} f1; mut {d} f2; }}\n"
+        f"mut {d} {pre}z = new {d}({lit()});\n"
+        f"mut {c} {pre}x = new {c}({pre}z, {pre}z);\n"
+        f"capsule {c} {pre}y = {{ {' '.join(locals_)} "
+        f"mut {d} {pre}w = new {d}({lit()}); new {c}({body}, {body}) }};\n"
+        f"{pre}y\n"
+    )
+
+
+def lent_block_source(seed: int) -> str:
+    """A random initializer block (capsule, imm, mut or read) over lent,
+    mut, read, capsule and imm locals whose initializers copy, alias, store
+    into the outer x, call methods with lent and mut receivers, and nest
+    further blocks; extra statements store into fields or call x.put."""
+    rng = random.Random(seed)
+    meth = rng.random() < 0.5
+    lines = [
+        "class D { int f; }",
+        "class C { mut D f1; mut D f2; imm D i; "
+        + ("mut D get(lent) { return this.f1; } "
+           "int put(mut, lent D a) { "
+           "return {mut D t = (this.f1 = new D(a.f)); 0}; } "
+           "capsule D fresh(read) { return new D(this.f1.f); } " if meth else "")
+        + "}",
+        "mut D z = new D(1);",
+        "mut C x = new C(z, z, new D(2));",
+    ]
+    if rng.random() < 0.5:
+        lines.append("read C r = x;")
+    counter = iter(range(1, 1000))
+
+    def name(prefix):
+        return f"{prefix}{next(counter)}"
+
+    def init(avail, depth):
+        c = rng.random()
+        if c < 0.25 or not avail:
+            return f"new D({rng.randint(0, 9)})"
+        a = rng.choice(avail)
+        if c < 0.4:
+            return a
+        if c < 0.5:
+            return f"new D({a}.f)"
+        if c < 0.6:
+            return f"new D({a}.f + {rng.choice(avail)}.f)"
+        if c < 0.7:
+            return f"(x.f{rng.randint(1, 2)} = {a})"
+        if c < 0.75 and meth:
+            return "x.fresh()"
+        if c < 0.8 and meth:
+            return "x.get()"
+        if depth < 2:
+            return block(avail, depth + 1, "D")
+        return f"x.f{rng.randint(1, 2)}"
+
+    def block(avail, depth, ty):
+        kinds = rng.choices(
+            ["lent", "mut", "read", "capsule", "imm"], [5, 3, 1, 1, 1],
+            k=rng.randint(1, 3 if depth else 4),
+        )
+        decls, local = [], []
+        for kind in kinds:
+            x = name("a")
+            decls.append(f"{kind} D {x} = {init(avail + local, depth)};")
+            local.append(x)
+        pool = avail + local
+        if rng.random() < 0.3 and meth:
+            decls.append(f"int {name('s')} = x.put({rng.choice(pool)});")
+        if rng.random() < 0.3 and len(pool) >= 2:
+            lhs, rhs = rng.choice(pool), rng.choice(pool)
+            decls.append(f"int {name('s')} = ({lhs}.f = {rhs}.f);")
+        if ty == "D":
+            body = rng.choice(
+                pool + [f"new D({rng.choice(pool)}.f)", f"new D({rng.randint(0, 9)})"]
+            )
+        else:
+            pick = lambda: rng.choice(pool + [f"new D({rng.randint(0, 9)})"])  # noqa: E731
+            body = f"new C({pick()}, {pick()}, new D(3))"
+        return f"{{ {' '.join(decls)} {body} }}"
+
+    q = rng.choice(["capsule", "imm", "mut", "capsule", "read"])
+    lines.append(f"{q} C y = {block(['z'], 0, 'C')};")
+    lines.append("y")
+    return "\n".join(lines) + "\n"
+
+
+def main_ticks(src: str) -> tuple:
+    p = load(src)
+    c = Checker(p.table)
+    try:
+        c.infer(TypeContext.make({}), p.main)
+        return "ok", c.ticks
+    except IllTyped:
+        return "rejected", c.ticks
+
+
+class TestAgainstOracle:
+    def test_corpus(self):
+        assert_same_as_oracle(p.read_text() for p in sorted(CORPUS.glob("*/*.caps")))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_lent_family(self, k, leak):
+        assert_same_as_oracle(lent_source(k, leak, seed) for seed in range(3))
+
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_lent_family_k6(self, leak):
+        # the oracle needs about 3 s for the rejected program
+        assert_same_as_oracle([lent_source(6, leak, seed=0)])
+
+    @pytest.mark.parametrize("size", [8, 16])
+    @pytest.mark.parametrize("reject_rate", [0.0, 0.3])
+    def test_generated(self, size, reject_rate):
+        assert_same_as_oracle(
+            gen_source(GenConfig(seed=s, size=size, reject_rate=reject_rate))
+            for s in range(200)
+        )
+
+
+    def test_random_lent_blocks(self):
+        assert_same_as_oracle(lent_block_source(seed) for seed in range(60))
+
+
+class TestTicks:
+    """Ticks are deterministic, so the pruning is gated on them."""
+
+    @pytest.mark.parametrize("k, bound", [(5, 6_000), (6, 22_000)])
+    def test_lent_reject(self, k, bound):
+        verdict, ticks = main_ticks(lent_source(k, True, seed=0))
+        assert verdict == "rejected"
+        assert ticks < bound
+
+
+@st.composite
+def enumeration_cases(draw):
+    """Disjoint non-empty base groups (0-3), lent locals (0-5) and a seeded
+    assignment of the locals in growth-string form."""
+    n_base = draw(st.integers(0, 3))
+    outer = [f"o{i}" for i in range(6)]
+    owner = draw(st.lists(st.integers(0, n_base), min_size=6, max_size=6))
+    base = tuple(
+        frozenset(x for x, o in zip(outer, owner) if o == i) for i in range(n_base)
+    )
+    base = tuple(g for g in base if g)
+    names = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
+    choice = draw(st.lists(
+        st.integers(0, len(base) + len(names)), min_size=len(names), max_size=len(names)
+    ))
+    relabel: dict = {}
+    seeded = tuple(
+        c if c < len(base) else relabel.setdefault(c, len(base) + len(relabel))
+        for c in choice
+    )
+    return base, names, seeded
+
+
+class TestEnumeration:
+    @settings(max_examples=120, deadline=None)
+    @given(enumeration_cases())
+    def test_same_sequence_as_product_with_dedup(self, case):
+        base, names, seeded = case
+        c = Checker(None)
+        c._seed_assignment = lambda block, lent_locals, base_groups: seeded
+        block = Block((), IntLit(0))
+        got = list(c._group_candidates(block, names, base, ()))
+        if names:
+            want = list(product_candidates(names, base, place(base, names, seeded)))
+        else:
+            want = [base]
+        assert got == want
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("k", range(4))
+    def test_growth_strings_are_first_labellings(self, n, k):
+        """Each growth string is the first product tuple of its partition,
+        and they come in product order."""
+        seen, first = set(), []
+        for choice in itertools.product(range(k + n), repeat=n):
+            relabel: dict = {}
+            rgs = tuple(
+                c if c < k else relabel.setdefault(c, k + len(relabel)) for c in choice
+            )
+            if rgs not in seen:
+                seen.add(rgs)
+                first.append(rgs)
+        assert list(_growth_strings(n, k)) == first
