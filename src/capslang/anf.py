@@ -1,10 +1,12 @@
 """Translation to simplified form.
 
 In simplified form every compound subterm is a value, except the right-hand
-sides of declarations, and block bodies are values.  Compound subterms in
-other positions are hoisted into fresh local declarations whose declared type
-is obtained by shape inference; statement-sugar discards are resolved before
-this pass.
+sides of declarations, and block bodies are values.  The translation is one
+walk on `map_children`: a block keeps its declarations as right-hand sides,
+and every other node has each child turned into a value, a compound child
+being hoisted into a fresh local declaration, in child order, whose declared
+type is obtained by shape inference.  Statement-sugar discards are resolved
+before this pass.
 """
 
 from __future__ import annotations
@@ -12,24 +14,18 @@ from __future__ import annotations
 from .congruence import NameSupply
 from .syntax import (
     Block,
-    ClassDef,
     ClassTable,
     Decl,
     Expr,
-    FieldAccess,
-    FieldAssign,
     IntLit,
-    MethodCall,
-    MethodSig,
-    New,
-    Plus,
     Program,
-    RefType,
-    StaticCall,
     Var,
     is_value,
+    map_children,
+    map_program,
+    stored_type,
 )
-from .typecheck import _method_this_qual, _stored_type, shape_type
+from .typecheck import shape_type
 
 
 class _Translator:
@@ -41,20 +37,14 @@ class _Translator:
     def value(self, e: Expr, gamma: dict):
         if isinstance(e, (Var, IntLit)):
             return [], e
-        if isinstance(e, New):
-            bs, args = [], []
-            for a in e.args:
-                b, v = self.value(a, gamma)
-                bs.extend(b)
-                args.append(v)
-            return bs, New(e.cname, tuple(args), e.span)
-        # blocks and other compounds are named
+        # a compound is named unless it translates to a value (a
+        # constructor call of values, or a block right-value)
         bs, rhs = self.rhs(e, gamma)
         if is_value(rhs):
             return bs, rhs
         t = shape_type(self.table, gamma, rhs)
         x = self.supply.fresh("t")
-        gamma[x] = _stored_type(t)
+        gamma[x] = stored_type(t)
         bs.append(Decl(t, x, rhs, e.span))
         return bs, Var(x, e.span)
 
@@ -62,40 +52,20 @@ class _Translator:
     def rhs(self, e: Expr, gamma: dict):
         if isinstance(e, Block):
             return [], self.block(e, gamma)
-        if isinstance(e, (Var, IntLit, New)):
-            return self.value(e, gamma)
-        if isinstance(e, FieldAccess):
-            bs, r = self.value(e.recv, gamma)
-            return bs, FieldAccess(r, e.fname, e.span)
-        if isinstance(e, FieldAssign):
-            bs, r = self.value(e.recv, gamma)
-            b2, v = self.value(e.value, gamma)
-            return bs + b2, FieldAssign(r, e.fname, v, e.span)
-        if isinstance(e, MethodCall):
-            bs, r = self.value(e.recv, gamma)
-            args = []
-            for a in e.args:
-                b, v = self.value(a, gamma)
-                bs.extend(b)
-                args.append(v)
-            return bs, MethodCall(r, e.mname, tuple(args), e.span)
-        if isinstance(e, StaticCall):
-            bs, args = [], []
-            for a in e.args:
-                b, v = self.value(a, gamma)
-                bs.extend(b)
-                args.append(v)
-            return bs, StaticCall(e.cname, e.mname, tuple(args), e.span)
-        if isinstance(e, Plus):
-            bs, l = self.value(e.left, gamma)
-            b2, r = self.value(e.right, gamma)
-            return bs + b2, Plus(l, r, e.span)
-        raise TypeError(f"not an expression: {e!r}")
+        bs: list = []
+        out = map_children(e, self._hoist, gamma, bs)
+        return bs, out
+
+    def _hoist(self, e: Expr, gamma: dict, bs: list) -> Expr:
+        """e as a value, its bindings appended to bs."""
+        b, v = self.value(e, gamma)
+        bs.extend(b)
+        return v
 
     def block(self, e: Block, gamma: dict) -> Expr:
         g2 = dict(gamma)
         for d in e.decls:
-            g2[d.name] = _stored_type(d.dtype)
+            g2[d.name] = stored_type(d.dtype)
         decls = []
         for d in e.decls:
             bs, rhs = self.rhs(d.init, g2)
@@ -122,18 +92,4 @@ class _Translator:
 def simplify_program(p: Program) -> Program:
     """Translate the main expression and every method body to simplified
     form."""
-    tr = _Translator(p.table)
-    classes = {}
-    for cname, cd in p.table.classes.items():
-        methods = {}
-        for mname, m in cd.methods.items():
-            gamma = {pn: _stored_type(pt) for pt, pn in m.params}
-            if m.this_qual is not None:
-                gamma["this"] = RefType(_method_this_qual(m.this_qual), cname)
-            methods[mname] = MethodSig(
-                m.name, m.ret, m.this_qual, m.params, tr.expr(m.body, gamma)
-            )
-        classes[cname] = ClassDef(cd.name, cd.fields, methods)
-    table = ClassTable(classes)
-    tr.table = table
-    return Program(table, tr.expr(p.main, {}))
+    return map_program(p, _Translator(p.table).expr)

@@ -5,6 +5,7 @@ and stores."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from .syntax import (
@@ -29,6 +30,8 @@ from .syntax import (
     is_rightvalue,
     is_value,
     map_children,
+    rename,
+    stored_type,
 )
 
 
@@ -88,11 +91,10 @@ def wf_rightvalue(rv: Expr) -> bool:
 
 
 def all_mut(decls: tuple) -> bool:
-    # lent declarations count as mut: lent-ness only restricts how the
-    # reference may be used while typing, the stored reference is mutable
+    # lent declarations count as mut (see `stored_type`)
     return all(
         isinstance(d.dtype, RefType)
-        and d.dtype.qualifier in (Qualifier.MUT, Qualifier.LENT)
+        and stored_type(d.dtype).qualifier is Qualifier.MUT
         for d in decls
     )
 
@@ -127,9 +129,10 @@ def wf_store(decls: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _keeps_local_store(d: Decl) -> bool:
+def is_imm_decl(d: Decl) -> bool:
     """imm declarations hold their mutable sub-store encapsulated in a block
-    right-value; their block initializers are not flattened."""
+    right-value: their block initializers are not flattened, and only their
+    imm members may move out into the enclosing store."""
     return isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM
 
 
@@ -170,7 +173,7 @@ def _norm(v: Expr, table: ClassTable, supply: NameSupply) -> Expr:
         decls: list = []
         for d in v.decls:
             init = _norm(d.init, table, supply)
-            if isinstance(init, Block) and not _keeps_local_store(d):
+            if isinstance(init, Block) and not is_imm_decl(d):
                 # rule body: pull the inner local store into this block
                 decls.extend(init.decls)
                 init = init.body
@@ -244,37 +247,28 @@ def _sort_run(run: list, block: Block) -> list:
 
 def canonical(e: Expr) -> Expr:
     """Canonical representative modulo alpha-conversion and reordering of
-    contiguous evaluated-declaration runs."""
-    counter = [0]
+    contiguous evaluated-declaration runs: the runs are sorted, then every
+    binder is numbered v1, v2, ... in preorder."""
+    counter = itertools.count(1)
+    return rename(_reorder(e), {}, lambda _: f"v{next(counter)}")
 
-    def walk(e: Expr, ren: dict) -> Expr:
-        if isinstance(e, Var):
-            name = ren.get(e.name, e.name)
-            return e if name == e.name else Var(name)
-        if isinstance(e, Block):
-            ordered: list = []
-            run: list = []
-            for d in e.decls:
-                if is_evaluated(d):
-                    run.append(d)
-                else:
-                    ordered.extend(_sort_run(run, e))
-                    run = []
-                    ordered.append(d)
-            ordered.extend(_sort_run(run, e))
-            ren2 = dict(ren)
-            for d in ordered:
-                counter[0] += 1
-                ren2[d.name] = f"v{counter[0]}"
-            return Block(
-                tuple(
-                    Decl(d.dtype, ren2[d.name], walk(d.init, ren2)) for d in ordered
-                ),
-                walk(e.body, ren2),
-            )
-        return map_children(e, walk, ren)
 
-    return walk(e, {})
+def _reorder(e: Expr) -> Expr:
+    """e with every run of evaluated declarations sorted by `_sort_run`; a
+    block is sorted as it stands, before its children are."""
+    if isinstance(e, Block):
+        ordered: list = []
+        run: list = []
+        for d in e.decls:
+            if is_evaluated(d):
+                run.append(d)
+            else:
+                ordered.extend(_sort_run(run, e))
+                run = []
+                ordered.append(d)
+        ordered.extend(_sort_run(run, e))
+        e = Block(tuple(ordered), e.body, e.span)
+    return map_children(e, _reorder)
 
 
 def alpha_equiv(e1: Expr, e2: Expr) -> bool:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .parser import parse, pretty_print, print_program
+from .parser import parse, parse_expr, print_program
 from .syntax import (
     Block,
     Decl,
@@ -342,10 +342,14 @@ def _shrink_candidates(src: str):
     main = p.main
     if not isinstance(main, Block):
         return
+
+    def render(decls: tuple, body) -> str:
+        return print_program(Program(p.table, Block(decls, body, main.span)))
+
     decls = main.decls
     # move 1: drop one declaration
     for i in range(len(decls)):
-        yield _render(p, Block(decls[:i] + decls[i + 1 :], main.body, main.span))
+        yield render(decls[:i] + decls[i + 1 :], main.body)
     # move 2: replace an initializer by a ground value of the declared type
     for i, d in enumerate(decls):
         if d.dtype is None or isinstance(d.init, (Var, IntLit, New)):
@@ -353,28 +357,9 @@ def _shrink_candidates(src: str):
         g = _ground_of(p, d.dtype)
         if g is None:
             continue
-        try:
-            ge = parse(_classes_src(p) + g + "\n").main
-        except Exception:
-            continue
-        nd = Decl(d.dtype, d.name, ge, d.span)
-        yield _render(p, Block(decls[:i] + (nd,) + decls[i + 1 :], main.body, main.span))
+        nd = Decl(d.dtype, d.name, parse_expr(g), d.span)
+        yield render(decls[:i] + (nd,) + decls[i + 1 :], main.body)
     # move 3: trivialize the body
     if not isinstance(main.body, (Var, IntLit)):
         for repl in ([Var(d.name) for d in decls[-1:]] + [IntLit(0)]):
-            yield _render(p, Block(decls, repl, main.span))
-
-
-def _classes_src(p: Program) -> str:
-    full = print_program(p)
-    return full[: full.rfind(pretty_print(p.main))]
-
-
-def _render(p: Program, new_main: Block) -> str:
-    if new_main.decls:
-        main_src = " ".join(
-            f"{d.dtype} {d.name}={pretty_print(d.init)};" for d in new_main.decls
-        ) + " " + pretty_print(new_main.body)
-    else:
-        main_src = pretty_print(new_main.body)
-    return _classes_src(p) + main_src + "\n"
+            yield render(decls, repl)

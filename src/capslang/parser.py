@@ -15,9 +15,9 @@ Surface grammar:
     primary  := ID | INT | "new" ID "(" exprlist ")" | "(" expr ")" | block
 
 Inside a block, `e; e'` is sugar for a declaration of a fresh discarded
-variable (its declared type is filled in by a later inference pass, see
-`resolve_program`).  Comments run from `//` to end of line.  The outermost
-braces of the main block are optional.
+variable (its declared type is filled in by a later inference pass,
+`typecheck.resolve_implicit_types`).  Comments run from `//` to end of line.
+The outermost braces of the main block are optional.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .syntax import (
     Type,
     Var,
     map_children,
+    map_program,
 )
 
 RESERVED = {
@@ -160,12 +161,6 @@ class _Parser:
         return self.next()
 
     # -- types --------------------------------------------------------------
-
-    def at_type(self) -> bool:
-        t = self.peek()
-        if t.text == "int":
-            return True
-        return t.text in QUAL_WORDS and self.peek(1).kind == "id"
 
     def parse_type(self) -> Type:
         t = self.peek()
@@ -395,7 +390,11 @@ class _Parser:
 
 
 def parse(text: str) -> Program:
-    return _resolve_static_calls(_Parser(tokenize(text)).parse_program())
+    p = _Parser(tokenize(text)).parse_program()
+    # names bound in a method body: its parameters and receiver
+    return map_program(
+        p, lambda body, gamma: _resolve_static(body, p.table, frozenset(gamma))
+    )
 
 
 def parse_expr(text: str) -> Expr:
@@ -426,20 +425,6 @@ def _resolve_static(e: Expr, table: ClassTable, bound: frozenset) -> Expr:
     elif isinstance(e, Block):
         bound = bound | frozenset(d.name for d in e.decls)
     return map_children(e, _resolve_static, table, bound)
-
-
-def _resolve_static_calls(p: Program) -> Program:
-    classes = {}
-    for cname, cd in p.table.classes.items():
-        methods = {}
-        for mname, m in cd.methods.items():
-            bound = frozenset(pn for _, pn in m.params) | frozenset(("this",))
-            methods[mname] = MethodSig(
-                m.name, m.ret, m.this_qual, m.params, _resolve_static(m.body, p.table, bound)
-            )
-        classes[cname] = ClassDef(cd.name, cd.fields, methods)
-    table = ClassTable(classes)
-    return Program(table, _resolve_static(p.main, table, frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +459,12 @@ def pretty_print(e: Expr) -> str:
     if isinstance(e, Plus):
         return f"{_atom(e.left)}+{_atom(e.right)}"
     if isinstance(e, Block):
+        # an untyped declaration is statement sugar, `e;`
         parts = [
-            f"{d.dtype} {_ident_out(d.name)}={pretty_print(d.init)};" for d in e.decls
+            f"{pretty_print(d.init)};"
+            if d.dtype is None
+            else f"{d.dtype} {_ident_out(d.name)}={pretty_print(d.init)};"
+            for d in e.decls
         ]
         parts.append(pretty_print(e.body))
         return "{" + " ".join(parts) + "}"

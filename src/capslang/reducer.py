@@ -25,6 +25,7 @@ from typing import Optional
 from .congruence import (
     NameSupply,
     connected_closure,
+    is_imm_decl,
     normalize_value,
     wf_store_decl,
 )
@@ -51,6 +52,8 @@ from .syntax import (
     is_objstate,
     is_value,
     map_children,
+    rename,
+    stored_type,
     substitute,
 )
 
@@ -177,21 +180,14 @@ def plug(frames: list, e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def dec_lookup(frames: list, x: str) -> Optional[Decl]:
-    """The innermost enclosing evaluated declaration of x."""
-    for fr in reversed(frames):
-        for d in fr.block.decls:
-            if d.name == x and is_evaluated(d):
-                return d
-    return None
-
-
-def frame_of(frames: list, x: str) -> Optional[int]:
+def dec_lookup(frames: list, x: str) -> tuple:
+    """(i, d): d is the innermost enclosing evaluated declaration of x and
+    frames[i] the frame holding it; (None, None) when x is not bound."""
     for i in range(len(frames) - 1, -1, -1):
         for d in frames[i].block.decls:
             if d.name == x and is_evaluated(d):
-                return i
-    return None
+                return i, d
+    return None, None
 
 
 def typeof_rv(rv: Expr, frames: list) -> RefType:
@@ -207,7 +203,7 @@ def typeof_rv(rv: Expr, frames: list) -> RefType:
             for d in rv.decls:
                 if d.name == rv.body.name:
                     return d.dtype
-            d = dec_lookup(frames, rv.body.name)
+            _, d = dec_lookup(frames, rv.body.name)
             if d is not None:
                 return d.dtype
     raise UnboundReference(f"cannot type value {pretty_print(rv)}")
@@ -230,7 +226,7 @@ def field_of(rv: Expr, i: int) -> Expr:
 
 def field_lookup(frames: list, v: Expr, i: int) -> Expr:
     if isinstance(v, Var):
-        d = dec_lookup(frames, v.name)
+        _, d = dec_lookup(frames, v.name)
         if d is None:
             raise UnboundReference(f"unbound reference {v.name}")
         return field_of(d.init, i)
@@ -239,7 +235,7 @@ def field_lookup(frames: list, v: Expr, i: int) -> Expr:
 
 def receiver_class(frames: list, v: Expr) -> str:
     if isinstance(v, Var):
-        d = dec_lookup(frames, v.name)
+        _, d = dec_lookup(frames, v.name)
         if d is None:
             raise UnboundReference(f"unbound reference {v.name}")
         t = d.dtype
@@ -251,36 +247,14 @@ def receiver_class(frames: list, v: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Renaming (global binder freshness)
+# Global binder freshness
 # ---------------------------------------------------------------------------
 
 
-def _rename(e: Expr, ren: dict, namer) -> Expr:
-    """Structure-preserving walk applying `ren` to variables; block binders
-    get new names chosen by `namer(old_name)`."""
-    if isinstance(e, Var):
-        name = ren.get(e.name, e.name)
-        return e if name == e.name else Var(name, e.span)
-    if isinstance(e, Block):
-        ren2 = dict(ren)
-        for d in e.decls:
-            ren2[d.name] = namer(d.name)
-        return Block(
-            tuple(
-                Decl(d.dtype, ren2[d.name], _rename(d.init, ren2, namer), d.span)
-                for d in e.decls
-            ),
-            _rename(e.body, ren2, namer),
-            e.span,
-        )
-    return map_children(e, _rename, ren, namer)
-
-
-def freshen(e: Expr, supply: NameSupply, taken: Optional[set] = None) -> Expr:
+def freshen(e: Expr, supply: NameSupply) -> Expr:
     """Rename block binders so every binder in the term is globally unique;
     binders whose name is still unused keep it."""
-    if taken is None:
-        taken = set()
+    taken: set = set()
 
     def namer(name: str) -> str:
         if name in taken:
@@ -288,7 +262,7 @@ def freshen(e: Expr, supply: NameSupply, taken: Optional[set] = None) -> Expr:
         taken.add(name)
         return name
 
-    return _rename(e, {}, namer)
+    return rename(e, {}, namer)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +375,7 @@ class Reducer:
         for (pt, pn), a in zip(sig.params, redex.args):
             ren[pn] = self.supply.fresh(pn)
             decls.append(Decl(pt, ren[pn], a))
-        body = _rename(sig.body, ren, lambda n: self.supply.fresh(n))
+        body = rename(sig.body, ren, self.supply.fresh)
         z = self.supply.fresh("z")
         decls.append(Decl(sig.ret, z, body))
         return ("invk", plug(frames, Block(tuple(decls), Var(z))))
@@ -433,10 +407,9 @@ class Reducer:
             return ("field-assign-prop", plug(frames, block))
         x = redex.recv.name
         u = redex.value
-        j = frame_of(frames, x)
-        if j is None:
+        j, xd = dec_lookup(frames, x)
+        if xd is None:
             raise UnboundReference(f"unbound reference {x}")
-        xd = dec_lookup(frames, x)
         # scope extrusion: u must not capture declarations from frames deeper
         # than the one declaring x; move the offending store out first,
         # innermost frame first, one move per step
@@ -510,8 +483,8 @@ class Reducer:
                 moved = tuple(_as_stored(dd) for dd in d.init.decls)
                 kept, rule = (), "mut-move"
             else:  # imm: only the imm part of the local store may escape
-                moved = tuple(dd for dd in d.init.decls if _is_imm_decl(dd))
-                kept = tuple(dd for dd in d.init.decls if not _is_imm_decl(dd))
+                moved = tuple(dd for dd in d.init.decls if is_imm_decl(dd))
+                kept = tuple(dd for dd in d.init.decls if not is_imm_decl(dd))
                 rule = "imm-move"
                 if not moved:
                     raise StuckTerm(
@@ -561,15 +534,7 @@ class Reducer:
             trace.steps.append((rule, term))
 
 
-def _is_imm_decl(d: Decl) -> bool:
-    return isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM
-
-
 def _as_stored(d: Decl) -> Decl:
-    """A declaration hoisted into an enclosing store: a lent local becomes a
-    plain mut member of the store it now belongs to."""
-    if isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.LENT:
-        return Decl(RefType(Qualifier.MUT, d.dtype.cname), d.name, d.init, d.span)
-    return d
-
-
+    """A declaration hoisted into an enclosing store, at its stored type."""
+    t = stored_type(d.dtype)
+    return d if t is d.dtype else Decl(t, d.name, d.init, d.span)

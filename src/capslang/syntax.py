@@ -1,4 +1,7 @@
-"""Core syntax: qualifiers, types, AST, class table, and term-level helpers.
+"""Core syntax: qualifiers, types, AST, class table, and term-level helpers:
+the generic child walk (`map_children`), substitution and binder renaming,
+and the whole-program rewriter (`map_program`) with the method parameter
+environments it passes.
 
 Expressions are immutable; every node carries an optional source span that is
 ignored by equality so that alpha-comparison and golden tests are unaffected
@@ -61,6 +64,15 @@ class RefType:
 Type = Union[IntType, RefType]
 
 INT = IntType()
+
+
+def stored_type(t: Type) -> Type:
+    """The type a declaration or parameter of type t is recorded with, in
+    gamma and in the store: lent-ness only restricts how a reference may be
+    used while typing, the stored reference is mut."""
+    if isinstance(t, RefType) and t.qualifier is Qualifier.LENT:
+        return RefType(Qualifier.MUT, t.cname)
+    return t
 
 
 def subtype(t1: Type, t2: Type) -> bool:
@@ -296,8 +308,35 @@ class Program:
     main: Expr
 
 
+def method_gamma(cname: str, sig: MethodSig) -> dict:
+    """The environment a method body is checked and translated in: the
+    receiver `this` (absent for static methods) and the parameters, at their
+    stored types."""
+    gamma = {}
+    if sig.this_qual is not None:
+        gamma["this"] = stored_type(RefType(sig.this_qual, cname))
+    for pt, pn in sig.params:
+        gamma[pn] = stored_type(pt)
+    return gamma
+
+
+def map_program(p: Program, f) -> Program:
+    """p with each method body b replaced by f(b, method_gamma(cname, sig))
+    and the main expression by f(main, {}), in that order."""
+    classes = {}
+    for cname, cd in p.table.classes.items():
+        methods = {
+            mname: MethodSig(
+                m.name, m.ret, m.this_qual, m.params, f(m.body, method_gamma(cname, m))
+            )
+            for mname, m in cd.methods.items()
+        }
+        classes[cname] = ClassDef(cd.name, cd.fields, methods)
+    return Program(ClassTable(classes), f(p.main, {}))
+
+
 # ---------------------------------------------------------------------------
-# Free variables and substitution
+# Free variables, substitution and renaming
 # ---------------------------------------------------------------------------
 
 
@@ -331,6 +370,29 @@ def substitute(e: Expr, v: Expr, x: str) -> Expr:
     if isinstance(e, Block) and any(d.name == x for d in e.decls):
         return e
     return map_children(e, substitute, v, x)
+
+
+def rename(e: Expr, ren: dict, namer) -> Expr:
+    """e with its free variables renamed by `ren` and every block binder x
+    renamed to namer(x).  Binders are named in preorder: a block names all
+    its binders, in declaration order, before its initializers and body are
+    walked.  Unchanged subterms without binders are shared with e."""
+    if isinstance(e, Var):
+        name = ren.get(e.name, e.name)
+        return e if name == e.name else Var(name, e.span)
+    if isinstance(e, Block):
+        ren = dict(ren)
+        for d in e.decls:
+            ren[d.name] = namer(d.name)
+        return Block(
+            tuple(
+                Decl(d.dtype, ren[d.name], rename(d.init, ren, namer), d.span)
+                for d in e.decls
+            ),
+            rename(e.body, ren, namer),
+            e.span,
+        )
+    return map_children(e, rename, ren, namer)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from typing import Optional
 from .syntax import (
     INT,
     Block,
-    ClassDef,
     ClassTable,
     Decl,
     Expr,
@@ -55,7 +54,6 @@ from .syntax import (
     IntLit,
     IntType,
     MethodCall,
-    MethodSig,
     New,
     Plus,
     Program,
@@ -68,7 +66,10 @@ from .syntax import (
     free_vars,
     is_evaluated,
     map_children,
+    map_program,
+    method_gamma,
     qual_leq,
+    stored_type,
     subtype,
 )
 from .congruence import connected_closure
@@ -310,13 +311,6 @@ class Judgment:
         for p in self.premises:
             out.extend(p.rule_path())
         return out
-
-
-def _stored_type(t: Type) -> Type:
-    """Declared types as recorded in gamma: lent locals are stored mut."""
-    if isinstance(t, RefType) and t.qualifier is Qualifier.LENT:
-        return RefType(Qualifier.MUT, t.cname)
-    return t
 
 
 def _weaken(t: Type) -> Type:
@@ -645,7 +639,7 @@ class Checker:
                 raise IllTyped(
                     f"declaration {d.name} lacks a type (unresolved sugar)", d.span
                 )
-            gamma[d.name] = _stored_type(d.dtype)
+            gamma[d.name] = stored_type(d.dtype)
         gamma_items = tuple(sorted(gamma.items()))
         base_groups = tuple(g - dom for g in ctx.groups if g - dom)
         restricted = ctx.restricted - dom
@@ -1002,7 +996,7 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
         # declared types first (forward references), then infer the sugared ones
         for d in pending:
             if d.dtype is not None:
-                g2[d.name] = _stored_type(d.dtype)
+                g2[d.name] = stored_type(d.dtype)
         for d in pending:
             if d.dtype is None:
                 g2[d.name] = discard_type(shape_type(table, g2, d.init))
@@ -1030,13 +1024,13 @@ def resolve_implicit_types(p: Program) -> Program:
         g2 = dict(gamma)
         for d in e.decls:
             if d.dtype is not None:
-                g2[d.name] = _stored_type(d.dtype)
+                g2[d.name] = stored_type(d.dtype)
         decls = []
         for d in e.decls:
             init = walk(d.init, g2)
             if d.dtype is None:
                 dtype = discard_type(shape_type(p.table, g2, init))
-                g2[d.name] = _stored_type(dtype)
+                g2[d.name] = stored_type(dtype)
                 d = Decl(dtype, d.name, init, d.span)
             elif init is not d.init:
                 d = Decl(d.dtype, d.name, init, d.span)
@@ -1046,23 +1040,7 @@ def resolve_implicit_types(p: Program) -> Program:
             return e
         return Block(tuple(decls), body, e.span)
 
-    classes = {}
-    for cname, cd in p.table.classes.items():
-        methods = {}
-        for mname, m in cd.methods.items():
-            gamma = {pn: _stored_type(pt) for pt, pn in m.params}
-            if m.this_qual is not None:
-                gamma["this"] = RefType(_method_this_qual(m.this_qual), cname)
-            methods[mname] = MethodSig(
-                m.name, m.ret, m.this_qual, m.params, walk(m.body, gamma)
-            )
-        classes[cname] = ClassDef(cd.name, cd.fields, methods)
-    table = ClassTable(classes)
-    return Program(table, walk(p.main, {}))
-
-
-def _method_this_qual(q: Qualifier) -> Qualifier:
-    return Qualifier.MUT if q is Qualifier.LENT else q
+    return map_program(p, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,17 +1049,15 @@ def _method_this_qual(q: Qualifier) -> Qualifier:
 
 
 def method_context(table: ClassTable, cname: str, sig) -> TypeContext:
-    gamma: dict = {}
+    """The body's context: `method_gamma`, with a lent receiver and each
+    lent parameter alone in a group."""
     groups = []
-    if sig.this_qual is not None:
-        gamma["this"] = RefType(_method_this_qual(sig.this_qual), cname)
-        if sig.this_qual is Qualifier.LENT:
-            groups.append(frozenset(("this",)))
+    if sig.this_qual is Qualifier.LENT:
+        groups.append(frozenset(("this",)))
     for (pt, pn) in sig.params:
-        gamma[pn] = _stored_type(pt)
         if isinstance(pt, RefType) and pt.qualifier is Qualifier.LENT:
             groups.append(frozenset((pn,)))
-    return TypeContext.make(gamma, groups)
+    return TypeContext.make(method_gamma(cname, sig), groups)
 
 
 def typecheck_method(table: ClassTable, cname: str, mname: str, budget=None) -> Judgment:

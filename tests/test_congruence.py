@@ -2,6 +2,7 @@
 form used for comparison modulo alpha-conversion and declaration reordering."""
 
 from capslang.congruence import (
+    _sort_run,
     alpha_equiv,
     canonical,
     connected_closure,
@@ -9,8 +10,12 @@ from capslang.congruence import (
     wf_rightvalue,
     wf_store_decl,
 )
+from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse, parse_expr, pretty_print
-from capslang.syntax import Block, Var
+from capslang.syntax import Block, Decl, Var, is_evaluated, map_children
+from capslang.typecheck import TypeCheckError, typecheck_program
+
+from conftest import CORPUS, load, reduce_source
 
 
 def table(src="class D { int f; }\nclass C { mut D f1; mut D f2; }\nnew D(0)"):
@@ -142,6 +147,69 @@ class TestCanonical:
     def test_free_vars_not_renamed(self):
         a = parse_expr("new C(u, v)")
         assert canonical(a) == parse_expr("new C(u, v)")
+
+
+def oracle_canonical(e):
+    """`canonical` as one walk that sorts each block's evaluated runs and
+    numbers its binders in the same pass."""
+    counter = [0]
+
+    def walk(e, ren):
+        if isinstance(e, Var):
+            name = ren.get(e.name, e.name)
+            return e if name == e.name else Var(name)
+        if isinstance(e, Block):
+            ordered, run = [], []
+            for d in e.decls:
+                if is_evaluated(d):
+                    run.append(d)
+                else:
+                    ordered.extend(_sort_run(run, e))
+                    run = []
+                    ordered.append(d)
+            ordered.extend(_sort_run(run, e))
+            ren2 = dict(ren)
+            for d in ordered:
+                counter[0] += 1
+                ren2[d.name] = f"v{counter[0]}"
+            return Block(
+                tuple(
+                    Decl(d.dtype, ren2[d.name], walk(d.init, ren2)) for d in ordered
+                ),
+                walk(e.body, ren2),
+            )
+        return map_children(e, walk, ren)
+
+    return walk(e, {})
+
+
+def _trace_terms():
+    """Every term of the traces of the accepted corpus and of the well-typed
+    generated programs at seeds 0..99, sizes 8 and 16."""
+    sources = [f.read_text() for f in sorted((CORPUS / "accept").glob("*.caps"))]
+    for size in (8, 16):
+        for seed in range(100):
+            src = gen_source(GenConfig(seed=seed, size=size))
+            try:
+                typecheck_program(load(src))
+            except TypeCheckError:
+                continue
+            sources.append(src)
+    for src in sources:
+        _, trace = reduce_source(src)
+        yield trace.initial
+        for _, term in trace.steps:
+            yield term
+
+
+def test_canonical_equals_the_one_pass_oracle():
+    n = 0
+    for term in _trace_terms():
+        got, want = canonical(term), oracle_canonical(term)
+        assert got == want
+        assert pretty_print(got) == pretty_print(want)
+        n += 1
+    assert n > 1000
 
 
 class TestConnectedClosure:

@@ -2,7 +2,7 @@
 injections, and shrinking of failing inputs."""
 
 from capslang.generator import GenConfig, gen_source, shrink
-from capslang.parser import parse
+from capslang.parser import ParseError, parse
 from capslang.syntax import validate_classtable, validate_wellformedness
 from capslang.typecheck import (
     SearchExhausted,
@@ -23,6 +23,14 @@ def classify(src):
         return "exhausted"
     except TypeCheckError:
         return "reject"
+
+
+def parses(src):
+    try:
+        parse(src)
+        return True
+    except ParseError:
+        return False
 
 
 class TestGeneration:
@@ -76,3 +84,15 @@ class TestShrink:
             assert len(small) < len(src)
             return
         raise AssertionError("no sizable program generated")
+
+    def test_shrink_keeps_statement_sugar_parsable(self):
+        # `x.f = 1;` is a declaration without a type: every candidate must
+        # print it back as a statement
+        src = (
+            "class D { int f; } mut D x = new D(0); x.f = 1; "
+            "mut D y = new D(2); y.f = 3; y"
+        )
+        for failing in (parses, lambda s: True):
+            out = shrink(src, failing)
+            assert parses(out)
+            assert len(out) < len(src)

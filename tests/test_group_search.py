@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capslang.generator import GenConfig, gen_source
-from capslang.syntax import Block, IntLit, Qualifier, RefType, free_vars
+from capslang.syntax import Block, IntLit, Qualifier, RefType, free_vars, stored_type
 from capslang.typecheck import (
     MAX_LENT_LOCALS,
     Checker,
@@ -28,7 +28,6 @@ from capslang.typecheck import (
     TypeContext,
     _Failure,
     _growth_strings,
-    _stored_type,
     method_context,
     wf_context,
 )
@@ -86,7 +85,7 @@ class UnprunedChecker(Checker):
                 raise IllTyped(
                     f"declaration {d.name} lacks a type (unresolved sugar)", d.span
                 )
-            gamma[d.name] = _stored_type(d.dtype)
+            gamma[d.name] = stored_type(d.dtype)
         gamma_items = tuple(sorted(gamma.items()))
         base_groups = tuple(g - dom for g in ctx.groups if g - dom)
         restricted = ctx.restricted - dom

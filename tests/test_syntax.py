@@ -25,6 +25,8 @@ from capslang.syntax import (
     is_objstate,
     is_rightvalue,
     is_value,
+    map_program,
+    method_gamma,
     qual_leq,
     subtype,
     substitute,
@@ -162,6 +164,45 @@ def test_substitute_shares_what_it_does_not_change(e, v, x):
         assert out is e
     else:
         assert out == rebuild_substitute(e, v, x)
+
+
+class TestMapProgram:
+    SRC = (
+        "class D { int f; "
+        "int get(lent, lent D d) { return d.f; } "
+        "int make(static, read D d) { return 0; } }\n"
+        "new D(0)"
+    )
+
+    def test_method_gamma(self):
+        p = parse(self.SRC)
+        d = p.table.classes["D"]
+        # a lent receiver and a lent parameter are stored mut
+        assert method_gamma("D", d.methods["get"]) == {
+            "this": RefType(Q.MUT, "D"),
+            "d": RefType(Q.MUT, "D"),
+        }
+        # a static method has no receiver
+        assert method_gamma("D", d.methods["make"]) == {"d": RefType(Q.READ, "D")}
+
+    def test_map_program_passes_each_body_its_gamma(self):
+        p = parse(self.SRC)
+        seen = []
+
+        def f(body, gamma):
+            seen.append((body, gamma))
+            return IntLit(len(seen))
+
+        q = map_program(p, f)
+        methods = p.table.classes["D"].methods
+        assert seen == [
+            (methods["get"].body, method_gamma("D", methods["get"])),
+            (methods["make"].body, method_gamma("D", methods["make"])),
+            (p.main, {}),
+        ]
+        assert q.main == IntLit(3)
+        assert q.table.method("D", "make").body == IntLit(2)
+        assert q.table.method("D", "get").params == methods["get"].params
 
 
 class TestValuePredicates:
