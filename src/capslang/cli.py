@@ -283,7 +283,8 @@ def main(argv=None) -> int:
         print(f"search exhausted: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except TypeCheckError as e:
-        print(f"type error: {e}", file=sys.stderr)
+        at = f" at {e.span[0]}:{e.span[1]}" if e.span else ""
+        print(f"type error: {e}{at}", file=sys.stderr)
         return EXIT_TYPE
     except OutOfFuel as e:
         print(f"out of fuel after {len(e.trace.steps)} steps", file=sys.stderr)

@@ -14,10 +14,20 @@ properties the calculus is supposed to enjoy.
   immutable references.
 
 Violations serialize to JSON lines for machine consumption.
+
+The checks are incremental along a trace; each reduct shares most of its
+subterms and store declarations with the term before it.  Subject reduction
+uses one `Checker` for the whole trace, so a reduct's subterms find the
+verdicts earlier terms computed (see the `typecheck` module).  Canonical
+forms, capsule encapsulation and immutability share one walk of each term
+(`_StoreChecks`), and what they compute of one declaration is kept per Decl
+object with the declarations it looked up in its scope, reused while those
+still resolve to the same objects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -78,29 +88,12 @@ def _trace_terms(trace: ReductionTrace):
         yield i + 1, term
 
 
-def _stored_decls(e: Expr, env: dict, out: list) -> None:
-    """All evaluated declarations in e, each paired with the declarations in
-    scope at its position (name -> Decl, innermost bindings win)."""
-    if isinstance(e, Block):
-        env2 = dict(env)
-        for d in e.decls:
-            env2[d.name] = d
-        for d in e.decls:
-            if is_evaluated(d):
-                out.append((d, env2))
-            _stored_decls(d.init, env2, out)
-        _stored_decls(e.body, env2, out)
-        return
-    for c in children(e):
-        _stored_decls(c, env, out)
-
-
-def _decl_type(env: dict, x: str) -> Optional[Type]:
-    d = env.get(x)
+def _decl_type(lookup, x: str) -> Optional[Type]:
+    d = lookup(x)
     return d.dtype if d is not None else None
 
 
-def _snapshot(rv: Expr, env: dict, stack: tuple):
+def _snapshot(rv: Expr, lookup, stack: tuple):
     """The object graph reachable from rv, resolved through the store:
     invariant under renaming, reordering, alias elimination and store
     movement.  Cycles are cut with back-references by unfolding depth."""
@@ -110,18 +103,31 @@ def _snapshot(rv: Expr, env: dict, stack: tuple):
         x = rv.name
         if x in stack:
             return ("back", len(stack) - 1 - stack.index(x))
-        d = env.get(x)
+        d = lookup(x)
         if d is None or not is_evaluated(d):
             return ("open", len(stack))  # unresolved reference
-        return _snapshot(d.init, env, stack + (x,))
+        return _snapshot(d.init, lookup, stack + (x,))
     if isinstance(rv, Block):
-        env2 = dict(env)
-        for d in rv.decls:
-            env2[d.name] = d
-        return _snapshot(rv.body, env2, stack)
+        local = {d.name: d for d in rv.decls}
+        return _snapshot(rv.body, _chain(local, lookup), stack)
     if isinstance(rv, New):
-        return ("new", rv.cname) + tuple(_snapshot(a, env, stack) for a in rv.args)
+        return ("new", rv.cname) + tuple(_snapshot(a, lookup, stack) for a in rv.args)
     return ("opaque", pretty_print(rv))
+
+
+def _has_block(e: Expr) -> bool:
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Block):
+            return True
+        stack.extend(children(x))
+    return False
+
+
+def _chain(local: dict, lookup):
+    """A lookup that tries local first."""
+    return lambda x: local[x] if x in local else lookup(x)
 
 
 def _has_open(key) -> bool:
@@ -141,12 +147,15 @@ def check_subject_reduction(
     table: ClassTable, trace: ReductionTrace, budget: Optional[int] = None
 ) -> list:
     """Re-typecheck every term of the trace against the type of the initial
-    term.  A SearchExhausted outcome is reported distinctly (inconclusive,
-    not a counterexample)."""
+    term, with one Checker for the whole trace: each reduct is a query of
+    its own, with the whole budget.  The trace keeps every term alive, as
+    the Checker's id-keyed memo needs.  A SearchExhausted outcome is
+    reported distinctly (inconclusive, not a counterexample)."""
     out: list = []
     checker = Checker(table, budget)
+    empty = TypeContext.make({})
     try:
-        j0 = checker.infer(TypeContext.make({}), trace.initial)
+        j0 = checker.infer(empty, trace.initial)
     except SearchExhausted as e:
         return [
             MetaViolation(
@@ -166,9 +175,9 @@ def check_subject_reduction(
     for step, term in _trace_terms(trace):
         if step == 0:
             continue
-        checker = Checker(table, budget)
+        checker.ticks = 0  # a new query, with the whole budget
         try:
-            checker.check(TypeContext.make({}), term, goal)
+            checker.check(empty, term, goal)
         except IllTyped as e:
             out.append(
                 MetaViolation(
@@ -233,7 +242,7 @@ def check_progress(table: ClassTable, trace: ReductionTrace) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _rv_class(rv: Expr, decls_env: dict) -> Optional[str]:
+def _rv_class(rv: Expr, lookup) -> Optional[str]:
     if is_objstate(rv):
         return rv.cname
     if isinstance(rv, Block):
@@ -244,90 +253,75 @@ def _rv_class(rv: Expr, decls_env: dict) -> Optional[str]:
                 if d.name == rv.body.name:
                     t = d.dtype
                     return t.cname if isinstance(t, RefType) else None
-            t = _decl_type(decls_env, rv.body.name)
+            t = _decl_type(lookup, rv.body.name)
             return t.cname if isinstance(t, RefType) else None
     return None
 
 
 def check_canonical_forms(table: ClassTable, trace: ReductionTrace) -> list:
-    out: list = []
-    for step, term in _trace_terms(trace):
-        stored: list = []
-        _stored_decls(term, {}, stored)
-        for d, env in stored:
-            out.extend(_check_decl_shape(table, d, env, step, term))
-    return out
+    checks = _StoreChecks(table)
+    return checks.run(trace, checks.canonical_forms)[0]
 
 
-def _check_decl_shape(
-    table: ClassTable, d: Decl, env: dict, step: int, term: Expr
-) -> list:
-    def bad(msg):
-        return MetaViolation(
-            "canonical-forms", step, d.name, msg, pretty_print(term)
-        )
-
+def _shape_errors(table: ClassTable, d: Decl, lookup) -> tuple:
+    """The messages of the canonical-forms clauses the evaluated d breaks,
+    with lookup resolving the names in scope at d."""
     out: list = []
     if isinstance(d.dtype, IntType):
         # clause: evaluated int declarations hold literals (and are transient)
         if not isinstance(d.init, IntLit):
-            out.append(bad("evaluated int declaration does not hold a literal"))
-        return out
+            out.append("evaluated int declaration does not hold a literal")
+        return tuple(out)
     q = d.dtype.qualifier
     # clause: the right-value's class agrees with the declared class
-    cname = _rv_class(d.init, env)
+    cname = _rv_class(d.init, lookup)
     if cname is not None and cname != d.dtype.cname:
         out.append(
-            bad(
-                f"right-value has class {cname} but the declaration says "
-                f"{d.dtype.cname}"
-            )
+            f"right-value has class {cname} but the declaration says "
+            f"{d.dtype.cname}"
         )
     if not wf_store_decl(d):
         # transient state (capsule awaiting consumption, a block right-value
         # awaiting a move, an alias awaiting elimination): shape clauses do
         # not apply yet, but the right-value must still be well-formed
         if not (wf_rightvalue(d.init) or isinstance(d.init, Var)):
-            out.append(bad("evaluated declaration holds a malformed right-value"))
-        return out
+            out.append("evaluated declaration holds a malformed right-value")
+        return tuple(out)
     # clause: mut/lent/read binders hold object states
     if q in (Qualifier.MUT, Qualifier.LENT, Qualifier.READ):
         if not is_objstate(d.init):
-            out.append(bad(f"{q} declaration does not hold an object state"))
+            out.append(f"{q} declaration does not hold an object state")
     # clause: imm binders hold object states or all-mut local stores
     if q is Qualifier.IMM and isinstance(d.init, Block):
         if not all_mut(d.init.decls):
-            out.append(bad("imm declaration holds a block with non-mut locals"))
+            out.append("imm declaration holds a block with non-mut locals")
     # clause: constructor arguments agree with the field types
+    local = lookup
+    if isinstance(d.init, Block):
+        local = _chain({dd.name: dd for dd in d.init.decls}, lookup)
     for rv in _objstates_of(d.init):
         fields = table.fields(rv.cname) if rv.cname in table else None
         if fields is None or len(fields) != len(rv.args):
-            out.append(bad(f"object state new {rv.cname}(...) has wrong arity"))
+            out.append(f"object state new {rv.cname}(...) has wrong arity")
             continue
-        local_env = dict(env)
-        if isinstance(d.init, Block):
-            for dd in d.init.decls:
-                local_env[dd.name] = dd
         for (ft, fn), a in zip(fields, rv.args):
             if isinstance(ft, IntType):
                 if isinstance(a, IntLit):
                     continue
-                t = _decl_type(local_env, a.name)
+                t = _decl_type(local, a.name)
                 if t is not None and not isinstance(t, IntType):
-                    out.append(bad(f"field {fn} holds a non-int value"))
+                    out.append(f"field {fn} holds a non-int value")
             else:
                 if isinstance(a, IntLit):
-                    out.append(bad(f"field {fn} holds an int literal"))
+                    out.append(f"field {fn} holds an int literal")
                     continue
-                t = _decl_type(local_env, a.name)
+                t = _decl_type(local, a.name)
                 if isinstance(t, RefType) and t.cname != ft.cname:
                     out.append(
-                        bad(
-                            f"field {fn} points at class {t.cname}, "
-                            f"declared {ft.cname}"
-                        )
+                        f"field {fn} points at class {t.cname}, "
+                        f"declared {ft.cname}"
                     )
-    return out
+    return tuple(out)
 
 
 def _objstates_of(rv: Expr):
@@ -345,11 +339,12 @@ def _objstates_of(rv: Expr):
 # ---------------------------------------------------------------------------
 
 
-def _imm_closed(rv: Expr, env: dict) -> Optional[str]:
-    """None when every free variable of rv is declared imm (or is an int
-    reference awaiting substitution); otherwise an offending variable name."""
-    for x in sorted(free_vars(rv)):
-        t = _decl_type(env, x)
+def _imm_closed(d: Decl, lookup) -> Optional[str]:
+    """None when every free variable of d's right-value is declared imm (or
+    is an int reference awaiting substitution); otherwise an offending
+    variable name."""
+    for x in sorted(free_vars(d.init)):
+        t = _decl_type(lookup, x)
         if isinstance(t, IntType):
             continue
         if not (isinstance(t, RefType) and t.qualifier is Qualifier.IMM):
@@ -357,77 +352,167 @@ def _imm_closed(rv: Expr, env: dict) -> Optional[str]:
     return None
 
 
+def _wf_store_decl(d: Decl, lookup) -> bool:
+    return wf_store_decl(d)  # reads no other declaration
+
+
+def _settled_snapshot(d: Decl, lookup):
+    """The snapshot of d's reachable graph, or None while some referenced
+    declaration is still being evaluated (for instance an int member
+    awaiting substitution)."""
+    key = _snapshot(d.init, lookup, ())
+    return None if _has_open(key) else key
+
+
 def check_capsule_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     """When a capsule binder's initializer has become a right-value (the step
     just before it is consumed), it must be closed except for imm references."""
-    out: list = []
-    for step, term in _trace_terms(trace):
-        stored: list = []
-        _stored_decls(term, {}, stored)
-        for d, env in stored:
-            if not (
-                isinstance(d.dtype, RefType)
-                and d.dtype.qualifier is Qualifier.CAPSULE
-            ):
-                continue
-            if isinstance(d.init, Var):
-                continue  # alias, eliminated before the capsule is consumed
-            offender = _imm_closed(d.init, env)
-            if offender is not None:
-                out.append(
-                    MetaViolation(
-                        "capsule", step, d.name,
-                        f"capsule right-value refers to non-imm {offender}",
-                        pretty_print(term),
-                    )
-                )
-    return out
+    checks = _StoreChecks(table)
+    return checks.run(trace, checks.capsule)[0]
 
 
 def check_immutable_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     """Once an imm binder holds a settled right-value, the object graph
     reachable from it never changes for the rest of the trace, and the
     right-value is closed except for imm references."""
-    out: list = []
-    first_seen: dict = {}  # binder -> (step, reachable-graph snapshot)
-    for step, term in _trace_terms(trace):
-        stored: list = []
-        _stored_decls(term, {}, stored)
-        for d, env in stored:
-            if not (
-                isinstance(d.dtype, RefType)
-                and d.dtype.qualifier is Qualifier.IMM
-            ):
-                continue
-            if not wf_store_decl(d):
-                continue  # not settled yet (alias/move still pending)
-            offender = _imm_closed(d.init, env)
-            if offender is not None:
-                out.append(
-                    MetaViolation(
-                        "immutable", step, d.name,
-                        f"imm right-value refers to non-imm {offender}",
-                        pretty_print(term),
-                    )
+    checks = _StoreChecks(table)
+    return checks.run(trace, checks.immutable)[0]
+
+
+class _StoreChecks:
+    """Canonical forms, capsule encapsulation and immutability, checked
+    declaration by declaration over one walk of each trace term.
+
+    What these checks compute of one evaluated declaration (is it
+    evaluated, the clauses it breaks, `_imm_closed`, is it well-formed
+    store, its settled snapshot) depends only on the Decl object and on
+    the declarations it looks up in its scope.  Each result is kept per
+    Decl object together with the declarations it looked up, and reused
+    while each of those names still finds the same Decl.  The reducer
+    shares unchanged declarations between consecutive terms, so most
+    declarations are checked once per trace, not once per step.  An entry
+    holds its Decl, so no id is reused while the entry lives.
+    """
+
+    def __init__(self, table: ClassTable):
+        self._shape_errors = functools.partial(_shape_errors, table)
+        # id(d) -> (d, is_evaluated(d), whether d's initializer holds a block)
+        self._facts: dict = {}
+        self._shapes: dict = {}  # id(d) -> (d, lookups, result), as in _kept
+        self._closed: dict = {}
+        self._wf: dict = {}
+        self._snapshots: dict = {}
+        self._first_seen: dict = {}  # imm binder -> (step, snapshot)
+
+    def run(self, trace: ReductionTrace, *checks) -> tuple:
+        """Give every evaluated declaration of every trace term, in order,
+        to each check; the violations of each check."""
+        outs = tuple([] for _ in checks)
+        for step, term in _trace_terms(trace):
+            stored: list = []
+            self._stored_decls(term, {}, stored)
+            for d, env in stored:
+                for check, out in zip(checks, outs):
+                    check(step, term, d, env, out)
+        return outs
+
+    def _stored_decls(self, e: Expr, env: dict, out: list) -> None:
+        """All evaluated declarations in e, each paired with the
+        declarations in scope at its position (name -> Decl, innermost
+        bindings win), in preorder; initializers holding no block are not
+        entered."""
+        if isinstance(e, Block):
+            env2 = dict(env)
+            for d in e.decls:
+                env2[d.name] = d
+            facts = self._facts
+            for d in e.decls:
+                hit = facts.get(id(d))
+                if hit is None:
+                    hit = facts[id(d)] = (d, is_evaluated(d), _has_block(d.init))
+                if hit[1]:
+                    out.append((d, env2))
+                if hit[2]:
+                    self._stored_decls(d.init, env2, out)
+            self._stored_decls(e.body, env2, out)
+            return
+        for c in children(e):
+            self._stored_decls(c, env, out)
+
+    @staticmethod
+    def _kept(cache: dict, fn, d: Decl, env: dict):
+        """fn(d, lookup), reused while every name it looked up finds the
+        same declaration in env."""
+        hit = cache.get(id(d))
+        if hit is not None:
+            for x, dx in hit[1]:
+                if env.get(x) is not dx:
+                    break
+            else:
+                return hit[2]
+        seen: dict = {}
+
+        def lookup(x):
+            dx = seen[x] = env.get(x)
+            return dx
+
+        out = fn(d, lookup)
+        cache[id(d)] = (d, tuple(seen.items()), out)
+        return out
+
+    def canonical_forms(self, step, term, d, env, out) -> None:
+        for msg in self._kept(self._shapes, self._shape_errors, d, env):
+            out.append(
+                MetaViolation("canonical-forms", step, d.name, msg, pretty_print(term))
+            )
+
+    def capsule(self, step, term, d, env, out) -> None:
+        if not (
+            isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.CAPSULE
+        ):
+            return
+        if isinstance(d.init, Var):
+            return  # alias, eliminated before the capsule is consumed
+        offender = self._kept(self._closed, _imm_closed, d, env)
+        if offender is not None:
+            out.append(
+                MetaViolation(
+                    "capsule", step, d.name,
+                    f"capsule right-value refers to non-imm {offender}",
+                    pretty_print(term),
                 )
-            key = _snapshot(d.init, env, ())
-            if _has_open(key):
-                # some referenced declaration is still being evaluated (for
-                # instance an int member awaiting substitution): the graph is
-                # not settled yet, compare only from the first settled step
-                continue
-            prev = first_seen.get(d.name)
-            if prev is None:
-                first_seen[d.name] = (step, key)
-            elif prev[1] != key:
-                out.append(
-                    MetaViolation(
-                        "immutable", step, d.name,
-                        f"imm reachable state changed since step {prev[0]}",
-                        pretty_print(term),
-                    )
+            )
+
+    def immutable(self, step, term, d, env, out) -> None:
+        if not (isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM):
+            return
+        if not self._kept(self._wf, _wf_store_decl, d, env):
+            return  # not settled yet (alias/move still pending)
+        offender = self._kept(self._closed, _imm_closed, d, env)
+        if offender is not None:
+            out.append(
+                MetaViolation(
+                    "immutable", step, d.name,
+                    f"imm right-value refers to non-imm {offender}",
+                    pretty_print(term),
                 )
-    return out
+            )
+        key = self._kept(self._snapshots, _settled_snapshot, d, env)
+        if key is None:
+            # the graph is not settled yet: compare only from the first
+            # settled step
+            return
+        prev = self._first_seen.get(d.name)
+        if prev is None:
+            self._first_seen[d.name] = (step, key)
+        elif prev[1] != key:
+            out.append(
+                MetaViolation(
+                    "immutable", step, d.name,
+                    f"imm reachable state changed since step {prev[0]}",
+                    pretty_print(term),
+                )
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +526,9 @@ def verify_trace(
     out = []
     out += check_subject_reduction(table, trace, budget)
     out += check_progress(table, trace)
-    out += check_canonical_forms(table, trace)
-    out += check_capsule_theorem(table, trace)
-    out += check_immutable_theorem(table, trace)
+    checks = _StoreChecks(table)
+    for found in checks.run(
+        trace, checks.canonical_forms, checks.capsule, checks.immutable
+    ):
+        out += found
     return out

@@ -26,6 +26,26 @@ has built.  Failures are memoized as message and span and re-raised fresh.
 A configurable budget bounds the search (exhausting it raises
 SearchExhausted, which is distinct from a typing failure).
 
+A Checker may answer several top-level queries, each with a budget of its
+own (subject reduction asks one per reduct of a trace, see
+`metatheory.check_subject_reduction`).  A
+failure is tainted when its search met a check still in progress ("cyclic
+search") or a tainted failure: it holds for the stack of the query that
+computed it, not for its key alone, like an incomplete answer in tabled
+resolution (Chen & Warren, JACM 1996).  Within its query a tainted failure
+is used as any other, so a query's search, ticks and memo do not depend on
+whether more queries follow.  Each query starts with an empty memo, which
+evicts the tainted failures.  Every other entry lives on under its key's
+projection (`Checker._projection`: the context cut down to what a check of
+the term can read of it), and from the second query on a miss of the full
+key is looked up there.  A reduct shares most subterms with the term before
+it, but its store, and so every context beneath it, is new: the projection
+lets those subterms find their verdicts again.  Projections are computed
+only once a second query starts, so a one-query Checker
+(`typecheck_program`) never pays for them.  Reuse keeps verdicts and
+results, not derivations: a judgment found under a projected key has its
+term, result and rule, but no context and no premises.
+
 A block's lent locals are grouped by search: `check_block` tries candidate
 group assignments in a fixed order, each set partition of the locals once,
 until one types every declaration and the body.  The search is pruned by
@@ -97,13 +117,17 @@ class SearchExhausted(TypeCheckError):
 class _Failure:
     """A memoized IllTyped: message and span only.  Keeping the exception
     itself would keep its traceback, and through it the search frames and
-    the Checker, alive in a reference cycle."""
+    the Checker, alive in a reference cycle.  A memo entry also keeps the
+    term that failed (the projected table is built from it) and whether
+    the failure is tainted (see `Checker.check`)."""
 
-    __slots__ = ("message", "span")
+    __slots__ = ("message", "span", "expr", "tainted")
 
-    def __init__(self, err: IllTyped):
+    def __init__(self, err: IllTyped, expr=None, tainted=False):
         self.message = str(err)
         self.span = err.span
+        self.expr = expr
+        self.tainted = tainted
 
     def error(self) -> IllTyped:
         return IllTyped(self.message, self.span)
@@ -123,15 +147,15 @@ class TypeContext:
     does not matter.  The name-indexed views behind `lookup`, `group_of` and
     `mutable_group` are built on first use and kept, and so are the contexts
     `swap` builds.  A context derived from `base` over the same gamma tuple
-    reuses base's gamma hash, env and mut variables (and its sorted
-    restricted set when the set is the same); `sorted_groups`, the groups as
-    sorted tuples, is passed on by derived contexts so that no group is
-    sorted twice.
+    reuses base's gamma hash, env, mut and mut-or-read variables (and its
+    sorted restricted set when the set is the same); `sorted_groups`, the
+    groups as sorted tuples, is passed on by derived contexts so that no
+    group is sorted twice.
     """
 
     __slots__ = (
         "gamma", "groups", "restricted", "sorted_groups",
-        "_gamma_hash", "_fp", "_hash", "_env", "_muts", "_group_index",
+        "_gamma_hash", "_fp", "_hash", "_env", "_muts", "_mutreads", "_group_index",
         "_mutable", "_mutable_sorted", "_swapped",
     )
 
@@ -153,10 +177,12 @@ class TypeContext:
             self._gamma_hash = base._gamma_hash
             self._env = base._env
             self._muts = base._muts
+            self._mutreads = base._mutreads
         else:
             self._gamma_hash = hash(gamma)
             self._env = None
             self._muts = None
+            self._mutreads = None
         groups_fp = tuple(sorted(sorted_groups))
         if base is not None and base.restricted is restricted:
             restricted_fp = base._fp[2]
@@ -216,6 +242,18 @@ class TypeContext:
                 )
             mg = self._mutable = muts.difference(*self.groups)
         return mg
+
+    def mut_or_read_names(self) -> frozenset:
+        """The names gamma types mut or read (immutability promotion
+        restricts them)."""
+        if self._mutreads is None:
+            self._mutreads = frozenset(
+                n
+                for (n, t) in self.gamma
+                if isinstance(t, RefType)
+                and t.qualifier in (Qualifier.MUT, Qualifier.READ)
+            )
+        return self._mutreads
 
     def sorted_mutable_group(self) -> tuple:
         key = self._mutable_sorted
@@ -313,6 +351,16 @@ class Judgment:
         return out
 
 
+def _kept(entry):
+    """What a later query may use of a completed memo entry: a judgment's
+    term, result and rule (dropping its context and premises lets the
+    contexts of earlier queries go), an untainted failure, and nothing of a
+    tainted one."""
+    if entry.__class__ is Judgment:
+        return Judgment(None, entry.expr, entry.result, entry.rule)
+    return None if entry.tainted else entry
+
+
 def _weaken(t: Type) -> Type:
     """mut is weakened to lent (result adjustment of the swap and var rules)."""
     if isinstance(t, RefType) and t.qualifier is Qualifier.MUT:
@@ -368,6 +416,11 @@ class Checker:
         self.memo: dict = {}
         self.ticks = 0
         self._names: dict = {}  # id(e) -> _mentions(e)
+        self._gamma_parts: dict = {}  # id(e) -> (gamma, parts), see _projection
+        self._cyclic = 0  # in-progress and tainted-failure hits so far
+        # (id(e), projection, goal) -> what _kept keeps of a completed memo
+        # entry, from the second top-level query on
+        self._reuse = None
 
     # ------------------------------------------------------------------
     # public entry points
@@ -375,27 +428,74 @@ class Checker:
 
     def check(self, ctx: TypeContext, e: Expr, goal: Optional[Type]) -> Judgment:
         """Derive a judgment for e whose result is <= goal (or the structural
-        minimum when goal is None)."""
+        minimum when goal is None).
+
+        A call made while `ticks` is 0, as in a fresh Checker, starts a
+        top-level query: the caller resets `ticks` to give the next query
+        a budget of its own.  A failure is tainted when its search met an
+        in-progress entry ("cyclic search") or a tainted failure: it is a
+        verdict about this query's stack, not about its key.  Within the
+        query it is memoized as any failure is; the next query starts with
+        an empty memo.  Every other entry is a verdict about its key alone,
+        so from the second query on each completed untainted entry is
+        filed under its key's projection (`_projection`) too, and a miss
+        of the full key is looked up there.  Every term asked about must
+        stay alive while the Checker is in use: entries are keyed by
+        id(e)."""
+        if not self.ticks:
+            self._start_query()
         self._tick()
         key = (id(e), ctx, goal)
-        hit = self.memo.get(key)
+        memo = self.memo
+        hit = memo.get(key)
+        reuse = self._reuse
+        if hit is None and reuse is not None:
+            pkey = (key[0], self._projection(ctx, e), goal)
+            hit = reuse.get(pkey)
+            if hit is not None:
+                memo[key] = hit
         if hit is not None:
             if hit.__class__ is Judgment:
                 return hit
             if hit is _IN_PROGRESS:
+                self._cyclic += 1
                 raise IllTyped("cyclic search", _span(e))
+            if hit.tainted:
+                self._cyclic += 1
             raise hit.error()
-        self.memo[key] = _IN_PROGRESS
+        memo[key] = _IN_PROGRESS
+        cyclic = self._cyclic
         try:
             j = self._check(ctx, e, goal)
         except IllTyped as err:
-            self.memo[key] = _Failure(err)
+            memo[key] = failure = _Failure(err, e, self._cyclic != cyclic)
+            if reuse is not None:
+                reuse[pkey] = _kept(failure)
             raise
-        except SearchExhausted:
-            del self.memo[key]
+        except BaseException:
+            del memo[key]  # a search cut short (SearchExhausted) leaves nothing
             raise
-        self.memo[key] = j
+        # a success stands whatever its search met: what made it taint
+        # nothing reaches the caller
+        self._cyclic = cyclic
+        memo[key] = j
+        if reuse is not None:
+            reuse[pkey] = _kept(j)
         return j
+
+    def _start_query(self) -> None:
+        """Empty the memo, which evicts the last query's tainted failures;
+        its other entries live on under their projected keys, filed as they
+        completed or, when the second query starts, from the first query's
+        memo."""
+        memo = self.memo
+        if memo and self._reuse is None:
+            self._reuse = {
+                (key[0], self._projection(key[1], entry.expr), key[2]): _kept(entry)
+                for key, entry in memo.items()
+            }
+        memo.clear()
+        self._gamma_parts.clear()  # its gammas are the last query's
 
     def infer(self, ctx: TypeContext, e: Expr) -> Judgment:
         return self.check(ctx, e, None)
@@ -484,12 +584,7 @@ class Checker:
         )
 
     def _try_imm(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
-        restricted = frozenset(
-            n
-            for (n, t) in ctx.gamma
-            if isinstance(t, RefType)
-            and t.qualifier in (Qualifier.MUT, Qualifier.READ)
-        )
+        restricted = ctx.mut_or_read_names()
         j = self.check(ctx.grouped(restricted), e, RefType(Qualifier.READ, cname))
         return Judgment(
             ctx, e, RefType(Qualifier.IMM, cname), "t-imm", (j,),
@@ -711,51 +806,93 @@ class Checker:
         )
 
     def _projection(self, ctx: TypeContext, e: Expr) -> tuple:
-        """What a check of e can read of the groups of ctx, for the names e
-        mentions (free or bound): for each group in order, its members among
-        them, whether it has others and whether those include restricted
-        names; and whether the mutable group has members beyond them and
-        whether those include restricted names.
+        """What a check of e can read of ctx, for the names e mentions (free
+        or bound):
 
-        Every rule that reads a context reads no more than this and the
-        context's gamma and restricted set: `_var` (gamma, restricted,
-        grouped), capsule and imm promotion (the mutable group becomes a
-        group; imm restricts every mut and read variable), the swap loop
-        (groups in order, skipping those with restricted members),
-        unrestriction, `g - dom` in nested blocks (e's binders are among the
-        names) and `wf_context`.  Derived contexts keep the correspondence
-        group by group, so two contexts with the same gamma, restricted set
-        and projection give e the same search step for step.  Every premise
-        context of one `check_block` call has the same gamma and restricted
-        set, so within a call the projection alone decides.
+        * gamma restricted to the names;
+        * whether gamma has mut or read names outside them;
+        * for each group in order, its members among the names, whether it
+          has others, and whether those include restricted names;
+        * whether the mutable group has members beyond the names;
+        * when the restricted set is not empty: the restricted names among
+          the names, whether there are restricted names outside them, and
+          whether one of those is in the mutable group (a mut name in no
+          group).
+
+        Every rule reads no more of a context than this.  `_var` reads the
+        gamma entry, restriction and grouping of its name; `_receiver_class`
+        and `_try_consume` read gamma at names of e.  Unrestriction applies
+        when the restricted set is not empty.  Capsule promotion makes the
+        mutable group one more group; its members among the names are the
+        mut names there that no group holds.  Immutability promotion
+        restricts every mut and read name: among the names gamma tells
+        which, outside them the second part tells whether any exist, and
+        the other members of the groups and of the mutable group are mut,
+        so restricted there exactly when they exist.  The swap loop takes
+        the groups in order and skips those with restricted members; a swap
+        keeps every other group's parts and makes the swapped group the
+        mutable one.  A nested block has its binders among the names; it
+        drops emptied groups (`g - dom`) and seeds and extends its
+        candidates by the names alone.  `wf_context` of its candidates
+        asks whether a restricted name outside the names is a mut name in
+        no group (the last part); its other conditions hold outside the
+        names in every context derived from a well-formed one.  So two
+        contexts with the same projection give e the same search step for
+        step, and a verdict reached without a cyclic hit (see `check`)
+        holds for both.  Every premise context of one
+        `check_block` call has the same gamma and restricted set, so there
+        the group parts alone decide.
         """
         names = self._mentions(e)[1]
+        # the parts read from gamma alone, kept for the last gamma e was
+        # projected under (the candidates of one block share their gamma)
+        last = self._gamma_parts.get(id(e))
+        if last is None or last[0] is not ctx.gamma:
+            env = ctx.env
+            last = self._gamma_parts[id(e)] = (
+                ctx.gamma,
+                # a frozenset keeps its hash: each probe of a key hashes
+                # the types in it only once
+                frozenset([(n, env[n]) for n in names if n in env]),
+                not ctx.mut_or_read_names() <= names,
+            )
         restricted = ctx.restricted
         mg = ctx.mutable_group()
+        outside = restricted - names
         return (
-            tuple(
+            last[1],
+            last[2],
+            tuple([
                 (g & names, not g <= names, not restricted.isdisjoint(g - names))
                 for g in ctx.groups
-            ),
+            ]),
             not mg <= names,
-            not restricted.isdisjoint(mg - names),
+            restricted
+            and (restricted & names, bool(outside), not outside.isdisjoint(mg)),
         )
 
     def _mentions(self, e: Expr) -> tuple:
-        """(e, the variable names e mentions), kept per term; holding e keeps
-        its id from being reused."""
-        hit = self._names.get(id(e))
+        """(e, the variable names e mentions), kept per term.  The walk takes
+        the names of a subterm asked about before from this table, so a
+        term that shares most of its subterms with earlier ones costs only
+        its new nodes.  Holding e keeps its id from being reused."""
+        table = self._names
+        hit = table.get(id(e))
         if hit is None:
             names = set()
             stack = [e]
             while stack:
                 x = stack.pop()
-                if isinstance(x, Var):
+                known = table.get(id(x))
+                if known is not None:
+                    names |= known[1]
+                elif isinstance(x, Var):
                     names.add(x.name)
-                elif isinstance(x, Block):
-                    names.update(d.name for d in x.decls)
-                stack.extend(children(x))
-            hit = self._names[id(e)] = (e, frozenset(names))
+                else:
+                    if isinstance(x, Block):
+                        names.update(d.name for d in x.decls)
+                    stack.extend(children(x))
+            hit = table[id(e)] = (e, frozenset(names))
         return hit
 
     def _try_consume(self, block: Block, d: Decl, gamma: dict, ctx: TypeContext):

@@ -57,6 +57,11 @@ class TestCheck:
         assert main(["check", write(tmp_path, src)]) == EXIT_TYPE
         assert "type error" in capsys.readouterr().err
 
+    def test_type_error_location(self, tmp_path, capsys):
+        src = "class K { int n; }\nmut K k = new K(w);\nk\n"
+        assert main(["check", write(tmp_path, src)]) == EXIT_TYPE
+        assert capsys.readouterr().err == "type error: unknown variable w at 2:17\n"
+
     def test_parse_error(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, "class {")]) == EXIT_PARSE
         assert "error" in capsys.readouterr().err

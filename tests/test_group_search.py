@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capslang.generator import GenConfig, gen_source
-from capslang.syntax import Block, IntLit, Qualifier, RefType, free_vars, stored_type
+from capslang.syntax import (
+    Block, IntLit, Qualifier, RefType, children, free_vars, stored_type,
+)
 from capslang.typecheck import (
     MAX_LENT_LOCALS,
     Checker,
@@ -405,3 +407,53 @@ class TestEnumeration:
                 seen.add(rgs)
                 first.append(rgs)
         assert list(_growth_strings(n, k)) == first
+
+
+def verdict(checker, ctx, e, goal):
+    try:
+        return "ok", str(checker.check(ctx, e, goal).result)
+    except TypeCheckError as err:
+        return err.kind, str(err)
+
+
+class TestMemoAcrossQueries:
+    """A failure whose search met a check still in progress ("cyclic
+    search") is a verdict about that query's stack, not about its key.  A
+    Checker that answers further queries evicts such failures when the next
+    query starts, so re-asking any key the first query memoized gives what
+    a fresh Checker gives."""
+
+    @pytest.mark.parametrize(
+        "src",
+        [pytest.param(lent_block_source(2268), id="block-2268")]
+        + [
+            pytest.param(
+                lent_source(k, leak, seed=0),
+                id=f"k{k}-{'reject' if leak else 'accept'}",
+            )
+            for k in (2, 3, 4, 5)
+            for leak in (False, True)
+        ],
+    )
+    def test_reasked_keys_match_a_fresh_checker(self, src):
+        p = load(src)
+        c = Checker(p.table)
+        try:
+            c.infer(TypeContext.make({}), p.main)
+        except IllTyped:
+            pass
+        terms, stack = {}, [p.main]
+        while stack:
+            e = stack.pop()
+            terms[id(e)] = e
+            stack.extend(children(e))
+        first = dict(c.memo)
+        tainted = {k: v for k, v in first.items() if getattr(v, "tainted", False)}
+        if src == lent_block_source(2268):
+            assert tainted  # the case this test is about
+        for eid, ctx, goal in first:
+            c.ticks = 0  # each query has the whole budget
+            got = verdict(c, ctx, terms[eid], goal)
+            assert got == verdict(Checker(p.table), ctx, terms[eid], goal)
+            # the second query started by evicting them
+            assert not any(c.memo.get(k) is v for k, v in tainted.items())

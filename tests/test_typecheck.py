@@ -5,7 +5,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse
@@ -470,3 +470,64 @@ class TestContextViews:
         assert (c1 == c2) == (naive_fingerprint(c1) == naive_fingerprint(c2))
         if c1 == c2:
             assert hash(c1) == hash(c2)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts reused across queries
+# ---------------------------------------------------------------------------
+
+REUSE_SOURCE = """
+class D { int f; mut D d; imm D i;
+  read D get(read) { return this; }
+  mut D put(mut, mut D x) { return x; } }
+class C { mut D x; }
+"""
+REUSE_TERMS = (
+    "a", "a.f", "a.d", "a.i", "a.d = b", "a.f = 1", "a.get()", "a.put(b)",
+    "new D(1, a, b)", "new D(a.f, b, c)", "new C(a)",
+    "{ lent D z = new D(1, a, b); z.f }",
+    "{ mut D z = a; new D(1, z, b) }",
+    "{ capsule D z = new D(1, a, b); z }",
+    "{ imm D z = new D(1, a, b); z }",
+    "{ read D z = a; new D(z.f, b, b) }",
+    "{ lent D z = new D(1, a, a); lent D w = (b.d = z); new D(1, w, c) }",
+)
+REUSE_GOALS = [None, INT] + [RefType(q, c) for q in Qualifier for c in ("C", "D")]
+MUT_D, IMM_D, READ_D = (RefType(q, "D") for q in (Qualifier.MUT, Qualifier.IMM, Qualifier.READ))
+
+
+def verdict(checker, ctx, e, goal):
+    """The result, or the error's kind and message."""
+    try:
+        return "ok", str(checker.check(ctx, e, goal).result)
+    except TypeCheckError as err:
+        return err.kind, str(err)
+
+
+class TestProjectedReuse:
+    """From its second query on, a Checker looks a missed key up again
+    under its projection (`Checker._projection`).  Asking the same term
+    under one context and then under another must give the result, or the
+    error, a fresh Checker gives for the second."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        wf_contexts(), wf_contexts(),
+        st.sampled_from(REUSE_TERMS), st.sampled_from(REUSE_GOALS),
+    )
+    # contexts whose projections differ in one part only: gamma, the
+    # groups, the restricted names among the names
+    @example(({"a": MUT_D}, (), frozenset()), ({"a": IMM_D}, (), frozenset()),
+             "a.f = 1", INT)
+    @example(({"a": MUT_D}, (frozenset("a"),), frozenset()), ({"a": MUT_D}, (), frozenset()),
+             "a", MUT_D)
+    @example(({"a": READ_D, "b": READ_D, "c": READ_D}, (), frozenset("ac")),
+             ({"a": READ_D, "b": READ_D, "c": READ_D}, (), frozenset("bc")),
+             "a", READ_D)
+    def test_second_query_matches_a_fresh_checker(self, p1, p2, term, goal):
+        p = resolve_implicit_types(parse(REUSE_SOURCE + term))
+        c = Checker(p.table)
+        verdict(c, TypeContext.make(*p1), p.main, goal)
+        c.ticks = 0
+        ctx = TypeContext.make(*p2)
+        assert verdict(c, ctx, p.main, goal) == verdict(Checker(p.table), ctx, p.main, goal)
