@@ -357,19 +357,21 @@ def free_vars(e: Expr) -> frozenset:
     return fv
 
 
-def substitute(e: Expr, v: Expr, x: str) -> Expr:
+def substitute(e: Expr, v: Expr, x: str, fv) -> Expr:
     """Replace free occurrences of x in e by v.
 
-    Blocks declaring x are left untouched; the caller is responsible for
-    avoiding capture (alpha-renaming), as all binders here are kept globally
-    fresh by the front end.  Subterms where x is not free are shared with e:
-    when x is not free in e the result is e itself.
+    `fv(e)` gives the free variables of e: `free_vars` itself, or a table of
+    it kept by the caller.  The walk descends only into subterms where x is
+    free, so blocks declaring x are left untouched; the caller is responsible
+    for avoiding capture (alpha-renaming), as all binders here are kept
+    globally fresh by the front end.  Subterms where x is not free are shared
+    with e: when x is not free in e the result is e itself.
     """
     if isinstance(e, Var):
         return v if e.name == x else e
-    if isinstance(e, Block) and any(d.name == x for d in e.decls):
+    if x not in fv(e):
         return e
-    return map_children(e, substitute, v, x)
+    return map_children(e, substitute, v, x, fv)
 
 
 def rename(e: Expr, ren: dict, namer) -> Expr:

@@ -2,7 +2,10 @@
 (every accept/ file typechecks and runs clean; every reject/ file is refused
 with the diagnostic named in its first-line `// expect-error:` comment)."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,9 @@ from capslang.cli import (
 from capslang.generator import GenConfig, gen_source
 from capslang.typecheck import TypeCheckError, typecheck_program
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
+
+SRC = ROOT / "src"
 
 ACCEPT = sorted((CORPUS / "accept").glob("*.caps"))
 REJECT = sorted((CORPUS / "reject").glob("*.caps"))
@@ -38,6 +43,13 @@ y
 
 def plus_chain(n):
     return "class D { int f; }\nnew D(" + " + ".join(["1"] * n) + ")\n"
+
+
+def nested_blocks(n):
+    e = "new D(1)"
+    for _ in range(n):
+        e = "{ mut D y = " + e + "; y }"
+    return "class D { int f; }\n" + e + "\n"
 
 
 def assert_diagnostic(err, prefix):
@@ -116,6 +128,22 @@ class TestRun:
     def test_too_deep(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, plus_chain(400))]) == EXIT_RESOURCE
         assert_diagnostic(capsys.readouterr().err, "resource exhausted: ")
+
+    @pytest.mark.parametrize(
+        "src", [nested_blocks(245), plus_chain(329)], ids=["blocks", "plus"]
+    )
+    def test_deep_program_no_traceback(self, tmp_path, src):
+        # a fresh `caps run` process, at its own stack depth: the nesting is
+        # near the recursion limit, so every recursive walk (the reducer's
+        # free-variable table included) must end in a documented exit code
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        r = subprocess.run(
+            [sys.executable, "-m", "capslang.cli", "run", write(tmp_path, src)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert r.returncode in (EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_RESOURCE)
+        assert "Traceback" not in r.stderr
 
 
 class TestDot:

@@ -1,8 +1,12 @@
 """Small-step reduction: decomposition, field projection, and golden traces
 for the store-manipulation rules."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+
+from capslang import reducer, syntax
 from capslang.anf import simplify_program
 from capslang.congruence import NameSupply, alpha_equiv, normalize_value
 from capslang.generator import GenConfig, gen_source
@@ -18,6 +22,7 @@ from capslang.reducer import (
 )
 from capslang.syntax import (
     Block,
+    ClassTable,
     Decl,
     FieldAccess,
     FieldAssign,
@@ -25,11 +30,14 @@ from capslang.syntax import (
     New,
     Plus,
     StaticCall,
+    children,
+    free_vars,
     is_value,
 )
 from capslang.typecheck import resolve_implicit_types
 
 from conftest import CORPUS, load, load_file, reduce_source
+from test_syntax import EXPRS, rebuild_substitute
 
 
 def rules(trace):
@@ -244,12 +252,20 @@ class TestFreshness:
 
 
 class FullRenormReducer(Reducer):
-    """The reference: re-normalizes the whole term after every step and
-    re-checks every stored declaration from the root, with no tables."""
+    """The reference: re-normalizes the whole term after every step,
+    re-checks every stored declaration from the root, and substitutes by a
+    walk that rebuilds the whole scope, with no tables."""
+
+    free_vars = staticmethod(free_vars)
 
     def step(self, e):
         self._stored = {}
         return super().step(e)
+
+    def _subst_out(self, block, index, v):
+        decls = block.decls[:index] + block.decls[index + 1 :]
+        out = Block(decls, block.body, block.span) if decls else block.body
+        return rebuild_substitute(out, v, block.decls[index].name)
 
     def normalize_term(self, e, top=True):
         if isinstance(e, Block) and (top or not is_value(e)):
@@ -321,6 +337,24 @@ x
 """
 
 
+# store declarations before the eliminated binder that mention it, and a
+# result that normalization restructures
+BEFORE_INT = "class C { int f; } mut C a = new C(n); int n = 3; a"
+BEFORE_CAPSULE = """
+class C { int f; }
+class B { mut C c; }
+mut B b = new B(z);
+capsule C z = new C(1);
+b
+"""
+RESULT_NOT_NORMAL = """
+class D { int f; }
+class C { mut D f; }
+mut D a = new D(0);
+new C(new D(1))
+"""
+
+
 class TestIncremental:
     @pytest.mark.parametrize(
         "path", sorted((CORPUS / "accept").glob("*.caps")), ids=lambda p: p.stem
@@ -328,12 +362,28 @@ class TestIncremental:
     def test_corpus(self, path):
         assert_same_trace(load_file(path))
 
-    @pytest.mark.parametrize("size, seeds", [(8, 200), (16, 50), (32, 20)])
+    @pytest.mark.parametrize(
+        "size, seeds", [(8, 200), (16, 50), (32, 20), (64, 10)]
+    )
     def test_generated(self, size, seeds):
         for seed in range(seeds):
             assert_same_trace(
                 load(gen_source(GenConfig(seed=seed, size=size, reject_rate=0)))
             )
+
+    @pytest.mark.parametrize(
+        "src, first",
+        [
+            (BEFORE_INT, ["int-elim"]),
+            (BEFORE_CAPSULE, ["capsule-elim"]),
+            (RESULT_NOT_NORMAL, []),
+        ],
+        ids=["before-int", "before-capsule", "result"],
+    )
+    def test_hand_written(self, src, first):
+        assert_same_trace(load(src))
+        _, tr = reduce_source(src)
+        assert rules(tr)[:1] == first
 
     def test_two_pass_block(self):
         # one pass hoists the constructor arguments and so makes the block a
@@ -365,3 +415,49 @@ class TestIncremental:
         assert first.decls[:2] == tr.initial.decls[:2]
         assert all(x is y for x, y in zip(first.decls[:2], tr.initial.decls[:2]))
         assert all(x is y for x, y in zip(second.decls[:2], first.decls[:2]))
+
+
+@given(EXPRS)
+@settings(max_examples=200, deadline=None)
+def test_free_vars_table(e):
+    red = Reducer(ClassTable({}))
+
+    def check(sub):
+        assert red.free_vars(sub) == free_vars(sub)
+        for c in children(sub):
+            check(c)
+
+    check(e)
+    check(e)  # now from the table
+
+
+def calls_per_step(size):
+    """Calls of `Reducer.normalize_term` plus calls of the substitution
+    walk, per reduction step, over generator seeds 0..19 at this size."""
+    calls = Counter()
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            calls[f] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    subst = counting(syntax.substitute)
+    steps = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Reducer, "normalize_term", counting(Reducer.normalize_term))
+        mp.setattr(syntax, "substitute", subst)
+        mp.setattr(reducer, "substitute", subst)
+        for seed in range(20):
+            src = gen_source(GenConfig(seed=seed, size=size, reject_rate=0))
+            steps += reduce_source(src)[1].fuel_used
+    assert calls[syntax.substitute] > 0
+    return sum(calls.values()) / steps
+
+
+def test_step_cost_does_not_grow_with_the_store():
+    # a step walks what it changes: substitution skips the subterms where
+    # the binder is not free, and normalization skips known fixed points,
+    # so the calls per step stay flat as the programs (and stores) grow
+    assert calls_per_step(64) <= 1.5 * calls_per_step(8)

@@ -95,11 +95,11 @@ class TestFreeVarsSubstitute:
 
     def test_substitute_free(self):
         e = parse_expr("new C(x, y)")
-        assert substitute(e, Var("z"), "x") == parse_expr("new C(z, y)")
+        assert substitute(e, Var("z"), "x", free_vars) == parse_expr("new C(z, y)")
 
     def test_substitute_stops_at_binder(self):
         e = parse_expr("{mut C x = new C(x); x}")
-        assert substitute(e, Var("z"), "x") == e
+        assert substitute(e, Var("z"), "x", free_vars) == e
 
 
 def rebuild_substitute(e, v, x):
@@ -159,7 +159,7 @@ EXPRS = st.recursive(LEAVES, _extend, max_leaves=12)
 @given(EXPRS, EXPRS, NAMES)
 @settings(max_examples=300, deadline=None)
 def test_substitute_shares_what_it_does_not_change(e, v, x):
-    out = substitute(e, v, x)
+    out = substitute(e, v, x, free_vars)
     if x not in free_vars(e):
         assert out is e
     else:
