@@ -33,46 +33,41 @@ class _Translator:
         self.table = table
         self.supply = NameSupply()
 
-    # returns (bindings, value)
-    def value(self, e: Expr, gamma: dict):
+    def value(self, e: Expr, gamma: dict, bs: list) -> Expr:
+        """e as a value, the bindings it needs appended to bs.  Children
+        are mapped with `value` itself: a nesting level costs two frames."""
         if isinstance(e, (Var, IntLit)):
-            return [], e
+            return e
+        if isinstance(e, Block):
+            rhs = self.block(e, gamma)
+        else:
+            rhs = map_children(e, self.value, gamma, bs)
         # a compound is named unless it translates to a value (a
         # constructor call of values, or a block right-value)
-        bs, rhs = self.rhs(e, gamma)
         if is_value(rhs):
-            return bs, rhs
+            return rhs
         t = shape_type(self.table, gamma, rhs)
         x = self.supply.fresh("t")
         gamma[x] = stored_type(t)
         bs.append(Decl(t, x, rhs, e.span))
-        return bs, Var(x, e.span)
+        return Var(x, e.span)
 
-    # returns (bindings, simplified right-hand side)
-    def rhs(self, e: Expr, gamma: dict):
+    def rhs(self, e: Expr, gamma: dict, bs: list) -> Expr:
+        """e as a simplified right-hand side, the bindings it needs appended
+        to bs."""
         if isinstance(e, Block):
-            return [], self.block(e, gamma)
-        bs: list = []
-        out = map_children(e, self._hoist, gamma, bs)
-        return bs, out
-
-    def _hoist(self, e: Expr, gamma: dict, bs: list) -> Expr:
-        """e as a value, its bindings appended to bs."""
-        b, v = self.value(e, gamma)
-        bs.extend(b)
-        return v
+            return self.block(e, gamma)
+        return map_children(e, self.value, gamma, bs)
 
     def block(self, e: Block, gamma: dict) -> Expr:
         g2 = dict(gamma)
         for d in e.decls:
             g2[d.name] = stored_type(d.dtype)
-        decls = []
+        decls: list = []
         for d in e.decls:
-            bs, rhs = self.rhs(d.init, g2)
-            decls.extend(bs)
+            rhs = self.rhs(d.init, g2, decls)
             decls.append(Decl(d.dtype, d.name, rhs, d.span))
-        bs, body = self.value(e.body, g2)
-        decls.extend(bs)
+        body = self.value(e.body, g2, decls)
         if not decls:
             return body
         return Block(tuple(decls), body, e.span)
@@ -81,7 +76,8 @@ class _Translator:
         """Whole-term translation: the result is a simplified right-hand
         side wrapped in a block when hoisting was needed."""
         g2 = dict(gamma)
-        bs, rhs = self.rhs(e, g2)
+        bs: list = []
+        rhs = self.rhs(e, g2, bs)
         if not bs and (is_value(rhs) or isinstance(rhs, Block)):
             return rhs
         t = shape_type(self.table, g2, rhs)

@@ -168,6 +168,9 @@ def cmd_dot(args) -> int:
         trace = e.trace  # draw the store as far as reduction got
     if args.at_step is None:
         term = trace.final
+    elif args.at_step < 0:
+        print(f"error: --at-step {args.at_step} is negative", file=sys.stderr)
+        return EXIT_PARSE
     elif args.at_step == 0:
         term = trace.initial
     elif args.at_step <= len(trace.steps):

@@ -30,6 +30,7 @@ from .syntax import (
     is_rightvalue,
     is_value,
     map_children,
+    node_cached,
     rename,
     stored_type,
 )
@@ -122,6 +123,13 @@ def wf_store_decl(d: Decl) -> bool:
 
 def wf_store(decls: tuple) -> bool:
     return all(wf_store_decl(d) for d in decls)
+
+
+@node_cached
+def is_stored(d: Decl) -> bool:
+    """d is an evaluated declaration of a well-formed store: decomposition
+    steps over it."""
+    return is_evaluated(d) and wf_store_decl(d)
 
 
 # ---------------------------------------------------------------------------

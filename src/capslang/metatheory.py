@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .congruence import all_mut, wf_rightvalue, wf_store_decl
+from .congruence import all_mut, is_stored, wf_rightvalue
 from .parser import pretty_print
 from .reducer import ReductionTrace
 from .syntax import (
@@ -52,6 +52,7 @@ from .syntax import (
     is_evaluated,
     is_objstate,
     is_value,
+    node_cached,
 )
 from .typecheck import (
     Checker,
@@ -115,14 +116,9 @@ def _snapshot(rv: Expr, lookup, stack: tuple):
     return ("opaque", pretty_print(rv))
 
 
+@node_cached
 def _has_block(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Block):
-            return True
-        stack.extend(children(x))
-    return False
+    return isinstance(e, Block) or any(map(_has_block, children(e)))
 
 
 def _chain(local: dict, lookup):
@@ -212,7 +208,7 @@ def check_progress(table: ClassTable, trace: ReductionTrace) -> list:
     step = len(trace.steps)
     if isinstance(term, Block):
         for d in term.decls:
-            if not (is_evaluated(d) and wf_store_decl(d)):
+            if not is_stored(d):
                 out.append(
                     MetaViolation(
                         "progress", step, d.name,
@@ -280,7 +276,7 @@ def _shape_errors(table: ClassTable, d: Decl, lookup) -> tuple:
             f"right-value has class {cname} but the declaration says "
             f"{d.dtype.cname}"
         )
-    if not wf_store_decl(d):
+    if not is_stored(d):
         # transient state (capsule awaiting consumption, a block right-value
         # awaiting a move, an alias awaiting elimination): shape clauses do
         # not apply yet, but the right-value must still be well-formed
@@ -352,10 +348,6 @@ def _imm_closed(d: Decl, lookup) -> Optional[str]:
     return None
 
 
-def _wf_store_decl(d: Decl, lookup) -> bool:
-    return wf_store_decl(d)  # reads no other declaration
-
-
 def _settled_snapshot(d: Decl, lookup):
     """The snapshot of d's reachable graph, or None while some referenced
     declaration is still being evaluated (for instance an int member
@@ -383,24 +375,23 @@ class _StoreChecks:
     """Canonical forms, capsule encapsulation and immutability, checked
     declaration by declaration over one walk of each trace term.
 
-    What these checks compute of one evaluated declaration (is it
-    evaluated, the clauses it breaks, `_imm_closed`, is it well-formed
-    store, its settled snapshot) depends only on the Decl object and on
-    the declarations it looks up in its scope.  Each result is kept per
-    Decl object together with the declarations it looked up, and reused
-    while each of those names still finds the same Decl.  The reducer
-    shares unchanged declarations between consecutive terms, so most
-    declarations are checked once per trace, not once per step.  An entry
-    holds its Decl, so no id is reused while the entry lives.
+    Facts of a declaration alone (is it well-formed store, does its
+    initializer hold a block) are kept on the node (`syntax.node_cached`).
+    What these checks compute of one evaluated declaration in its scope
+    (the clauses it breaks, `_imm_closed`, its settled snapshot) depends
+    only on the Decl object and on the declarations it looks up there.
+    Each such result is kept per Decl object together with the
+    declarations it looked up, and reused while each of those names still
+    finds the same Decl.  The reducer shares unchanged declarations between
+    consecutive terms, so most declarations are checked once per trace, not
+    once per step.  An entry holds its Decl, so no id is reused while the
+    entry lives.
     """
 
     def __init__(self, table: ClassTable):
         self._shape_errors = functools.partial(_shape_errors, table)
-        # id(d) -> (d, is_evaluated(d), whether d's initializer holds a block)
-        self._facts: dict = {}
         self._shapes: dict = {}  # id(d) -> (d, lookups, result), as in _kept
         self._closed: dict = {}
-        self._wf: dict = {}
         self._snapshots: dict = {}
         self._first_seen: dict = {}  # imm binder -> (step, snapshot)
 
@@ -425,14 +416,11 @@ class _StoreChecks:
             env2 = dict(env)
             for d in e.decls:
                 env2[d.name] = d
-            facts = self._facts
             for d in e.decls:
-                hit = facts.get(id(d))
-                if hit is None:
-                    hit = facts[id(d)] = (d, is_evaluated(d), _has_block(d.init))
-                if hit[1]:
+                # most are stored, and so evaluated: their fact is kept
+                if is_stored(d) or is_evaluated(d):
                     out.append((d, env2))
-                if hit[2]:
+                if _has_block(d.init):
                     self._stored_decls(d.init, env2, out)
             self._stored_decls(e.body, env2, out)
             return
@@ -486,7 +474,7 @@ class _StoreChecks:
     def immutable(self, step, term, d, env, out) -> None:
         if not (isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM):
             return
-        if not self._kept(self._wf, _wf_store_decl, d, env):
+        if not is_stored(d):
             return  # not settled yet (alias/move still pending)
         offender = self._kept(self._closed, _imm_closed, d, env)
         if offender is not None:

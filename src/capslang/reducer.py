@@ -10,25 +10,23 @@ out).  Exactly one rule applies at the unique decomposition.
 Every term of a trace is in normal form: each value position holds a fixed
 point of value congruence (`Reducer.normalize_term`).  A step rebuilds only
 the path from the root to what it changed and shares every other node with
-the previous term.  A `Reducer` keeps three identity tables, keyed by
-`id(node)` and holding the node so that the id is not reused:
-
-- `_normal`: fixed points of normalization.  Normalizing the next term keeps
-  a child found there without a call, so only the rebuilt path and the new
-  subterms are visited;
-- `_stored`: declarations seen to be evaluated well-formed store, which
-  decomposition steps over;
-- `_fv`: free variables, computed once per node from its children's
-  entries.  Substitution (int-elim, alias-elim, capsule-elim) descends only
-  where the eliminated name is free, and the scope-extrusion and imm-move
-  checks read the same table.
+the previous term.  What a node is on its own is kept on the node
+(`syntax.node_cached`): decomposition steps over the declarations known to
+be evaluated well-formed store (`congruence.is_stored`), and substitution
+(int-elim, alias-elim, capsule-elim) descends only where the eliminated name
+is free (`syntax.free_vars`), as the scope-extrusion and imm-move checks ask
+too.  What depends on the `Reducer` is kept in one identity table, keyed by
+`id(node)` and holding the node so that the id is not reused: `_normal`, the
+fixed points of normalization.  Normalizing the next term keeps a child
+found there without a call, so only the rebuilt path and the new subterms
+are visited.
 
 So a step calls `normalize_term` and the substitution walk a number of times
 set by what it changes (about five at every program size), not by the width
-of the store; what still grows with the store is one table lookup per
-declaration of the blocks on the path, and the rebuilt tuples.  The terms are
-the ones a full re-normalization and a full substitution walk would give,
-name for name.
+of the store; what still grows with the store is one fact or table lookup
+per declaration of the blocks on the path, and the rebuilt tuples.  The
+terms are the ones a full re-normalization and a full substitution walk
+would give, name for name.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ from .congruence import (
     NameSupply,
     connected_closure,
     is_imm_decl,
+    is_stored,
     normalize_value,
-    wf_store_decl,
 )
 from .parser import pretty_print
 from .syntax import (
@@ -61,6 +59,7 @@ from .syntax import (
     StaticCall,
     Var,
     children,
+    free_vars,
     is_evaluated,
     is_objstate,
     is_value,
@@ -138,24 +137,15 @@ def is_simplified(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def decompose(e: Expr, stored: Optional[dict] = None) -> Optional[Decomposition]:
+def decompose(e: Expr) -> Optional[Decomposition]:
     """Unique decomposition into (context frames, pre-redex); None when e is
-    fully reduced (a value whose every declaration is well-formed store).
-
-    `stored` maps id(d) to d for declarations known to be evaluated
-    well-formed store: they are skipped, and each declaration found to be one
-    is added."""
-    if stored is None:
-        stored = {}
+    fully reduced (a value whose every declaration is well-formed store)."""
     if isinstance(e, Block):
         for i, d in enumerate(e.decls):
-            if id(d) in stored:
-                continue
-            if is_evaluated(d) and wf_store_decl(d):
-                stored[id(d)] = d
+            if is_stored(d):
                 continue
             if isinstance(d.init, Block):
-                inner = decompose(d.init, stored)
+                inner = decompose(d.init)
             elif is_value(d.init):
                 inner = None
             else:
@@ -299,27 +289,9 @@ class Reducer:
     def __init__(self, table: ClassTable, supply: Optional[NameSupply] = None):
         self.table = table
         self.supply = supply or NameSupply()
-        # identity tables (see the module docstring): id(node) -> node for
-        # fixed points of normalize_term(., top=False) and for declarations
-        # known to be evaluated well-formed store; id(node) -> (node, free
-        # variables) for every node but a variable
+        # fixed points of normalize_term(., top=False), id(node) -> node
+        # (see the module docstring)
         self._normal: dict = {}
-        self._stored: dict = {}
-        self._fv: dict = {}
-
-    def free_vars(self, e: Expr) -> frozenset:
-        """`syntax.free_vars`, computed once per node (bottom-up, from the
-        children's entries) and kept in the `_fv` table."""
-        if isinstance(e, Var):
-            return frozenset((e.name,))
-        hit = self._fv.get(id(e))
-        if hit is not None:
-            return hit[1]
-        fv = frozenset().union(*map(self.free_vars, children(e)))
-        if isinstance(e, Block):
-            fv = fv.difference([d.name for d in e.decls])
-        self._fv[id(e)] = (e, fv)
-        return fv
 
     # -- normalization -----------------------------------------------------
 
@@ -381,7 +353,7 @@ class Reducer:
     def step(self, e: Expr):
         """One reduction step: (rule name, new term), or None when e is
         fully reduced."""
-        d = decompose(e, self._stored)
+        d = decompose(e)
         if d is None:
             return None
         redex, frames = d.redex, d.frames
@@ -466,7 +438,7 @@ class Reducer:
         # than the one declaring x; move the offending store out first,
         # innermost frame first, one move per step
         for k in range(len(frames) - 1, j, -1):
-            xs = self.free_vars(u) & frozenset(d.name for d in frames[k].dvs)
+            xs = free_vars(u) & frozenset(d.name for d in frames[k].dvs)
             if xs:
                 return self._field_assign_move(frames, k, xs, redex)
         if not isinstance(xd.dtype, RefType):
@@ -543,7 +515,7 @@ class Reducer:
                         f"imm declaration {d.name} has a non-flattenable store"
                     )
                 moved_fv = frozenset().union(
-                    *(self.free_vars(m.init) for m in moved)
+                    *(free_vars(m.init) for m in moved)
                 )
                 if moved_fv & frozenset(kk.name for kk in kept):
                     raise StuckTerm(
@@ -566,13 +538,12 @@ class Reducer:
         substituted for the name it declared; only the initializers that
         mention the name are walked."""
         x = block.decls[index].name
-        fv = self.free_vars
         decls = list(block.decls)
         del decls[index]
-        for i in [i for i, d in enumerate(decls) if x in fv(d.init)]:
+        for i in [i for i, d in enumerate(decls) if x in free_vars(d.init)]:
             d = decls[i]
-            decls[i] = Decl(d.dtype, d.name, substitute(d.init, v, x, fv), d.span)
-        body = substitute(block.body, v, x, fv)
+            decls[i] = Decl(d.dtype, d.name, substitute(d.init, v, x), d.span)
+        body = substitute(block.body, v, x)
         return Block(tuple(decls), body, block.span) if decls else body
 
     # -- driver ----------------------------------------------------------------

@@ -5,11 +5,14 @@ environments it passes.
 
 Expressions are immutable; every node carries an optional source span that is
 ignored by equality so that alpha-comparison and golden tests are unaffected
-by formatting.
+by formatting.  Facts that depend on a node alone (its free variables, the
+names it mentions, ...) are computed once and kept on the node
+(`node_cached`), so terms that share a subterm share its facts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Union
@@ -87,21 +90,50 @@ def subtype(t1: Type, t2: Type) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """Base of the expression classes and `Decl`.  It has no fields: it only
+    holds the class-level default (None) of each `node_cached` fact."""
+
+
+def node_cached(fn):
+    """fn(node), computed once per node and kept on the node itself.
+
+    fn must compute an intrinsic fact, one that depends only on the node's
+    fields, and never None.  The fact is an attribute outside the dataclass
+    fields, so equality, hashing and repr do not see it; a node shared by
+    several terms computes it once for all of them, and it lives exactly as
+    long as its node."""
+    attr = f"_{fn.__name__}_fact"
+    assert not hasattr(_Node, attr), f"two node facts named {fn.__name__}"
+    setattr(_Node, attr, None)
+    setattr_ = object.__setattr__
+
+    @functools.wraps(fn)
+    def cached(node):
+        fact = getattr(node, attr)
+        if fact is None:
+            fact = fn(node)
+            setattr_(node, attr, fact)
+        return fact
+
+    return cached
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
     span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class FieldAccess:
+class FieldAccess(_Node):
     recv: "Expr"
     fname: str
     span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class MethodCall:
+class MethodCall(_Node):
     recv: "Expr"
     mname: str
     args: tuple
@@ -109,7 +141,7 @@ class MethodCall:
 
 
 @dataclass(frozen=True)
-class StaticCall:
+class StaticCall(_Node):
     cname: str
     mname: str
     args: tuple
@@ -117,7 +149,7 @@ class StaticCall:
 
 
 @dataclass(frozen=True)
-class FieldAssign:
+class FieldAssign(_Node):
     recv: "Expr"
     fname: str
     value: "Expr"
@@ -125,27 +157,27 @@ class FieldAssign:
 
 
 @dataclass(frozen=True)
-class New:
+class New(_Node):
     cname: str
     args: tuple
     span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class IntLit:
+class IntLit(_Node):
     value: int
     span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class Plus:
+class Plus(_Node):
     left: "Expr"
     right: "Expr"
     span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class Decl:
+class Decl(_Node):
     dtype: Type
     name: str
     init: "Expr"
@@ -153,7 +185,7 @@ class Decl:
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(_Node):
     decls: tuple  # of Decl, pairwise distinct names
     body: "Expr"
     span: Span = field(default=None, compare=False)
@@ -340,38 +372,41 @@ def map_program(p: Program, f) -> Program:
 # ---------------------------------------------------------------------------
 
 
+@node_cached
 def free_vars(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, IntLit):
-        return frozenset()
+    fv = frozenset().union(*map(free_vars, children(e)))
     if isinstance(e, Block):
-        bound = frozenset(d.name for d in e.decls)
-        fv = frozenset()
-        for d in e.decls:
-            fv |= free_vars(d.init)
-        return (fv | free_vars(e.body)) - bound
-    fv = frozenset()
-    for c in children(e):
-        fv |= free_vars(c)
+        fv = fv.difference([d.name for d in e.decls])
     return fv
 
 
-def substitute(e: Expr, v: Expr, x: str, fv) -> Expr:
+@node_cached
+def mentions(e: Expr) -> frozenset:
+    """The variable names e mentions, free or bound."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    names = frozenset().union(*map(mentions, children(e)))
+    if isinstance(e, Block):
+        names = names.union([d.name for d in e.decls])
+    return names
+
+
+def substitute(e: Expr, v: Expr, x: str) -> Expr:
     """Replace free occurrences of x in e by v.
 
-    `fv(e)` gives the free variables of e: `free_vars` itself, or a table of
-    it kept by the caller.  The walk descends only into subterms where x is
-    free, so blocks declaring x are left untouched; the caller is responsible
-    for avoiding capture (alpha-renaming), as all binders here are kept
-    globally fresh by the front end.  Subterms where x is not free are shared
-    with e: when x is not free in e the result is e itself.
+    The walk descends only into subterms where x is free, so blocks
+    declaring x are left untouched; the caller is responsible for avoiding
+    capture (alpha-renaming), as all binders here are kept globally fresh by
+    the front end.  Subterms where x is not free are shared with e: when x
+    is not free in e the result is e itself.
     """
     if isinstance(e, Var):
         return v if e.name == x else e
-    if x not in fv(e):
+    if x not in free_vars(e):
         return e
-    return map_children(e, substitute, v, x, fv)
+    return map_children(e, substitute, v, x)
 
 
 def rename(e: Expr, ren: dict, namer) -> Expr:

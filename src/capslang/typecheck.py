@@ -87,6 +87,7 @@ from .syntax import (
     is_evaluated,
     map_children,
     map_program,
+    mentions,
     method_gamma,
     qual_leq,
     stored_type,
@@ -413,11 +414,13 @@ class Checker:
     def __init__(self, table: ClassTable, budget: Optional[int] = None):
         self.table = table
         self.budget = DEFAULT_BUDGET if budget is None else budget
-        self.memo: dict = {}
         self.ticks = 0
-        self._names: dict = {}  # id(e) -> _mentions(e)
-        self._gamma_parts: dict = {}  # id(e) -> (gamma, parts), see _projection
         self._cyclic = 0  # in-progress and tainted-failure hits so far
+        # the memo and the tables below key a term in a context or a query;
+        # what a term is on its own (the names it mentions, its free
+        # variables) is kept on the term (`syntax.node_cached`)
+        self.memo: dict = {}
+        self._gamma_parts: dict = {}  # id(e) -> (gamma, parts), see _projection
         # (id(e), projection, goal) -> what _kept keeps of a completed memo
         # entry, from the second top-level query on
         self._reuse = None
@@ -843,7 +846,7 @@ class Checker:
         `check_block` call has the same gamma and restricted set, so there
         the group parts alone decide.
         """
-        names = self._mentions(e)[1]
+        names = mentions(e)
         # the parts read from gamma alone, kept for the last gamma e was
         # projected under (the candidates of one block share their gamma)
         last = self._gamma_parts.get(id(e))
@@ -870,30 +873,6 @@ class Checker:
             restricted
             and (restricted & names, bool(outside), not outside.isdisjoint(mg)),
         )
-
-    def _mentions(self, e: Expr) -> tuple:
-        """(e, the variable names e mentions), kept per term.  The walk takes
-        the names of a subterm asked about before from this table, so a
-        term that shares most of its subterms with earlier ones costs only
-        its new nodes.  Holding e keeps its id from being reused."""
-        table = self._names
-        hit = table.get(id(e))
-        if hit is None:
-            names = set()
-            stack = [e]
-            while stack:
-                x = stack.pop()
-                known = table.get(id(x))
-                if known is not None:
-                    names |= known[1]
-                elif isinstance(x, Var):
-                    names.add(x.name)
-                else:
-                    if isinstance(x, Block):
-                        names.update(d.name for d in x.decls)
-                    stack.extend(children(x))
-            hit = table[id(e)] = (e, frozenset(names))
-        return hit
 
     def _try_consume(self, block: Block, d: Decl, gamma: dict, ctx: TypeContext):
         """A capsule (or imm) declaration may consume a sibling local together

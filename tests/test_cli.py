@@ -133,17 +133,27 @@ class TestRun:
         "src", [nested_blocks(245), plus_chain(329)], ids=["blocks", "plus"]
     )
     def test_deep_program_no_traceback(self, tmp_path, src):
-        # a fresh `caps run` process, at its own stack depth: the nesting is
-        # near the recursion limit, so every recursive walk (the reducer's
-        # free-variable table included) must end in a documented exit code
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        r = subprocess.run(
-            [sys.executable, "-m", "capslang.cli", "run", write(tmp_path, src)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        # the nesting is near the recursion limit, so every recursive walk
+        # (the node facts included) must end in a documented exit code
+        r = run_fresh(tmp_path, src)
         assert r.returncode in (EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_RESOURCE)
         assert "Traceback" not in r.stderr
+
+    def test_deep_chain_runs_as_deep_as_it_checks(self, tmp_path):
+        # the ANF pass recurses no deeper than the checker: a chain that
+        # `caps check` accepts also runs
+        r = run_fresh(tmp_path, plus_chain(300))
+        assert (r.returncode, r.stderr) == (EXIT_OK, "")
+
+
+def run_fresh(tmp_path, src):
+    """`caps run` on src in a fresh process, at its own stack depth."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "capslang.cli", "run", write(tmp_path, src)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestDot:
@@ -169,6 +179,18 @@ class TestDot:
     def test_at_step_out_of_range(self, tmp_path, capsys):
         rc = main(["dot", write(tmp_path, self.SRC), "--at-step", "999"])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "name", ["imm_store.caps", "cyclic_assign.caps"], ids=["no-steps", "steps"]
+    )
+    def test_at_step_negative(self, capsys, name):
+        # rejected whether or not the trace has steps, never counted from
+        # the end
+        path = str(CORPUS / "accept" / name)
+        assert main(["dot", path, "--at-step", "-1"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_diagnostic(err, "error: --at-step -1 is negative")
 
 
 # A discarded statement reading a field the class lacks: the declared type of

@@ -1,20 +1,21 @@
 """Small-step reduction: decomposition, field projection, and golden traces
 for the store-manipulation rules."""
 
+import copy
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
 
 from capslang import reducer, syntax
 from capslang.anf import simplify_program
-from capslang.congruence import NameSupply, alpha_equiv, normalize_value
+from capslang.congruence import NameSupply, alpha_equiv, is_stored, normalize_value
 from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse, parse_expr, pretty_print
 from capslang.reducer import (
     NonWfDecl,
     OutOfFuel,
     Reducer,
+    StuckTerm,
     decompose,
     field_of,
     is_simplified,
@@ -22,7 +23,6 @@ from capslang.reducer import (
 )
 from capslang.syntax import (
     Block,
-    ClassTable,
     Decl,
     FieldAccess,
     FieldAssign,
@@ -30,14 +30,20 @@ from capslang.syntax import (
     New,
     Plus,
     StaticCall,
-    children,
     free_vars,
     is_value,
 )
 from capslang.typecheck import resolve_implicit_types
 
 from conftest import CORPUS, load, load_file, reduce_source
-from test_syntax import EXPRS, rebuild_substitute
+from test_syntax import (
+    decls_of,
+    plant_fact,
+    rebuild_substitute,
+    subterms,
+    walk_free_vars,
+    walk_is_stored,
+)
 
 
 def rules(trace):
@@ -254,13 +260,14 @@ class TestFreshness:
 class FullRenormReducer(Reducer):
     """The reference: re-normalizes the whole term after every step,
     re-checks every stored declaration from the root, and substitutes by a
-    walk that rebuilds the whole scope, with no tables."""
-
-    free_vars = staticmethod(free_vars)
+    walk that rebuilds the whole scope, with no tables; storedness and free
+    variables are decided by walks, not read from node facts."""
 
     def step(self, e):
-        self._stored = {}
-        return super().step(e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reducer, "is_stored", walk_is_stored)
+            mp.setattr(reducer, "free_vars", walk_free_vars)
+            return super().step(e)
 
     def _subst_out(self, block, index, v):
         decls = block.decls[:index] + block.decls[index + 1 :]
@@ -327,6 +334,32 @@ def assert_same_trace(p):
         except OutOfFuel as e:
             out.append(("out of fuel", e.trace.steps))
     assert got == want
+
+
+PLANTED = """
+class D { int f; }
+mut D a = new D(1);
+int n = a.f;
+new D(n)
+"""
+
+
+def test_reference_reads_no_node_fact():
+    # wrong storedness and free-variable facts planted on every node of a
+    # term change the production reducer's step, not the reference's
+    sp = simplify_program(load(PLANTED))
+    tr = FullRenormReducer(sp.table, NameSupply(100_000)).run(sp.main)
+    assert rules(tr) == ["field-access", "int-elim"]
+    for term in [tr.initial] + [t for _, t in tr.steps]:
+        wrong = copy.deepcopy(term)
+        for sub in subterms(wrong):
+            plant_fact(free_vars, sub, frozenset())
+        for d in decls_of(wrong):
+            plant_fact(is_stored, d, not walk_is_stored(d))
+        want = FullRenormReducer(sp.table).step(term)
+        assert FullRenormReducer(sp.table).step(wrong) == want
+        with pytest.raises(StuckTerm):
+            Reducer(sp.table).step(wrong)
 
 
 TWO_PASS = """
@@ -415,20 +448,6 @@ class TestIncremental:
         assert first.decls[:2] == tr.initial.decls[:2]
         assert all(x is y for x, y in zip(first.decls[:2], tr.initial.decls[:2]))
         assert all(x is y for x, y in zip(second.decls[:2], first.decls[:2]))
-
-
-@given(EXPRS)
-@settings(max_examples=200, deadline=None)
-def test_free_vars_table(e):
-    red = Reducer(ClassTable({}))
-
-    def check(sub):
-        assert red.free_vars(sub) == free_vars(sub)
-        for c in children(sub):
-            check(c)
-
-    check(e)
-    check(e)  # now from the table
 
 
 def calls_per_step(size):

@@ -1,11 +1,13 @@
 """Qualifier lattice, subtyping, free variables, substitution, and the
 static well-formedness checks on programs and class tables."""
 
+import copy
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from capslang.parser import parse, parse_expr
+from capslang.congruence import canonical, is_stored, wf_store_decl
+from capslang.parser import parse, parse_expr, pretty_print
 from capslang.syntax import (
     INT,
     Block,
@@ -20,12 +22,14 @@ from capslang.syntax import (
     RefType,
     StaticCall,
     Var,
+    children,
     free_vars,
     is_evaluated,
     is_objstate,
     is_rightvalue,
     is_value,
     map_program,
+    mentions,
     method_gamma,
     qual_leq,
     subtype,
@@ -95,11 +99,11 @@ class TestFreeVarsSubstitute:
 
     def test_substitute_free(self):
         e = parse_expr("new C(x, y)")
-        assert substitute(e, Var("z"), "x", free_vars) == parse_expr("new C(z, y)")
+        assert substitute(e, Var("z"), "x") == parse_expr("new C(z, y)")
 
     def test_substitute_stops_at_binder(self):
         e = parse_expr("{mut C x = new C(x); x}")
-        assert substitute(e, Var("z"), "x", free_vars) == e
+        assert substitute(e, Var("z"), "x") == e
 
 
 def rebuild_substitute(e, v, x):
@@ -159,11 +163,102 @@ EXPRS = st.recursive(LEAVES, _extend, max_leaves=12)
 @given(EXPRS, EXPRS, NAMES)
 @settings(max_examples=300, deadline=None)
 def test_substitute_shares_what_it_does_not_change(e, v, x):
-    out = substitute(e, v, x, free_vars)
+    out = substitute(e, v, x)
     if x not in free_vars(e):
         assert out is e
     else:
         assert out == rebuild_substitute(e, v, x)
+
+
+# ---------------------------------------------------------------------------
+# Node facts: the cached walks against uncached references
+# ---------------------------------------------------------------------------
+
+
+def walk_free_vars(e):
+    """`free_vars` by a walk that keeps nothing."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    fv = frozenset()
+    for c in children(e):
+        fv |= walk_free_vars(c)
+    if isinstance(e, Block):
+        fv -= {d.name for d in e.decls}
+    return fv
+
+
+def walk_mentions(e):
+    """`mentions` by a walk that keeps nothing: the checker's walk before
+    node facts, without its table."""
+    names = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            names.add(x.name)
+        else:
+            if isinstance(x, Block):
+                names.update(d.name for d in x.decls)
+            stack.extend(children(x))
+    return frozenset(names)
+
+
+def walk_is_stored(d):
+    """`is_stored` without the fact."""
+    return is_evaluated(d) and wf_store_decl(d)
+
+
+def subterms(e):
+    yield e
+    for c in children(e):
+        yield from subterms(c)
+
+
+def decls_of(e):
+    return [d for sub in subterms(e) if isinstance(sub, Block) for d in sub.decls]
+
+
+def plant_fact(fn, node, value):
+    """Make `value` the fact `fn` has kept on `node`, right or wrong."""
+    attr = f"_{fn.__name__}_fact"
+    assert hasattr(type(node), attr), f"{fn.__name__} is not a node fact"
+    object.__setattr__(node, attr, value)
+
+
+def assert_facts_equal_walks(e):
+    for sub in subterms(e):
+        assert free_vars(sub) == walk_free_vars(sub)
+        assert mentions(sub) == walk_mentions(sub)
+    for d in decls_of(e):
+        assert is_stored(d) == walk_is_stored(d)
+
+
+@given(EXPRS)
+@settings(max_examples=200, deadline=None)
+def test_node_facts_equal_uncached_walks(e):
+    assert_facts_equal_walks(e)
+    kept = [(sub, free_vars(sub), mentions(sub)) for sub in subterms(e)]
+    assert_facts_equal_walks(e)  # now kept on the nodes
+    for sub, fv, names in kept:
+        assert free_vars(sub) is fv and mentions(sub) is names
+    # shared into a new parent, e keeps its facts and the parent has its own
+    parent = Block(
+        (Decl(RefType(Q.MUT, "C"), "x", e), Decl(INT, "w", Plus(e, Var("w")))),
+        Var("y"),
+    )
+    assert_facts_equal_walks(parent)
+    assert free_vars(e) is kept[0][1]
+
+
+@given(EXPRS)
+@settings(max_examples=100, deadline=None)
+def test_node_facts_are_invisible(e):
+    twin = copy.deepcopy(e)  # taken before any fact is computed
+    seen = (repr(e), hash(e), pretty_print(e))
+    assert_facts_equal_walks(e)
+    assert e == twin and twin == e
+    assert (repr(e), hash(e), pretty_print(e)) == seen
+    assert canonical(e) == canonical(twin)
 
 
 class TestMapProgram:
