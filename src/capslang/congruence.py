@@ -236,12 +236,13 @@ def _sort_run(run: list, block: Block) -> list:
     Keys start from the name-insensitive shape and are refined twice with the
     keys of referenced sibling declarations and a referenced-by-body flag, so
     that structurally distinguishable declarations sort deterministically in
-    both operands of a comparison.  Ties keep their original relative order.
+    both operands of a comparison.  Ties keep their original relative order,
+    except that equal declarations (a copied local store can repeat one) all
+    take the position of the first of them.
     """
     names = {d.name for d in run}
     body_fv = free_vars(block.body)
     keys = {d.name: (str(d.dtype), _shape(d.init), d.name in body_fv) for d in run}
-    by_name = {d.name: d for d in run}
     for _ in range(2):
         keys = {
             d.name: (
@@ -250,7 +251,14 @@ def _sort_run(run: list, block: Block) -> list:
             )
             for d in run
         }
-    return sorted(run, key=lambda d: (str(keys[d.name]), run.index(d)))
+    pos = []  # of each declaration, or of the first one equal to it
+    named: dict = {}
+    for i, d in enumerate(run):
+        same = named.setdefault(d.name, [])
+        pos.append(next((j for j in same if run[j] == d), i))
+        same.append(i)
+    order = sorted(range(len(run)), key=lambda i: (str(keys[run[i].name]), pos[i]))
+    return [run[i] for i in order]
 
 
 def canonical(e: Expr) -> Expr:

@@ -22,9 +22,8 @@ The outermost braces of the main block are optional.
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import NamedTuple, Optional
 
 from .syntax import (
     INT,
@@ -57,9 +56,6 @@ RESERVED = {
 
 QUAL_WORDS = {q.value: q for q in Qualifier}
 
-_ID_START = set(string.ascii_letters + "_")
-_ID_CONT = _ID_START | set(string.digits)
-
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int, expected=()):
@@ -69,53 +65,39 @@ class ParseError(Exception):
         self.expected = tuple(expected)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "id", "int", "punct", "eof"
     text: str
     line: int
     col: int
 
 
-_PUNCT = ("{", "}", "(", ")", ";", ",", "=", "+", ".")
+# every character is matched by one alternative, so finditer skips none
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[{}();,=+.])"
+    r"|(?P<other>.)"
+)
 
 
 def tokenize(text: str) -> list:
+    """The tokens of text.  Identifiers and integers are ASCII; any other
+    character outside a comment raises a ParseError."""
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, col = 1, 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "nl":
             line += 1
             col = 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _ID_START:
-            j = i
-            while j < n and text[j] in _ID_CONT:
-                j += 1
-            toks.append(Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c in _PUNCT:
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+            continue
+        if kind == "comment":
+            continue  # col stays: the newline ending the comment resets it
+        if kind == "other":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        if kind != "space":
+            toks.append(Token(kind, m.group(), line, col))
+        col += m.end() - m.start()
     toks.append(Token("eof", "", line, col))
     return toks
 

@@ -486,31 +486,52 @@ class Violation:
         return f"{self.kind}: {self.var}: {self.message}"
 
 
-def _count_occurrences(e: Expr, x: str) -> int:
+def _is_capsule(t: Type) -> bool:
+    return isinstance(t, RefType) and t.qualifier is Qualifier.CAPSULE
+
+
+def _count_free(e: Expr, names: frozenset, counts: dict) -> None:
+    """Add to counts[x] the free occurrences in e of each name x in names.
+
+    Only subterms where one of the names is free are walked (`free_vars` is
+    a node fact), and a block that declares a name drops it."""
     if isinstance(e, Var):
-        return 1 if e.name == x else 0
-    if isinstance(e, Block) and x in (d.name for d in e.decls):
-        return 0
-    return sum(_count_occurrences(c, x) for c in children(e))
+        if e.name in names:
+            counts[e.name] += 1
+        return
+    names = names & free_vars(e)
+    if names:
+        for c in children(e):
+            _count_free(c, names, counts)
+
+
+def _capsule_counts(scope, names: list) -> dict:
+    """name -> its free occurrences in the terms of scope, for every name."""
+    counts = dict.fromkeys(names, 0)
+    if counts:
+        live = frozenset(counts)
+        for e in scope:
+            _count_free(e, live, counts)
+    return counts
 
 
 def _check_expr_wf(e: Expr, out: list) -> None:
     if isinstance(e, Block):
         names = [d.name for d in e.decls]
         # capsule-typed locals: at most one occurrence in their scope
-        for d in e.decls:
-            if isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.CAPSULE:
-                n = sum(_count_occurrences(d2.init, d.name) for d2 in e.decls)
-                n += _count_occurrences(e.body, d.name)
-                if n > 1:
-                    out.append(
-                        Violation(
-                            "capsule-reuse",
-                            d.name,
-                            d.span,
-                            f"capsule variable {d.name} occurs {n} times in its scope",
-                        )
+        caps = [d for d in e.decls if _is_capsule(d.dtype)]
+        counts = _capsule_counts(children(e), [d.name for d in caps])
+        for d in caps:
+            n = counts[d.name]
+            if n > 1:
+                out.append(
+                    Violation(
+                        "capsule-reuse",
+                        d.name,
+                        d.span,
+                        f"capsule variable {d.name} occurs {n} times in its scope",
                     )
+                )
         # forward (or self) references only between evaluated declarations
         index = {n: i for i, n in enumerate(names)}
         for i, d in enumerate(e.decls):
@@ -534,22 +555,30 @@ def _check_expr_wf(e: Expr, out: list) -> None:
 
 def validate_wellformedness(p: Program) -> list:
     """All violations of the syntactic constraints (capsule linearity and the
-    forward-reference restriction), over method bodies and the main expression."""
+    forward-reference restriction), over method bodies and the main
+    expression.
+
+    Each block counts the occurrences of all its capsule locals in one walk
+    of its scope, and each method those of its capsule parameters in one
+    walk of its body; a walk enters only the subterms where one of the names
+    is free, so it costs about the size of the scope it counts in, however
+    many capsule binders there are."""
     out: list = []
     for cd in p.table.classes.values():
         for m in cd.methods.values():
-            for (pt, pn) in m.params:
-                if isinstance(pt, RefType) and pt.qualifier is Qualifier.CAPSULE:
-                    if _count_occurrences(m.body, pn) > 1:
-                        out.append(
-                            Violation(
-                                "capsule-reuse",
-                                pn,
-                                None,
-                                f"capsule parameter {pn} of {cd.name}.{m.name} "
-                                "occurs more than once",
-                            )
+            caps = [pn for pt, pn in m.params if _is_capsule(pt)]
+            counts = _capsule_counts((m.body,), caps)
+            for pn in caps:
+                if counts[pn] > 1:
+                    out.append(
+                        Violation(
+                            "capsule-reuse",
+                            pn,
+                            None,
+                            f"capsule parameter {pn} of {cd.name}.{m.name} "
+                            "occurs more than once",
                         )
+                    )
             _check_expr_wf(m.body, out)
     _check_expr_wf(p.main, out)
     return out

@@ -78,6 +78,17 @@ class TestCheck:
         assert main(["check", write(tmp_path, "class {")]) == EXIT_PARSE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "digit", ["\u00b2", "\u0663"], ids=["superscript", "arabic-indic"]
+    )
+    def test_non_ascii_digit(self, tmp_path, capsys, digit):
+        # once a ValueError traceback (exit 1), or silently the literal 3
+        src = f"int x = {digit};\nx"
+        assert main(["check", write(tmp_path, src)]) == EXIT_PARSE
+        assert_diagnostic(
+            capsys.readouterr().err, f"error: 1:9: unexpected character {digit!r}"
+        )
+
     def test_budget_exhaustion(self, tmp_path, capsys):
         src = """
         class A { int v;

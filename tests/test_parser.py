@@ -1,10 +1,13 @@
 """Lexing/parsing, printing, and the round-trip property between them."""
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capslang.parser import ParseError, parse, parse_expr, pretty_print
+from capslang.generator import GenConfig, gen_source
+from capslang.parser import ParseError, parse, parse_expr, pretty_print, tokenize
 from capslang.syntax import (
     Block,
     Decl,
@@ -18,6 +21,8 @@ from capslang.syntax import (
     StaticCall,
     Var,
 )
+
+from conftest import CORPUS
 
 
 class TestBasics:
@@ -186,3 +191,80 @@ def _exprs(depth):
 @settings(max_examples=300, deadline=None)
 def test_roundtrip(e):
     assert parse_expr(pretty_print(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer against the character loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_tokenize(text):
+    """The character-by-character tokenizer the compiled pattern replaced,
+    as (kind, text, line, col) tuples."""
+    id_start = set(string.ascii_letters + "_")
+    id_cont = id_start | set(string.digits)
+    toks = []
+    i, line, col = 0, 1, 1
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c in " \t\r":
+            i, col = i + 1, col + 1
+        elif text.startswith("//", i):
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c in id_start or c.isdigit():
+            kind, more = ("id", id_cont) if c in id_start else ("int", None)
+            j = i
+            while j < len(text) and (text[j] in more if more else text[j].isdigit()):
+                j += 1
+            toks.append((kind, text[i:j], line, col))
+            col += j - i
+            i = j
+        elif c in "{}();,=+.":
+            toks.append(("punct", c, line, col))
+            i, col = i + 1, col + 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+TOKEN_EDGES = [
+    "",
+    "x // comment at the end",
+    "x\t\ty\r\n// c\n  z",
+    "a1_b 12 3x _9",
+    "{x}//",
+    "class C { int f; }\n\n\tnew C(007)",
+]
+
+
+def test_tokens_of_ascii_programs_are_unchanged():
+    srcs = [path.read_text() for path in sorted(CORPUS.glob("*/*.caps"))]
+    srcs += [gen_source(GenConfig(seed=seed, size=16)) for seed in range(100)]
+    for src in srcs + TOKEN_EDGES:
+        assert [tuple(t) for t in tokenize(src)] == loop_tokenize(src)
+
+
+@pytest.mark.parametrize("text", ["/", "x # y", "int x = 1;\n  @", "x y"])
+def test_unexpected_characters(text):
+    with pytest.raises(ParseError) as old:
+        loop_tokenize(text)
+    with pytest.raises(ParseError) as new:
+        tokenize(text)
+    assert (str(new.value), new.value.line, new.value.col) == (
+        str(old.value),
+        old.value.line,
+        old.value.col,
+    )
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "１"])
+def test_non_ascii_digits_are_unexpected(digit):
+    # str.isdigit holds for them, but they are no integer literal: `int`
+    # fails on a superscript two and reads an Arabic-Indic three as 3
+    for text in (f"int x = {digit};\nx", f"int x = 1{digit};\nx", f"x{digit}"):
+        with pytest.raises(ParseError, match=f"unexpected character {digit!r}"):
+            tokenize(text)
