@@ -16,13 +16,22 @@ properties the calculus is supposed to enjoy.
 Violations serialize to JSON lines for machine consumption.
 
 The checks are incremental along a trace; each reduct shares most of its
-subterms and store declarations with the term before it.  Subject reduction
-uses one `Checker` for the whole trace, so a reduct's subterms find the
-verdicts earlier terms computed (see the `typecheck` module).  Canonical
-forms, capsule encapsulation and immutability share one walk of each term
-(`_StoreChecks`), and what they compute of one declaration is kept per Decl
-object with the declarations it looked up in its scope, reused while those
-still resolve to the same objects.
+subterms and store declarations with the term before it.  The store is the
+root block, and a step rewrites a few of its declarations: both halves of
+`verify_trace` compare each reduct's root block with the last one by Decl
+identity (`context.RootScope`: which declarations are new or gone, which
+names now find another declaration) and spend only on that diff.
+
+* Subject reduction uses one `Checker` for the whole trace, so a reduct's
+  subterms find the verdicts earlier terms computed, and a root premise
+  whose Decl and projected context are the last ones keeps its judgment
+  with no projection and no memo probe (see the `typecheck` module).
+* Canonical forms, capsule encapsulation and immutability share one walk
+  of each term (`_StoreChecks`).  A root declaration is handed to them,
+  with the declarations nested in its initializer, only when it is new,
+  when a name its checks looked up finds another declaration now, or when
+  it reported a violation at the previous step; what they compute of one
+  declaration is kept per Decl object with the declarations it looked up.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .syntax import (
     is_value,
     node_cached,
 )
+from .context import RootScope
 from .typecheck import (
     Checker,
     IllTyped,
@@ -255,6 +265,10 @@ def _rv_class(rv: Expr, lookup) -> Optional[str]:
 
 
 def check_canonical_forms(table: ClassTable, trace: ReductionTrace) -> list:
+    """The canonical-forms violations of the trace: `verify_trace` runs this
+    check in one walk with the other two store checks, and the traced run
+    of `perfbench/pipeline.py` runs each of the five checks on its own to
+    time it."""
     checks = _StoreChecks(table)
     return checks.run(trace, checks.canonical_forms)[0]
 
@@ -358,7 +372,9 @@ def _settled_snapshot(d: Decl, lookup):
 
 def check_capsule_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     """When a capsule binder's initializer has become a right-value (the step
-    just before it is consumed), it must be closed except for imm references."""
+    just before it is consumed), it must be closed except for imm references.
+    Run on its own by the traced run of `perfbench/pipeline.py`, as
+    `check_canonical_forms` is."""
     checks = _StoreChecks(table)
     return checks.run(trace, checks.capsule)[0]
 
@@ -366,7 +382,8 @@ def check_capsule_theorem(table: ClassTable, trace: ReductionTrace) -> list:
 def check_immutable_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     """Once an imm binder holds a settled right-value, the object graph
     reachable from it never changes for the rest of the trace, and the
-    right-value is closed except for imm references."""
+    right-value is closed except for imm references.  Run on its own by the
+    traced run of `perfbench/pipeline.py`, as `check_canonical_forms` is."""
     checks = _StoreChecks(table)
     return checks.run(trace, checks.immutable)[0]
 
@@ -383,9 +400,9 @@ class _StoreChecks:
     Each such result is kept per Decl object together with the
     declarations it looked up, and reused while each of those names still
     finds the same Decl.  The reducer shares unchanged declarations between
-    consecutive terms, so most declarations are checked once per trace, not
-    once per step.  An entry holds its Decl, so no id is reused while the
-    entry lives.
+    consecutive terms, so `run` hands the checks only the root declarations
+    the diff of two terms touches.  An entry holds its Decl, so no id is
+    reused while the entry lives.
     """
 
     def __init__(self, table: ClassTable):
@@ -394,18 +411,74 @@ class _StoreChecks:
         self._closed: dict = {}
         self._snapshots: dict = {}
         self._first_seen: dict = {}  # imm binder -> (step, snapshot)
+        self._read: Optional[set] = None  # see _kept
 
     def run(self, trace: ReductionTrace, *checks) -> tuple:
-        """Give every evaluated declaration of every trace term, in order,
-        to each check; the violations of each check."""
+        """Give the evaluated declarations of every trace term, in order, to
+        each check; the violations of each check.
+
+        A declaration of a root block is handed to the checks together with
+        the evaluated declarations nested in its initializer (they are
+        walked as `_stored_decls` walks them), and all of them read only
+        the declaration's object and the names they look up.  So from one
+        root block to the next (`RootScope`) the checks get only the root
+        declarations that are new, those with a looked-up name that finds
+        another declaration now, and those that reported a violation at the
+        previous step, which are reported again at every step; every other
+        one would report nothing again.  A term that is not a block is
+        walked in full."""
         outs = tuple([] for _ in checks)
+        scope = RootScope()
+        # name -> ids of the root declarations whose checks looked it up
+        # (and perhaps of some that no longer do, or are gone)
+        readers: dict = {}
+        reported: set = set()  # ids of the root declarations that reported
         for step, term in _trace_terms(trace):
-            stored: list = []
-            self._stored_decls(term, {}, stored)
-            for d, env in stored:
-                for check, out in zip(checks, outs):
-                    check(step, term, d, env, out)
+            diff = scope.advance(term.decls) if isinstance(term, Block) else None
+            if diff is None:  # no block, or one that holds a Decl twice
+                scope = RootScope()
+                readers.clear()
+                reported.clear()
+                stored: list = []
+                self._stored_decls(term, {}, stored)
+                self._hand(step, term, stored, checks, outs)
+                continue
+            new, _, changed = diff
+            todo = set(map(id, new)) | reported
+            for x in changed:
+                todo.update(readers.get(x, ()))
+            reported = set()
+            env, pos = scope.env, scope.pos
+            for k in sorted(pos[i] for i in todo if i in pos):
+                d = term.decls[k]
+                stored = []
+                if is_stored(d) or is_evaluated(d):
+                    stored.append((d, env))
+                if _has_block(d.init):
+                    self._stored_decls(d.init, env, stored)
+                self._read = set()
+                if self._hand(step, term, stored, checks, outs):
+                    reported.add(id(d))
+                for x in self._read:
+                    readers.setdefault(x, set()).add(id(d))
+            self._read = None
+            if _has_block(term.body):
+                stored = []
+                self._stored_decls(term.body, env, stored)
+                self._hand(step, term, stored, checks, outs)
         return outs
+
+    @staticmethod
+    def _hand(step, term, stored: list, checks, outs) -> bool:
+        """Give each (declaration, scope) of stored to each check; whether
+        one reported a violation."""
+        if not stored:
+            return False
+        before = sum(map(len, outs))
+        for d, env in stored:
+            for check, out in zip(checks, outs):
+                check(step, term, d, env, out)
+        return sum(map(len, outs)) != before
 
     def _stored_decls(self, e: Expr, env: dict, out: list) -> None:
         """All evaluated declarations in e, each paired with the
@@ -427,16 +500,19 @@ class _StoreChecks:
         for c in children(e):
             self._stored_decls(c, env, out)
 
-    @staticmethod
-    def _kept(cache: dict, fn, d: Decl, env: dict):
+    def _kept(self, cache: dict, fn, d: Decl, env: dict):
         """fn(d, lookup), reused while every name it looked up finds the
-        same declaration in env."""
+        same declaration in env.  The names it looks up go to `_read` when
+        that is a set."""
+        read = self._read
         hit = cache.get(id(d))
         if hit is not None:
             for x, dx in hit[1]:
                 if env.get(x) is not dx:
                     break
             else:
+                if read is not None:
+                    read.update(x for x, _ in hit[1])
                 return hit[2]
         seen: dict = {}
 
@@ -446,6 +522,8 @@ class _StoreChecks:
 
         out = fn(d, lookup)
         cache[id(d)] = (d, tuple(seen.items()), out)
+        if read is not None:
+            read.update(seen)
         return out
 
     def canonical_forms(self, step, term, d, env, out) -> None:

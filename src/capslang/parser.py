@@ -102,9 +102,15 @@ def tokenize(text: str) -> list:
     return toks
 
 
+# the furthest look-ahead of the parser: peek(k) takes k <= _LOOKAHEAD
+_LOOKAHEAD = 3
+
+
 class _Parser:
     def __init__(self, toks: list):
-        self.toks = toks
+        # padded with copies of the EOF token: a look-ahead past the end
+        # finds EOF without a bounds check
+        self.toks = toks + toks[-1:] * _LOOKAHEAD
         self.pos = 0
         self.discards = 0
 
@@ -115,7 +121,7 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

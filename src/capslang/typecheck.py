@@ -15,14 +15,17 @@ goal-directed backtracking search:
 * unrestriction is attempted when the goal is capsule/imm/int.
 
 Results are memoized per judgment, keyed by subterm identity, the context
-and the goal.  A TypeContext hashes a canonical fingerprint of itself (gamma,
-sorted groups, sorted restricted set) computed once when it is built, and
-compares by that fingerprint, so a memo probe costs the same however large
-gamma is; the recovery rules re-ask a subterm under many derived contexts,
-which makes this probe the checker's hot path.  Derived contexts (a group
-swapped with the mutable group, the promotions' premise contexts) reuse the
-sorted forms of their groups, and each context keeps the swapped contexts it
-has built.  Failures are memoized as message and span and re-raised fresh.
+and the goal.  A TypeContext (module `context`) hashes a canonical
+fingerprint of itself (gamma, sorted groups, sorted restricted set) computed
+once when it is built, and compares by that fingerprint, so a memo probe
+costs the same however large gamma is; the recovery rules re-ask a subterm
+under many derived contexts, which makes this probe the checker's hot path.
+A block's gamma is its context's gamma updated with its declarations
+(`Gamma.updated`), so its hash costs what the block declares.  Derived
+contexts (a group swapped with the mutable group, the promotions' premise
+contexts) reuse the sorted forms of their groups, and each context keeps the
+swapped contexts it has built.  Failures are memoized as message and span
+and re-raised fresh.
 A configurable budget bounds the search (exhausting it raises
 SearchExhausted, which is distinct from a typing failure).
 
@@ -41,10 +44,25 @@ the term can read of it), and from the second query on a miss of the full
 key is looked up there.  A reduct shares most subterms with the term before
 it, but its store, and so every context beneath it, is new: the projection
 lets those subterms find their verdicts again.  Projections are computed
-only once a second query starts, so a one-query Checker
-(`typecheck_program`) never pays for them.  Reuse keeps verdicts and
-results, not derivations: a judgment found under a projected key has its
-term, result and rule, but no context and no premises.
+only once a second query starts, and an entry of the first query only once
+its term is asked about again, so a one-query Checker (`typecheck_program`)
+never pays for them.  Reuse keeps verdicts and results, not derivations: a
+judgment found under a projected key has its term, result and rule, but no
+context and no premises.
+
+The root block of a reduct (the store) differs from the last one in a few
+declarations.  From the second query on, `check_block` keeps a root state
+for the block the query asks about (`context.RootState`): the block's
+scope, compared with the next query's block by Decl identity
+(`context.RootScope`), its gamma, updated from that diff alone, and the
+judgment of each premise of its derivation.  A premise is checked again
+only when its Decl is new, a name it mentions (its own included) changed
+type, the candidate's groups or restricted set differ from the last, or
+its projection's "mut or read names outside" or "mutable group beyond"
+part flipped; otherwise its projection, and so its verdict, is the last
+one, and it keeps its judgment with no projection and no memo probe.
+Grouped declarations, declarations that may consume a sibling and the body
+are checked every time.
 
 A block's lent locals are grouped by search: `check_block` tries candidate
 group assignments in a fixed order, each set partition of the locals once,
@@ -94,6 +112,14 @@ from .syntax import (
     subtype,
 )
 from .congruence import connected_closure
+from .context import (
+    RootState,
+    TypeContext,
+    _may_consume,
+    _premise_context,
+    _qualifier,
+    wf_context,
+)
 
 DEFAULT_BUDGET = 100_000
 MAX_LENT_LOCALS = 6
@@ -119,8 +145,8 @@ class _Failure:
     """A memoized IllTyped: message and span only.  Keeping the exception
     itself would keep its traceback, and through it the search frames and
     the Checker, alive in a reference cycle.  A memo entry also keeps the
-    term that failed (the projected table is built from it) and whether
-    the failure is tainted (see `Checker.check`)."""
+    term that failed, whose id keys the entry until it is filed under its
+    projection, and whether the failure is tainted (see `Checker.check`)."""
 
     __slots__ = ("message", "span", "expr", "tainted")
 
@@ -132,208 +158,6 @@ class _Failure:
 
     def error(self) -> IllTyped:
         return IllTyped(self.message, self.span)
-
-
-class TypeContext:
-    """Gamma plus the lent groups (xss) and restricted variables (ys).
-
-    Lent-ness of a variable is encoded by membership in a lent group while its
-    gamma entry stays mut; the mutable group is derived (mut variables not in
-    any lent group).
-
-    A context is its own memo key.  Its canonical fingerprint (gamma, the
-    groups as sorted tuples in sorted order, the sorted restricted set) and
-    the fingerprint's hash are computed once, when it is built; contexts are
-    equal exactly when their fingerprints are, so the order of the groups
-    does not matter.  The name-indexed views behind `lookup`, `group_of` and
-    `mutable_group` are built on first use and kept, and so are the contexts
-    `swap` builds.  A context derived from `base` over the same gamma tuple
-    reuses base's gamma hash, env, mut and mut-or-read variables (and its
-    sorted restricted set when the set is the same); `sorted_groups`, the
-    groups as sorted tuples, is passed on by derived contexts so that no
-    group is sorted twice.
-    """
-
-    __slots__ = (
-        "gamma", "groups", "restricted", "sorted_groups",
-        "_gamma_hash", "_fp", "_hash", "_env", "_muts", "_mutreads", "_group_index",
-        "_mutable", "_mutable_sorted", "_swapped",
-    )
-
-    def __init__(
-        self,
-        gamma: tuple,  # sorted tuple of (name, Type)
-        groups: tuple = (),  # of frozenset
-        restricted: frozenset = frozenset(),
-        base: Optional["TypeContext"] = None,
-        sorted_groups: Optional[tuple] = None,  # groups as sorted tuples
-    ):
-        self.gamma = gamma
-        self.groups = groups
-        self.restricted = restricted
-        if sorted_groups is None:
-            sorted_groups = tuple(tuple(sorted(g)) for g in groups)
-        self.sorted_groups = sorted_groups
-        if base is not None and base.gamma is gamma:
-            self._gamma_hash = base._gamma_hash
-            self._env = base._env
-            self._muts = base._muts
-            self._mutreads = base._mutreads
-        else:
-            self._gamma_hash = hash(gamma)
-            self._env = None
-            self._muts = None
-            self._mutreads = None
-        groups_fp = tuple(sorted(sorted_groups))
-        if base is not None and base.restricted is restricted:
-            restricted_fp = base._fp[2]
-        else:
-            restricted_fp = tuple(sorted(restricted))
-        self._fp = (gamma, groups_fp, restricted_fp)
-        self._hash = hash((self._gamma_hash, groups_fp, restricted_fp))
-        self._group_index = None
-        self._mutable = None
-        self._mutable_sorted = None
-        self._swapped = None
-
-    @staticmethod
-    def make(gamma: dict, groups=(), restricted=frozenset()) -> "TypeContext":
-        return TypeContext(
-            tuple(sorted(gamma.items())),
-            tuple(g for g in groups if g),
-            frozenset(restricted),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, TypeContext):
-            return NotImplemented
-        return self._hash == other._hash and self._fp == other._fp
-
-    def __repr__(self) -> str:
-        return (
-            f"TypeContext(gamma={self.gamma!r}, groups={self.groups!r}, "
-            f"restricted={self.restricted!r})"
-        )
-
-    @property
-    def env(self) -> dict:
-        """Gamma as a dict; shared, so callers copy before extending it."""
-        env = self._env
-        if env is None:
-            env = self._env = dict(self.gamma)
-        return env
-
-    def lookup(self, x: str) -> Optional[Type]:
-        return self.env.get(x)
-
-    def mutable_group(self) -> frozenset:
-        mg = self._mutable
-        if mg is None:
-            muts = self._muts
-            if muts is None:
-                muts = self._muts = frozenset(
-                    n
-                    for (n, t) in self.gamma
-                    if isinstance(t, RefType) and t.qualifier is Qualifier.MUT
-                )
-            mg = self._mutable = muts.difference(*self.groups)
-        return mg
-
-    def mut_or_read_names(self) -> frozenset:
-        """The names gamma types mut or read (immutability promotion
-        restricts them)."""
-        if self._mutreads is None:
-            self._mutreads = frozenset(
-                n
-                for (n, t) in self.gamma
-                if isinstance(t, RefType)
-                and t.qualifier in (Qualifier.MUT, Qualifier.READ)
-            )
-        return self._mutreads
-
-    def sorted_mutable_group(self) -> tuple:
-        key = self._mutable_sorted
-        if key is None:
-            key = self._mutable_sorted = tuple(sorted(self.mutable_group()))
-        return key
-
-    def group_of(self, x: str) -> Optional[frozenset]:
-        index = self._group_index
-        if index is None:
-            index = self._group_index = {}
-            for g in self.groups:
-                for n in g:
-                    index.setdefault(n, g)  # the first group holding n wins
-        return index.get(x)
-
-    def fingerprint(self) -> tuple:
-        return self._fp
-
-    def swap(self, g: frozenset) -> "TypeContext":
-        """Lent group g exchanged with the mutable group; built once per
-        context and group."""
-        table = self._swapped
-        if table is None:
-            table = self._swapped = {}
-        out = table.get(g)
-        if out is None:
-            kept = [i for i, h in enumerate(self.groups) if h != g]
-            out = table[g] = self._with_mutable_group(
-                tuple(self.groups[i] for i in kept),
-                tuple(self.sorted_groups[i] for i in kept),
-                self.restricted,
-            )
-        return out
-
-    def grouped(self, restricted: frozenset) -> "TypeContext":
-        """The mutable group made one more lent group (the premise context of
-        capsule and immutability promotion), with the given restricted set."""
-        return self._with_mutable_group(self.groups, self.sorted_groups, restricted)
-
-    def _with_mutable_group(self, groups, sorted_groups, restricted) -> "TypeContext":
-        if self.mutable_group():
-            groups += (self._mutable,)
-            sorted_groups += (self.sorted_mutable_group(),)
-        return TypeContext(
-            self.gamma, groups, restricted, base=self, sorted_groups=sorted_groups
-        )
-
-    def unrestricted(self) -> "TypeContext":
-        return TypeContext(
-            self.gamma, self.groups, frozenset(), base=self,
-            sorted_groups=self.sorted_groups,
-        )
-
-
-def wf_context(ctx: TypeContext) -> bool:
-    """The four context well-formedness conditions."""
-    gamma = ctx.env
-    seen = set()
-    for g in ctx.groups:
-        if seen & g:
-            return False  # groups must be disjoint
-        seen |= g
-        for x in g:
-            t = gamma.get(x)
-            if not (isinstance(t, RefType) and t.qualifier is Qualifier.MUT):
-                return False  # group members are mut in gamma
-    for (_, t) in ctx.gamma:
-        if isinstance(t, RefType) and t.qualifier is Qualifier.LENT:
-            return False  # no variable is lent in gamma
-    for y in ctx.restricted:
-        t = gamma.get(y)
-        if not isinstance(t, RefType):
-            return False
-        if t.qualifier not in (Qualifier.MUT, Qualifier.READ):
-            return False  # restricted variables are mut or read
-        if t.qualifier is Qualifier.MUT and ctx.group_of(y) is None:
-            return False  # restricted mut variables belong to a lent group
-    return True
 
 
 @dataclass(frozen=True)
@@ -392,17 +216,6 @@ def _growth_strings(n: int, k: int):
         a[i + 1:] = [0] * (n - 1 - i)
 
 
-def _premise_context(ctx_body: TypeContext, decls: tuple, i: int) -> TypeContext:
-    """The context of premise i of a block: the initializer of a grouped
-    local is typed with its own group made mutable; the body (i ==
-    len(decls)) and other initializers in the block's context."""
-    if i < len(decls):
-        own = ctx_body.group_of(decls[i].name)
-        if own:
-            return ctx_body.swap(own)
-    return ctx_body
-
-
 class _InProgress:
     pass
 
@@ -424,6 +237,11 @@ class Checker:
         # (id(e), projection, goal) -> what _kept keeps of a completed memo
         # entry, from the second top-level query on
         self._reuse = None
+        self._pending: dict = {}  # id(e) -> the first query's entries for e
+        # from the second query on: (context, term) of the current query,
+        # and the root state the last query kept (see check_block)
+        self._query = None
+        self._root: Optional[RootState] = None
 
     # ------------------------------------------------------------------
     # public entry points
@@ -445,14 +263,19 @@ class Checker:
         of the full key is looked up there.  Every term asked about must
         stay alive while the Checker is in use: entries are keyed by
         id(e)."""
-        if not self.ticks:
-            self._start_query()
+        top = not self.ticks
+        if top:
+            self._start_query(ctx, e)
         self._tick()
         key = (id(e), ctx, goal)
         memo = self.memo
         hit = memo.get(key)
-        reuse = self._reuse
+        # a query's own term is one not asked about before (a reduct), so
+        # it is neither looked up nor filed under its projection
+        reuse = None if top else self._reuse
         if hit is None and reuse is not None:
+            for c, g, entry in self._pending.pop(key[0], ()):
+                reuse[(key[0], self._projection(c, e), g)] = _kept(entry)
             pkey = (key[0], self._projection(ctx, e), goal)
             hit = reuse.get(pkey)
             if hit is not None:
@@ -486,19 +309,20 @@ class Checker:
             reuse[pkey] = _kept(j)
         return j
 
-    def _start_query(self) -> None:
+    def _start_query(self, ctx: TypeContext, e: Expr) -> None:
         """Empty the memo, which evicts the last query's tainted failures;
         its other entries live on under their projected keys, filed as they
-        completed or, when the second query starts, from the first query's
-        memo."""
+        completed or, for the first query's memo, once their term is asked
+        about again."""
         memo = self.memo
         if memo and self._reuse is None:
-            self._reuse = {
-                (key[0], self._projection(key[1], entry.expr), key[2]): _kept(entry)
-                for key, entry in memo.items()
-            }
+            self._reuse = {}
+            for (i, c, g), entry in memo.items():
+                self._pending.setdefault(i, []).append((c, g, entry))
         memo.clear()
         self._gamma_parts.clear()  # its gammas are the last query's
+        if self._reuse is not None:
+            self._query = (ctx, e)
 
     def infer(self, ctx: TypeContext, e: Expr) -> Judgment:
         return self.check(ctx, e, None)
@@ -726,30 +550,34 @@ class Checker:
     def check_block(
         self, ctx: TypeContext, block: Block, goal: Optional[Type]
     ) -> Judgment:
+        """A block's premises (its initializers, then its body) under the
+        first candidate group assignment that types them all.  The block a
+        query asks about keeps premise judgments from the last query's
+        block (`RootState`, see the module docstring)."""
         decls = block.decls
         if not decls:
             j = self.check(ctx, block.body, goal)
             return Judgment(ctx, block, j.result, "t-block", (j,))
-        dom = frozenset(d.name for d in decls)
-        gamma = dict(ctx.env)
-        for d in decls:
-            if d.dtype is None:
-                raise IllTyped(
-                    f"declaration {d.name} lacks a type (unresolved sugar)", d.span
-                )
-            gamma[d.name] = stored_type(d.dtype)
-        gamma_items = tuple(sorted(gamma.items()))
-        base_groups = tuple(g - dom for g in ctx.groups if g - dom)
-        restricted = ctx.restricted - dom
-        lent_locals = [
-            d.name
-            for d in decls
-            if isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.LENT
-        ]
-        mut_locals = [
-            d.name
-            for d in decls
-            if isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.MUT
+        root = self._root_state(ctx, block)
+        if root is None:
+            dom: dict = {}  # name -> its declared type
+            for d in decls:
+                if d.dtype is None:
+                    raise _untyped(d)
+                dom[d.name] = stored_type(d.dtype)
+            gamma = ctx.gamma.updated(dom)
+            lent_locals = [
+                d.name for d in decls if _qualifier(d.dtype) is Qualifier.LENT
+            ]
+        else:
+            dom, gamma = root.scope.env, root.gamma
+            lent_locals = [d.name for d in root.lent_decls()]
+        env = gamma.env
+        base_groups = tuple(h for h in (g.difference(dom) for g in ctx.groups) if h)
+        restricted = ctx.restricted.difference(dom)
+        # mut locals may join base groups only (see _group_candidates)
+        mut_locals = base_groups and [
+            d.name for d in decls if _qualifier(d.dtype) is Qualifier.MUT
         ]
         if len(lent_locals) > MAX_LENT_LOCALS:
             raise SearchExhausted(
@@ -760,7 +588,6 @@ class Checker:
         # the body, each against the same goal for every candidate; a failed
         # premise is kept as a nogood, its context's projection (see
         # _projection), computed only once a further candidate comes
-        terms = [d.init for d in decls] + [block.body]
         nogoods: dict = {}  # premise index -> projections of its failed checks
         failed = None  # (premise index, its context) of the last failure
         first: Optional[_Failure] = None
@@ -768,34 +595,46 @@ class Checker:
         for groups in self._group_candidates(
             block, lent_locals, base_groups, mut_locals
         ):
-            # every candidate shares the block's gamma (hash and env)
-            ctx_body = TypeContext(gamma_items, groups, restricted, base=ctx_body)
+            # every candidate shares the block's gamma
+            ctx_body = TypeContext(gamma, groups, restricted, base=ctx_body)
             if not wf_context(ctx_body):
                 continue
             if failed is not None:
                 i, ctx_i = failed
-                nogoods.setdefault(i, set()).add(self._projection(ctx_i, terms[i]))
+                nogoods.setdefault(i, set()).add(
+                    self._projection(ctx_i, _premise_term(block, i))
+                )
                 failed = None
             if nogoods and any(
-                self._projection(_premise_context(ctx_body, decls, i), terms[i])
-                in known
+                self._projection(
+                    _premise_context(ctx_body, decls, i), _premise_term(block, i)
+                ) in known
                 for i, known in nogoods.items()
             ):
                 continue  # a premise repeats a failed check
-            premises = []
+            todo = None if root is None else root.to_check(ctx_body)
+            if todo is None:
+                todo, premises = range(len(decls)), [None] * len(decls)
+            else:  # the judgments the root state keeps, the others to come
+                premises = list(map(root.judgments.get, map(id, decls)))
+            fresh = {}  # index -> judgment of the premises checked here
             try:
-                for i, d in enumerate(decls):
+                for i in todo:
+                    d = decls[i]
                     ctx_d = _premise_context(ctx_body, decls, i)
-                    j = self._try_consume(block, d, gamma, ctx_d)
+                    j = self._try_consume(block, d, env, ctx_d)
                     if j is None:
-                        j = self.check(ctx_d, d.init, gamma[d.name])
-                    premises.append(j)
+                        j = self.check(ctx_d, d.init, env[d.name])
+                    premises[i] = fresh[i] = j
                 i = len(decls)
                 premises.append(self.check(ctx_body, block.body, goal))
             except IllTyped as err:
                 first = first or _Failure(err)
                 failed = (i, _premise_context(ctx_body, decls, i))
                 continue
+            if root is not None:
+                root.keep(ctx_body, decls, {i: _kept(j) for i, j in fresh.items()})
+                self._root = root
             return Judgment(
                 ctx,
                 block,
@@ -807,6 +646,22 @@ class Checker:
         raise first.error() if first else IllTyped(
             "no lent-group assignment typechecks", block.span
         )
+
+    def _root_state(self, ctx: TypeContext, block: Block) -> Optional[RootState]:
+        """The root state for block, moved on to it, when block is the term
+        of the current query asked in the query's context, from the second
+        query on; None otherwise.  The state leaves the Checker until the
+        block checks: a query whose block fails starts the next one afresh."""
+        query = self._query
+        if query is None or query[1] is not block or query[0] is not ctx:
+            return None
+        root, self._root = self._root, None
+        if root is None or root.ctx != ctx:
+            root = RootState(ctx)
+        untyped = root.advance(block)
+        if untyped:
+            raise _untyped(untyped[0])
+        return None if untyped is None else root
 
     def _projection(self, ctx: TypeContext, e: Expr) -> tuple:
         """What a check of e can read of ctx, for the names e mentions (free
@@ -880,11 +735,7 @@ class Checker:
         transient shape left behind when a call returning capsule unfolds:
         the alias is about to be eliminated, and the consumed store is
         unreachable from anywhere else in the block."""
-        if not (
-            isinstance(d.dtype, RefType)
-            and d.dtype.qualifier in (Qualifier.CAPSULE, Qualifier.IMM)
-            and isinstance(d.init, Var)
-        ):
+        if not _may_consume(d):
             return None
         y = d.init.name
         siblings = {dd.name: dd for dd in block.decls}
@@ -1056,6 +907,14 @@ class Checker:
 
 def _span(e: Expr):
     return getattr(e, "span", None)
+
+
+def _untyped(d: Decl) -> IllTyped:
+    return IllTyped(f"declaration {d.name} lacks a type (unresolved sugar)", d.span)
+
+
+def _premise_term(block: Block, i: int) -> Expr:
+    return block.decls[i].init if i < len(block.decls) else block.body
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ immutability of imm right-values)."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from capslang.congruence import all_mut, wf_rightvalue, wf_store_decl
 from capslang.generator import GenConfig, gen_source
 from capslang.metatheory import (
     MetaViolation,
+    _StoreChecks,
     check_canonical_forms,
     check_capsule_theorem,
     check_immutable_theorem,
@@ -21,7 +23,9 @@ from capslang.metatheory import (
 from capslang.parser import parse_expr, pretty_print
 from capslang.reducer import ReductionTrace
 from capslang.syntax import (
+    INT,
     Block,
+    Decl,
     IntLit,
     IntType,
     New,
@@ -386,7 +390,9 @@ def assert_same_as_oracle(table, trace):
 def doctored_traces():
     """The doctored traces of TestDetection and TestViolationReporting, and
     traces whose steps keep a declaration object while a declaration it
-    reads changes, or hide a bad declaration in an unevaluated one."""
+    reads changes, or hide a bad declaration in an unevaluated one, or keep
+    a root declaration object whose context changes at the second reduct,
+    where subject reduction would keep its premise's judgment."""
     p, tr = reduce_source(CLS + "mut D y = new D(0);\ny")
     for bogus in (
         "{mut D y = new D(0); mut D w = y.f; w}",
@@ -414,6 +420,54 @@ def doctored_traces():
         step = Block((u,) + first.decls[1:], first.body)  # shares y's Decl
         yield p.table, ReductionTrace(first, [("bogus", step)], 1, True)
 
+    def kept(first, *steps):
+        """first, a copy of it that shares its Decl objects, then steps."""
+        steps = (Block(first.decls, first.body),) + steps
+        return ReductionTrace(first, [("bogus", t) for t in steps], len(steps), True)
+
+    # subject reduction keeps a root premise's judgment from one reduct to
+    # the next (the second reduct on): each last term keeps a Decl object
+    # while its context changes under it
+    first = parse_expr(
+        "{mut D u = new D(0); mut D v = new D(1); mut C y = new C(u, u); y}"
+    )
+    _, v, y = first.decls
+    (imm_u,) = parse_expr("{imm D u = new D(0); u}").decls
+    # a mentioned declaration changes type, or is removed
+    yield p.table, kept(first, Block((imm_u, v, y), first.body))
+    yield p.table, kept(first, Block((v, y), first.body))
+    # a new mut declaration: w's premise, which mentions every mut name,
+    # now has one outside its names; the body is imm, not mut
+    first = parse_expr("{mut D x = new D(0); imm D w = new D(x.f); x}")
+    (z,) = parse_expr("{mut D z = new D(1); z}").decls
+    yield p.table, kept(first, Block(first.decls + (z,), Var("w")))
+    # a second declaration of x changes the goal of the kept first one
+    first = parse_expr("{mut D y = new D(1); mut D x = new D(0); y}")
+    (int_x,) = parse_expr("{int x = 1; x}").decls
+    yield p.table, kept(first, Block(first.decls + (int_x,), first.body))
+    # a capsule alias may no longer consume m: a new unevaluated sibling
+    # reads it
+    first = parse_expr("{mut D m = new D(0); capsule D c = m; c}")
+    (t,) = parse_expr("{int t = m.f; t}").decls
+    yield p.table, kept(first, Block(first.decls + (t,), first.body))
+    # a kept declaration that broke a store check breaks it again
+    bad = parse_expr("{mut D y = new C(u, u); y}")
+    yield p.table, kept(bad)
+    # both declarations of a name declared twice go at once, and a step
+    # later the name is read although nothing declares it
+    first = parse_expr("{mut D u = new D(0); mut D w = new D(1); w}")
+    u, w = first.decls
+    (u2,) = parse_expr("{mut D u = new D(2); u}").decls
+    yield p.table, kept(
+        first, Block((u, u2, w), first.body), Block((w,), first.body),
+        Block((w,), Var("u")),
+    )
+    # a block that holds one Decl object twice has no diff: it is checked
+    # in full, and the next block is compared with nothing
+    first = parse_expr("{mut D u = new D(0); mut D w = new C(u, u); w}")
+    u, w = first.decls
+    yield p.table, kept(first, Block((u, u, w), first.body), Block((u, w), first.body))
+
 
 class TestAgainstOracle:
     def test_corpus_accept(self):
@@ -429,10 +483,55 @@ class TestAgainstOracle:
             )
             assert_same_as_oracle(p.table, trace)
 
+    def test_generated_long(self):
+        # longer traces: more reducts reuse the root state of the last one
+        for seed in range(20):
+            p, trace = reduce_source(
+                gen_source(GenConfig(seed=seed, size=32, reject_rate=0.0))
+            )
+            assert_same_as_oracle(p.table, trace)
+
     def test_doctored(self):
         for table, trace in doctored_traces():
             assert_same_as_oracle(table, trace)
             assert oracle_verify(table, trace)  # each one is flagged
+
+    def test_doctored_generated(self):
+        # three bogus root blocks per trace, each a reduct with one
+        # declaration dropped, retyped, declared twice or moved, followed by
+        # the rest of the trace again: the terms share their other Decl
+        # objects, as reducts do
+        flagged = 0
+        for seed in range(40):
+            rnd = random.Random(seed)
+            p, trace = reduce_source(
+                gen_source(GenConfig(seed=seed, size=16, reject_rate=0.0))
+            )
+            steps = list(trace.steps)
+            for _ in range(3):
+                k = rnd.randrange(1, len(steps))
+                term = steps[k][1]
+                decls = list(term.decls)
+                i = rnd.randrange(len(decls))
+                d = decls[i]
+                how = rnd.choice(["drop", "retype", "twice", "move"])
+                if how == "drop":
+                    del decls[i]
+                elif how == "retype":
+                    t = d.dtype
+                    types = [INT] if t == INT else [RefType(q, t.cname) for q in Qualifier]
+                    decls[i] = Decl(rnd.choice(types), d.name, d.init)
+                elif how == "twice":
+                    j = rnd.randrange(len(decls))
+                    decls.insert(j, Decl(decls[j].dtype, d.name, decls[j].init))
+                else:
+                    decls.insert(rnd.randrange(len(decls) + 1), decls.pop(i))
+                bogus = ("bogus", Block(tuple(decls), term.body))
+                steps = steps[:k + 1] + [bogus] + steps[k + 1:]
+            doctored = ReductionTrace(trace.initial, steps, len(steps), True)
+            assert_same_as_oracle(p.table, doctored)
+            flagged += bool(oracle_verify(p.table, doctored))
+        assert flagged >= 20
 
 
 class TestSubjectReductionCost:
@@ -474,3 +573,38 @@ class TestSubjectReductionCost:
                 assert check_subject_reduction(p.table, trace) == []
             per_term[size] = calls / terms
         assert per_term[32] <= 1.25 * per_term[8], per_term
+
+
+class TestVerifyCost:
+    def test_work_per_term_does_not_grow_with_size(self, monkeypatch):
+        # projections (subject reduction) plus declarations handed to the
+        # store checks, per trace term, over seeds 0..9: 32.4 at N = 16 and
+        # 241 at N = 128 when every reduct re-projects every root premise
+        # and the store checks get every evaluated declaration of every
+        # term; 8.9 and 12.2 when both spend only on the root diff
+        work = 0
+        project, canonical = Checker._projection, _StoreChecks.canonical_forms
+
+        def projection(self, ctx, e):
+            nonlocal work
+            work += 1
+            return project(self, ctx, e)
+
+        def handed(self, step, term, d, env, out):
+            nonlocal work
+            work += 1
+            return canonical(self, step, term, d, env, out)
+
+        monkeypatch.setattr(Checker, "_projection", projection)
+        monkeypatch.setattr(_StoreChecks, "canonical_forms", handed)
+        per_term = {}
+        for size in (16, 128):
+            work = terms = 0
+            for seed in range(10):
+                p, trace = reduce_source(
+                    gen_source(GenConfig(seed=seed, size=size, reject_rate=0.0))
+                )
+                terms += len(trace.steps) + 1
+                assert verify_trace(p.table, trace) == []
+            per_term[size] = work / terms
+        assert per_term[128] <= 1.5 * per_term[16], per_term
