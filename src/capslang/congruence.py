@@ -148,15 +148,45 @@ def normalize_value(
     v: Expr, table: ClassTable, supply: Optional[NameSupply] = None
 ) -> Expr:
     """Normalize a value to a bare reference/literal or a well-formed
-    right-value (modulo the store constraints enforced by reduction)."""
+    right-value (modulo the store constraints enforced by reduction).
+
+    The output shares every node of v that normalization leaves as it is:
+    v itself when it is already normal (`is_normal_value`), and otherwise
+    each known-normal subvalue and each declaration whose initializer did
+    not change.  Only the `New`, `Decl` and `Block` nodes with a changed
+    child are rebuilt."""
     if supply is None:
         supply = NameSupply()
     assert is_value(v), f"not a value: {v!r}"
     return _norm(v, table, supply)
 
 
-def _norm(v: Expr, table: ClassTable, supply: NameSupply) -> Expr:
+@node_cached
+def is_normal_value(v: Expr) -> bool:
+    """v is a fixed point of value normalization: `normalize_value(v)` is
+    v.  The rules hoist non-reference constructor arguments, flatten block
+    initializers of non-imm declarations and block bodies, collect garbage
+    and eliminate empty blocks, and each depends on the node alone."""
     if isinstance(v, (Var, IntLit)):
+        return True
+    if isinstance(v, New):
+        return is_objstate(v)
+    return (
+        isinstance(v, Block)
+        and bool(v.decls)
+        and not isinstance(v.body, Block)
+        and is_normal_value(v.body)
+        and all(
+            is_normal_value(d.init)
+            and (is_imm_decl(d) or not isinstance(d.init, Block))
+            for d in v.decls
+        )
+        and connected_closure(v.decls, free_vars(v.body)) == v.decls
+    )
+
+
+def _norm(v: Expr, table: ClassTable, supply: NameSupply) -> Expr:
+    if is_normal_value(v):
         return v
     if isinstance(v, New):
         args = tuple(_norm(a, table, supply) for a in v.args)
@@ -185,7 +215,9 @@ def _norm(v: Expr, table: ClassTable, supply: NameSupply) -> Expr:
                 # rule body: pull the inner local store into this block
                 decls.extend(init.decls)
                 init = init.body
-            decls.append(Decl(d.dtype, d.name, init, d.span))
+            if init is not d.init:
+                d = Decl(d.dtype, d.name, init, d.span)
+            decls.append(d)
         body = _norm(v.body, table, supply)
         if isinstance(body, Block):
             decls.extend(body.decls)
@@ -285,7 +317,3 @@ def _reorder(e: Expr) -> Expr:
         ordered.extend(_sort_run(run, e))
         e = Block(tuple(ordered), e.body, e.span)
     return map_children(e, _reorder)
-
-
-def alpha_equiv(e1: Expr, e2: Expr) -> bool:
-    return canonical(e1) == canonical(e2)

@@ -13,9 +13,12 @@ A `RootScope` follows the root block of consecutive terms (the reducts of a
 trace) by Decl identity: a reduct keeps the Decl objects of the store its
 step did not rewrite, so from one block to the next the scope names the
 declarations that are new, those that are gone, and the names whose
-declaration in scope is another object now.  Subject reduction
-(`Checker.check_block`) and the store checks of `metatheory` spend only on
-that diff.
+declaration in scope is another object now.  A block may hold one Decl
+object at several positions (a field assignment copies its value, and the
+copies share their nodes); the diff lists such an object once, and the
+scope knows all its positions.  Subject reduction (`Checker.check_block`)
+and the store checks of `metatheory` spend only on that diff, and what
+they find for an object serves each of its positions.
 """
 
 from __future__ import annotations
@@ -302,29 +305,39 @@ class RootScope:
     `env` maps each name the block declares to the Decl in scope under it:
     the last declaration of the name, as a walk that binds the block's
     declarations in order leaves it.  `pos` maps id(d) to the index of d in
-    `decls`, the block's tuple.  The scope holds the block's Decl objects,
-    so no id it keeps is reused while it lives."""
+    `decls`, the block's tuple; a block may hold one Decl object at several
+    positions (a step that copies a value copies its declarations), and
+    then `pos` has the last of them and `positions` all of them.  The scope
+    holds the block's Decl objects, so no id it keeps is reused while it
+    lives."""
 
-    __slots__ = ("decls", "pos", "env", "_named", "_shared")
+    __slots__ = ("decls", "pos", "env", "_named", "_shared", "_more")
 
     def __init__(self):
         self.decls: tuple = ()
         self.pos: dict = {}
         self.env: dict = {}
         self._named: dict = {}  # name -> the block's Decls of that name
-        self._shared: set = set()  # names declared more than once
+        self._shared: set = set()  # names of more than one Decl object
+        self._more: dict = {}  # id(d) -> its positions, for d held twice or more
+
+    def positions(self, i: int) -> tuple:
+        """The positions of the Decl with id i, in block order."""
+        more = self._more.get(i)
+        return more if more is not None else (self.pos[i],)
 
     def advance(self, decls: tuple):
         """Move on to a block with these declarations.  Returns (new, gone,
         changed): the Decl objects that the last block did not hold, those
         that this one does not hold, and the names whose Decl in env is
-        another one now, or none.  Returns None when the block holds one
-        Decl object twice; the scope then starts again from an empty
-        block."""
+        another one now.  An object held at several positions is listed
+        once."""
         pos = dict(zip(map(id, decls), range(len(decls))))
+        more: dict = {}
         if len(pos) != len(decls):
-            self.__init__()
-            return None
+            for k, d in enumerate(decls):
+                more.setdefault(id(d), []).append(k)
+            more = {i: tuple(ks) for i, ks in more.items() if len(ks) > 1}
         old, named = self.pos, self._named
         new = [decls[k] for i, k in pos.items() if i not in old]
         gone = [self.decls[k] for i, k in old.items() if i not in pos]
@@ -354,7 +367,7 @@ class RootScope:
                     del env[x]
                 else:
                     env[x] = last
-        self.decls, self.pos = decls, pos
+        self.decls, self.pos, self._more = decls, pos, more
         return new, gone, changed
 
 
@@ -381,7 +394,13 @@ class RootState:
     when the total moves and the lower one is the count.  Records are
     indexed by name and by count, so a move finds the premises to check
     again from its diff alone.  Grouped declarations and those that may
-    consume a sibling get no record: they are checked every time."""
+    consume a sibling get no record: they are checked every time.
+
+    Records and judgments are kept per Decl object.  A premise reads only
+    its Decl, its name's group and the name's type in gamma, so one Decl
+    at several positions of the block has one premise at all of them:
+    `to_check` gives every position of a Decl to check, and `lent_decls`
+    every position of a lent one, as a walk over the block would."""
 
     __slots__ = ("ctx", "scope", "gamma", "changed", "lent", "groups", "restricted",
                  "totals", "judgments", "_records", "_readers", "_counted",
@@ -400,23 +419,19 @@ class RootState:
         self._counted: dict = {}  # (0 or 1, count) -> ids of the records
         self._unrecorded: set = set()  # ids of the block's other declarations
 
-    def advance(self, block) -> Optional[list]:
+    def advance(self, block) -> list:
         """Move on to block: its gamma is the last one updated from the diff
         of the two blocks.  Returns the new declarations that lack a type,
-        in block order, or None when the diff is not known (see
-        `RootScope.advance`)."""
+        in block order."""
         scope = self.scope
-        diff = scope.advance(block.decls)
-        if diff is None:
-            return None
-        new, gone, names = diff
+        new, gone, names = scope.advance(block.decls)
         for d in gone:
             self._forget(id(d))
             self._unrecorded.discard(id(d))
             self.lent.pop(id(d), None)
         untyped = [d for d in new if d.dtype is None]
         if untyped:
-            return sorted(untyped, key=lambda d: scope.pos[id(d)])
+            return sorted(untyped, key=lambda d: scope.positions(id(d))[0])
         for d in new:
             self._unrecorded.add(id(d))
             if _qualifier(d.dtype) is Qualifier.LENT:
@@ -434,8 +449,12 @@ class RootState:
         return []
 
     def lent_decls(self) -> list:
-        pos = self.scope.pos
-        return sorted(self.lent.values(), key=lambda d: pos[id(d)])
+        """The block's lent declarations in block order, one per position."""
+        return [self.scope.decls[k] for k in self._positions(self.lent)]
+
+    def _positions(self, ids) -> list:
+        """Every position of the Decls with these ids, in block order."""
+        return sorted(k for i in ids for k in self.scope.positions(i))
 
     def _totals(self, ctx_body: TypeContext) -> tuple:
         return len(self.gamma.mut_or_read()), len(ctx_body.mutable_group())
@@ -453,7 +472,7 @@ class RootState:
         for k, (t0, t1) in enumerate(zip(self.totals, self._totals(ctx_body))):
             if t0 != t1:
                 out.update(self._counted.get((k, min(t0, t1)), ()))
-        return sorted(map(self.scope.pos.__getitem__, out))
+        return self._positions(out)
 
     def keep(self, ctx_body: TypeContext, decls: tuple, fresh: dict) -> None:
         """Record the judgments of the premises checked afresh (index ->

@@ -401,8 +401,10 @@ class _StoreChecks:
     declarations it looked up, and reused while each of those names still
     finds the same Decl.  The reducer shares unchanged declarations between
     consecutive terms, so `run` hands the checks only the root declarations
-    the diff of two terms touches.  An entry holds its Decl, so no id is
-    reused while the entry lives.
+    the diff of two terms touches.  A root block may hold one Decl at
+    several positions; it is handed at each of them, as a walk of the term
+    hands it, and the entry computed at the first serves the others.  An
+    entry holds its Decl, so no id is reused while the entry lives.
     """
 
     def __init__(self, table: ClassTable):
@@ -425,8 +427,9 @@ class _StoreChecks:
         declarations that are new, those with a looked-up name that finds
         another declaration now, and those that reported a violation at the
         previous step, which are reported again at every step; every other
-        one would report nothing again.  A term that is not a block is
-        walked in full."""
+        one would report nothing again.  Each is handed at every position
+        the block holds it.  A term that is not a block is walked in
+        full."""
         outs = tuple([] for _ in checks)
         scope = RootScope()
         # name -> ids of the root declarations whose checks looked it up
@@ -434,8 +437,7 @@ class _StoreChecks:
         readers: dict = {}
         reported: set = set()  # ids of the root declarations that reported
         for step, term in _trace_terms(trace):
-            diff = scope.advance(term.decls) if isinstance(term, Block) else None
-            if diff is None:  # no block, or one that holds a Decl twice
+            if not isinstance(term, Block):
                 scope = RootScope()
                 readers.clear()
                 reported.clear()
@@ -443,13 +445,13 @@ class _StoreChecks:
                 self._stored_decls(term, {}, stored)
                 self._hand(step, term, stored, checks, outs)
                 continue
-            new, _, changed = diff
+            new, _, changed = scope.advance(term.decls)
             todo = set(map(id, new)) | reported
             for x in changed:
                 todo.update(readers.get(x, ()))
             reported = set()
             env, pos = scope.env, scope.pos
-            for k in sorted(pos[i] for i in todo if i in pos):
+            for k in sorted(j for i in todo if i in pos for j in scope.positions(i)):
                 d = term.decls[k]
                 stored = []
                 if is_stored(d) or is_evaluated(d):

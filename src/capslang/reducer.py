@@ -10,9 +10,16 @@ out).  Exactly one rule applies at the unique decomposition.
 Every term of a trace is in normal form: each value position holds a fixed
 point of value congruence (`Reducer.normalize_term`).  A step rebuilds only
 the path from the root to what it changed and shares every other node with
-the previous term.  What a node is on its own is kept on the node
-(`syntax.node_cached`): decomposition steps over the declarations known to
-be evaluated well-formed store (`congruence.is_stored`), and substitution
+the previous term.  Value normalization returns a value that is already
+normal as it is, and otherwise rebuilds only the nodes whose children
+changed (`congruence.normalize_value`), so a value a step moves or copies
+keeps its nodes, and with them their facts and the identity-keyed caches
+of `metatheory`; a field assignment, which copies its value, can leave one
+`Decl` object at two positions of the store.  What a node is on its own is
+kept on the node (`syntax.node_cached`): decomposition steps over the
+declarations known to be evaluated well-formed store
+(`congruence.is_stored`), normalization returns the values known to be
+normal (`congruence.is_normal_value`), and substitution
 (int-elim, alias-elim, capsule-elim) descends only where the eliminated name
 is free (`syntax.free_vars`), as the scope-extrusion and imm-move checks ask
 too.  What depends on the `Reducer` is kept in one identity table, keyed by

@@ -661,7 +661,7 @@ class Checker:
         untyped = root.advance(block)
         if untyped:
             raise _untyped(untyped[0])
-        return None if untyped is None else root
+        return root
 
     def _projection(self, ctx: TypeContext, e: Expr) -> tuple:
         """What a check of e can read of ctx, for the names e mentions (free

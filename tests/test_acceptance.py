@@ -15,11 +15,7 @@ import time
 import pytest
 
 from capslang.anf import simplify_program
-from capslang.congruence import (
-    NameSupply,
-    alpha_equiv,
-    wf_store_decl,
-)
+from capslang.congruence import NameSupply, wf_store_decl
 from capslang.generator import GenConfig, gen_source
 from capslang.metatheory import (
     check_canonical_forms,
@@ -59,6 +55,7 @@ from capslang.typecheck import (
 )
 
 from conftest import reduce_source
+from test_reducer import alpha_equiv
 
 # ---------------------------------------------------------------------------
 # Criterion 1: typing verdicts

@@ -1,10 +1,13 @@
-"""Gamma's incremental hash and RootScope's diff by Decl identity, against
-definitions that recompute everything."""
+"""Gamma's incremental hash, RootScope's diff by Decl identity and the
+premises RootState keeps, against definitions that recompute everything."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from capslang.context import Gamma, RootScope
-from capslang.syntax import INT, Decl, IntLit, Qualifier, RefType
+from capslang.parser import parse, parse_expr
+from capslang.syntax import INT, Block, Decl, IntLit, Qualifier, RefType
+from capslang.typecheck import Checker, SearchExhausted, TypeContext
 
 NAMES = ("a", "b", "c", "d")
 TYPES = [INT] + [RefType(q, c) for q in Qualifier for c in ("C", "D")]
@@ -36,33 +39,77 @@ POOL = [Decl(INT, x, IntLit(i)) for i in range(3) for x in NAMES]
 
 class TestRootScope:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.sampled_from(POOL), unique_by=id), max_size=8))
+    @given(st.lists(st.lists(st.sampled_from(POOL), max_size=8), max_size=8))
     def test_diff_against_recomputed_scopes(self, blocks):
+        # a block may hold one Decl object at several positions
         scope = RootScope()
         last_env: dict = {}
         last_ids: set = set()
         for decls in map(tuple, blocks):
             new, gone, changed = scope.advance(decls)
             env = {}
-            for d in decls:
+            at: dict = {}  # id(d) -> every position of d
+            for k, d in enumerate(decls):
                 env[d.name] = d  # the last declaration of a name is in scope
-            ids = {id(d) for d in decls}
+                at.setdefault(id(d), []).append(k)
+            ids = set(at)
             assert {x: id(d) for x, d in scope.env.items()} == {
                 x: id(d) for x, d in env.items()
             }
-            assert {id(d) for d in new} == ids - last_ids
-            assert {id(d) for d in gone} == last_ids - ids
+            assert sorted(map(id, new)) == sorted(ids - last_ids)
+            assert sorted(map(id, gone)) == sorted(last_ids - ids)
             assert changed == {
                 x for x in env.keys() | last_env.keys()
                 if env.get(x) is not last_env.get(x)
             }
             assert scope.pos == {id(d): k for k, d in enumerate(decls)}
+            assert {i: scope.positions(i) for i in ids} == {
+                i: tuple(ks) for i, ks in at.items()
+            }
             last_env, last_ids = env, ids
 
-    def test_one_object_twice_starts_again(self):
-        d = POOL[0]
+    def test_one_object_twice_has_a_diff(self):
+        d, e = POOL[0], POOL[1]
         scope = RootScope()
         scope.advance((d,))
-        assert scope.advance((d, d)) is None
+        new, gone, changed = scope.advance((d, e, d))
+        assert new == [e] and gone == [] and changed == {e.name}
+        assert scope.positions(id(d)) == (0, 2) and scope.positions(id(e)) == (1,)
         new, gone, changed = scope.advance((d,))
-        assert new == [d] and gone == [] and changed == {d.name}
+        assert new == [] and gone == [e] and changed == {e.name}
+        assert scope.positions(id(d)) == (0,)
+
+
+class TestRootState:
+    TABLE = parse("class D { int f; }\nclass C { mut D f; }\nnew D(0)").table
+
+    def premises(self, checker, term, goal):
+        j = checker.check(TypeContext.make({}), term, goal)
+        return [(id(p.expr), p.result, p.rule) for p in j.premises]
+
+    def test_every_position_has_its_premise(self):
+        # declarations held at several positions, lent ones among them: the
+        # root state gives each position the premise a fresh Checker gives
+        first = parse_expr(
+            "{mut D u = new D(0); lent D l = new D(1); mut C w = new C(u); w}"
+        )
+        u, l, w = first.decls
+        (z,) = parse_expr("{mut D z = new D(2); z}").decls
+        (k,) = parse_expr("{lent D k = new D(3); k}").decls
+        blocks = [(u, z, l, w, z), (z, u, l, w), (u, k, z, l, w, k, z), (k, u, l, w, k)]
+        checker = Checker(self.TABLE)
+        goal = checker.infer(TypeContext.make({}), first).result
+        for decls in blocks:
+            term = Block(decls, first.body)
+            checker.ticks = 0  # a new query, as in verify_trace
+            got = self.premises(checker, term, goal)
+            assert None not in got
+            assert got == self.premises(Checker(self.TABLE), term, goal)
+        # seven lent positions, four lent objects: past the cap, as a walk
+        # over the block counts
+        m, n = (parse_expr(f"{{lent D {x} = new D(4); {x}}}").decls[0] for x in "mn")
+        term = Block((l, k, m, n, l, k, m, u, w), first.body)
+        for c in (checker, Checker(self.TABLE)):
+            c.ticks = 0
+            with pytest.raises(SearchExhausted, match="7 lent locals"):
+                c.check(TypeContext.make({}), term, goal)

@@ -462,11 +462,26 @@ def doctored_traces():
         first, Block((u, u2, w), first.body), Block((w,), first.body),
         Block((w,), Var("u")),
     )
-    # a block that holds one Decl object twice has no diff: it is checked
-    # in full, and the next block is compared with nothing
+    # a block that holds one Decl object twice, as a step that copies a
+    # value leaves it: both positions of u are checked, by one judgment
     first = parse_expr("{mut D u = new D(0); mut D w = new C(u, u); w}")
     u, w = first.decls
     yield p.table, kept(first, Block((u, u, w), first.body), Block((u, w), first.body))
+    # a declaration comes at two positions at once, stays at one, then is
+    # at two again; then one that breaks subject reduction and a store
+    # check does the same, and each of its positions reports it
+    first = parse_expr("{mut D u = new D(0); mut D w = new D(1); w}")
+    u, w = first.decls
+    (z,) = parse_expr("{mut D z = new D(2); z}").decls
+    (y,) = bad.decls
+    yield p.table, kept(
+        first,
+        *(
+            Block(decls, first.body)
+            for x in (z, y)
+            for decls in ((u, x, w, x), (u, w, x), (x, u, x, w))
+        ),
+    )
 
 
 class TestAgainstOracle:
@@ -575,13 +590,47 @@ class TestSubjectReductionCost:
         assert per_term[32] <= 1.25 * per_term[8], per_term
 
 
+    def test_move_reducts_check_what_moved(self, monkeypatch):
+        # searches per reduct of the move rules over seeds 0..62 at N = 16:
+        # the moved value's right-values are the objects they were, so
+        # their premises keep their judgments (6.2 per mut-move and 15.2
+        # per imm-move reduct when normalization rebuilt every constructor,
+        # 1.8 and 3.3 since it returns them)
+        calls = 0
+        search = Checker._check
+
+        def counted(self, ctx, e, goal):
+            nonlocal calls
+            calls += 1
+            return search(self, ctx, e, goal)
+
+        monkeypatch.setattr(Checker, "_check", counted)
+        per_rule: dict = {"mut-move": [], "imm-move": []}
+        for seed in range(63):
+            p, trace = reduce_source(
+                gen_source(GenConfig(seed=seed, size=16, reject_rate=0.0))
+            )
+            checker, empty = Checker(p.table), TypeContext.make({})
+            goal = checker.infer(empty, trace.initial).result
+            for rule, term in trace.steps:
+                checker.ticks = calls = 0  # a new query, as in verify_trace
+                checker.check(empty, term, goal)
+                per_rule.get(rule, []).append(calls)
+        mean = {r: sum(xs) / len(xs) for r, xs in per_rule.items()}
+        assert min(map(len, per_rule.values())) >= 40, per_rule
+        assert mean["mut-move"] < 2.5 and mean["imm-move"] < 5, mean
+
+
 class TestVerifyCost:
     def test_work_per_term_does_not_grow_with_size(self, monkeypatch):
         # projections (subject reduction) plus declarations handed to the
         # store checks, per trace term, over seeds 0..9: 32.4 at N = 16 and
         # 241 at N = 128 when every reduct re-projects every root premise
         # and the store checks get every evaluated declaration of every
-        # term; 8.9 and 12.2 when both spend only on the root diff
+        # term; 8.9 and 12.2 when both spend only on the root diff; 7.4
+        # and 10.1 since normalized values keep their nodes, so that a
+        # copied value's declarations stay the same objects (at several
+        # positions of the root block)
         work = 0
         project, canonical = Checker._projection, _StoreChecks.canonical_forms
 
@@ -608,3 +657,4 @@ class TestVerifyCost:
                 assert verify_trace(p.table, trace) == []
             per_term[size] = work / terms
         assert per_term[128] <= 1.5 * per_term[16], per_term
+        assert per_term[16] <= 7.6, per_term
