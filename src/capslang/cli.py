@@ -6,10 +6,11 @@ dot (export the object store as Graphviz), fuzz (random differential testing
 with shrinking).
 
 Exit codes: 0 success; 1 type error, reduction error or metatheory
-violation; 2 parse or well-formedness error, or a file that cannot be read;
-3 resource exhaustion (search budget, fuel, or a program nested too deeply
-for the recursion limit).  The commands raise; `main` maps each exception
-to its exit code and one-line diagnostic.
+violation; 2 parse or well-formedness error, a file that cannot be read, or
+a negative --fuel, --budget, --count, --size or --at-step; 3 resource
+exhaustion (search budget, fuel, or a program nested too deeply for the
+recursion limit).  The commands raise; `main` maps each exception to its
+exit code and one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ EXIT_OK = 0
 EXIT_TYPE = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
+
+# numeric options that may not be negative: a negative one exits
+# EXIT_PARSE before any work (zero keeps its meaning)
+_NON_NEGATIVE = ("fuel", "budget", "count", "size", "at-step")
 
 
 def _load(text: str):
@@ -168,9 +173,6 @@ def cmd_dot(args) -> int:
         trace = e.trace  # draw the store as far as reduction got
     if args.at_step is None:
         term = trace.final
-    elif args.at_step < 0:
-        print(f"error: --at-step {args.at_step} is negative", file=sys.stderr)
-        return EXIT_PARSE
     elif args.at_step == 0:
         term = trace.initial
     elif args.at_step <= len(trace.steps):
@@ -277,6 +279,11 @@ def main(argv=None) -> int:
     f.set_defaults(fn=cmd_fuzz)
 
     args = ap.parse_args(argv)
+    for option in _NON_NEGATIVE:
+        value = getattr(args, option.replace("-", "_"), None)
+        if value is not None and value < 0:
+            print(f"error: --{option} {value} is negative", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.fn(args)
     except (ParseError, OSError, UnicodeDecodeError) as e:

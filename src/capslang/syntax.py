@@ -1,7 +1,7 @@
-"""Core syntax: qualifiers, types, AST, class table, and term-level helpers:
-the generic child walk (`map_children`), substitution and binder renaming,
-and the whole-program rewriter (`map_program`) with the method parameter
-environments it passes.
+"""Core syntax: qualifiers, types (interned, one object per type), AST,
+class table, and term-level helpers: the generic child walk
+(`map_children`), substitution and binder renaming, and the whole-program
+rewriter (`map_program`) with the method parameter environments it passes.
 
 Expressions are immutable; every node carries an optional source span that is
 ignored by equality so that alpha-comparison and golden tests are unaffected
@@ -13,7 +13,7 @@ names it mentions, ...) are computed once and kept on the node
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Union
 
@@ -24,6 +24,9 @@ class Qualifier(Enum):
     CAPSULE = "capsule"
     LENT = "lent"
     READ = "read"
+
+    # members are singletons: hash by identity, in C, as equality already is
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -49,24 +52,67 @@ def qual_leq(a: Qualifier, b: Qualifier) -> bool:
 Span = Optional[tuple]  # (line, col), diagnostics only
 
 
-@dataclass(frozen=True)
-class IntType:
+class _Interned:
+    """Base of the types.  A program has few types (a qualifier and a class
+    name each, or int), and each is one object: its class's constructor
+    returns the object already built for the same fields.  So equality and
+    hashing are those of `object`, by identity and in C, where the checker
+    compares and hashes types in every memo key and gamma entry.  A type's
+    fields cannot be set, and copying or unpickling one returns the interned
+    object (`__reduce__` calls the constructor)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class IntType(_Interned):
+    __slots__ = ()
+
+    def __new__(cls):
+        return INT
+
+    def __reduce__(self):
+        return IntType, ()
+
+    def __repr__(self) -> str:
+        return "IntType()"
+
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
-class RefType:
-    qualifier: Qualifier
-    cname: str
+INT = object.__new__(IntType)
+
+_REF_TYPES: dict = {}  # (qualifier, cname) -> the one RefType for them
+
+
+class RefType(_Interned):
+    __slots__ = ("qualifier", "cname")
+
+    def __new__(cls, qualifier: Qualifier, cname: str):
+        t = _REF_TYPES.get((qualifier, cname))
+        if t is None:
+            t = _REF_TYPES[qualifier, cname] = object.__new__(cls)
+            object.__setattr__(t, "qualifier", qualifier)
+            object.__setattr__(t, "cname", cname)
+        return t
+
+    def __reduce__(self):
+        return RefType, (self.qualifier, self.cname)
+
+    def __repr__(self) -> str:
+        return f"RefType(qualifier={self.qualifier!r}, cname={self.cname!r})"
 
     def __str__(self) -> str:
         return f"{self.qualifier} {self.cname}"
 
 
 Type = Union[IntType, RefType]
-
-INT = IntType()
 
 
 def stored_type(t: Type) -> Type:

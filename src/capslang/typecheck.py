@@ -48,7 +48,9 @@ only once a second query starts, and an entry of the first query only once
 its term is asked about again, so a one-query Checker (`typecheck_program`)
 never pays for them.  Reuse keeps verdicts and results, not derivations: a
 judgment found under a projected key has its term, result and rule, but no
-context and no premises.
+context and no premises.  A variable or literal whose structural rule
+meets its goal needs neither: from the second query on it is judged at
+once, with no projection (see `Checker.check`).
 
 The root block of a reduct (the store) differs from the last one in a few
 declarations.  From the second query on, `check_block` keeps a root state
@@ -160,7 +162,7 @@ class _Failure:
         return IllTyped(self.message, self.span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Judgment:
     context: TypeContext
     expr: Expr
@@ -216,6 +218,9 @@ def _growth_strings(n: int, k: int):
         a[i + 1:] = [0] * (n - 1 - i)
 
 
+_LEAVES = (Var, IntLit)
+
+
 class _InProgress:
     pass
 
@@ -262,17 +267,38 @@ class Checker:
         filed under its key's projection (`_projection`) too, and a miss
         of the full key is looked up there.  Every term asked about must
         stay alive while the Checker is in use: entries are keyed by
-        id(e)."""
+        id(e).
+
+        From the second query on, a variable or literal (other than the
+        query's own term) whose structural rule meets the goal is judged
+        at once, with no memo probe and no projection: t-var reads only
+        the variable's gamma entry, group and restriction, so the
+        judgment is the one `_check` would return, for the one tick a
+        memo hit costs.  It gets no memo entry; no search can meet it in
+        progress, since its rule asks nothing further.  A leaf whose rule
+        fails, or misses the goal, is checked as any term.  The first
+        query never takes this path: it has no projections to save, and
+        a failing leaf would pay for its rule twice."""
         top = not self.ticks
         if top:
             self._start_query(ctx, e)
         self._tick()
-        key = (id(e), ctx, goal)
-        memo = self.memo
-        hit = memo.get(key)
         # a query's own term is one not asked about before (a reduct), so
         # it is neither looked up nor filed under its projection
         reuse = None if top else self._reuse
+        if reuse is not None and e.__class__ in _LEAVES:
+            # a leaf whose structural rule meets the goal has the judgment
+            # _check would find, whatever the memo holds: judge it at once
+            try:
+                j = self._structural(ctx, e, goal)
+            except IllTyped:
+                pass
+            else:
+                if goal is None or subtype(j.result, goal):
+                    return self._sub(j, goal)
+        key = (id(e), ctx, goal)
+        memo = self.memo
+        hit = memo.get(key)
         if hit is None and reuse is not None:
             for c, g, entry in self._pending.pop(key[0], ()):
                 reuse[(key[0], self._projection(c, e), g)] = _kept(entry)

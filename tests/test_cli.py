@@ -204,6 +204,46 @@ class TestDot:
         assert_diagnostic(err, "error: --at-step -1 is negative")
 
 
+class TestNegativeOptions:
+    """A negative count, budget, fuel or step is refused before any work,
+    with exit 2 and one line naming the option; zero keeps its meaning."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "{prog}", "--fuel", "-1"],
+            ["run", "{prog}", "--budget", "-1"],
+            ["check", "{prog}", "--budget", "-5"],
+            ["dot", "{prog}", "--fuel", "-2"],
+            ["fuzz", "--count", "-1"],
+            ["fuzz", "--size", "-3"],
+            ["fuzz", "--fuel", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        args = [a.format(prog=write(tmp_path, GOOD)) for a in args]
+        assert main(args) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_diagnostic(err, f"error: {args[-2]} {args[-1]} is negative")
+        assert [f.name for f in tmp_path.iterdir()] == ["prog.caps"]
+
+    def test_zero_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--count", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == "0 programs, 0 accepted, 0 failures\n"
+
+    def test_zero_budget(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, GOOD), "--budget", "0"]) == EXIT_RESOURCE
+        assert_diagnostic(capsys.readouterr().err, "search exhausted: ")
+
+    def test_zero_fuel(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, GOOD), "--fuel", "0"]) == EXIT_RESOURCE
+        assert_diagnostic(capsys.readouterr().err, "out of fuel after 0 steps")
+
+
 # A discarded statement reading a field the class lacks: the declared type of
 # its discard variable cannot be inferred.
 UNKNOWN_FIELD_STATEMENT = "class K { int n; } { mut K k = new K(0); k.g; k }\n"

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from capslang import metatheory
 from capslang.congruence import all_mut, wf_rightvalue, wf_store_decl
 from capslang.generator import GenConfig, gen_source
 from capslang.metatheory import (
@@ -21,7 +22,7 @@ from capslang.metatheory import (
     verify_trace,
 )
 from capslang.parser import parse_expr, pretty_print
-from capslang.reducer import ReductionTrace
+from capslang.reducer import ReductionError, ReductionTrace
 from capslang.syntax import (
     INT,
     Block,
@@ -38,10 +39,16 @@ from capslang.syntax import (
     is_objstate,
 )
 from capslang.typecheck import (
+    _IN_PROGRESS,
     Checker,
     IllTyped,
+    Judgment,
     SearchExhausted,
+    TypeCheckError,
     TypeContext,
+    _Failure,
+    _kept,
+    _span,
 )
 
 from conftest import CORPUS, reduce_source
@@ -630,7 +637,9 @@ class TestVerifyCost:
         # term; 8.9 and 12.2 when both spend only on the root diff; 7.4
         # and 10.1 since normalized values keep their nodes, so that a
         # copied value's declarations stay the same objects (at several
-        # positions of the root block)
+        # positions of the root block); 4.3 and 5.2 since a variable or
+        # literal whose structural rule meets its goal is judged without
+        # a projection
         work = 0
         project, canonical = Checker._projection, _StoreChecks.canonical_forms
 
@@ -657,4 +666,139 @@ class TestVerifyCost:
                 assert verify_trace(p.table, trace) == []
             per_term[size] = work / terms
         assert per_term[128] <= 1.5 * per_term[16], per_term
-        assert per_term[16] <= 7.6, per_term
+        assert per_term[16] <= 4.6, per_term
+
+
+# ---------------------------------------------------------------------------
+# Leaf premises judged without a projection
+# ---------------------------------------------------------------------------
+
+
+class ProbingChecker(Checker):
+    """Reference checker: `Checker.check` before leaf premises were judged
+    at once, so every variable and literal goes through the memo and, from
+    the second query on, is looked up under its projection."""
+
+    def check(self, ctx, e, goal):
+        top = not self.ticks
+        if top:
+            self._start_query(ctx, e)
+        self._tick()
+        key = (id(e), ctx, goal)
+        memo = self.memo
+        hit = memo.get(key)
+        reuse = None if top else self._reuse
+        if hit is None and reuse is not None:
+            for c, g, entry in self._pending.pop(key[0], ()):
+                reuse[(key[0], self._projection(c, e), g)] = _kept(entry)
+            pkey = (key[0], self._projection(ctx, e), goal)
+            hit = reuse.get(pkey)
+            if hit is not None:
+                memo[key] = hit
+        if hit is not None:
+            if hit.__class__ is Judgment:
+                return hit
+            if hit is _IN_PROGRESS:
+                self._cyclic += 1
+                raise IllTyped("cyclic search", _span(e))
+            if hit.tainted:
+                self._cyclic += 1
+            raise hit.error()
+        memo[key] = _IN_PROGRESS
+        cyclic = self._cyclic
+        try:
+            j = self._check(ctx, e, goal)
+        except IllTyped as err:
+            memo[key] = failure = _Failure(err, e, self._cyclic != cyclic)
+            if reuse is not None:
+                reuse[pkey] = _kept(failure)
+            raise
+        except BaseException:
+            del memo[key]
+            raise
+        self._cyclic = cyclic
+        memo[key] = j
+        if reuse is not None:
+            reuse[pkey] = _kept(j)
+        return j
+
+
+def queries(checker, trace):
+    """Every term of the trace asked of one checker, as
+    check_subject_reduction asks them: per query, the judgment or the
+    error's kind, message and span, and the ticks spent."""
+    empty = TypeContext.make({})
+    goal = None
+    out = []
+    for step, term in enumerate([trace.initial] + [t for _, t in trace.steps]):
+        checker.ticks = 0
+        try:
+            j = checker.check(empty, term, goal)
+        except TypeCheckError as err:
+            out.append(((err.kind, str(err), err.span), checker.ticks))
+            if step == 0:
+                break
+            continue
+        out.append((j, checker.ticks))
+        if step == 0:
+            goal = j.result
+    return out
+
+
+def agrees(j, ref):
+    """j derives what ref derives: the same term, result and rule at every
+    node, down to where ref holds a verdict reused from an earlier query
+    (no context, no premises), whose derivation is not kept.  Where the
+    reference reused a leaf's verdict, the checker judges the leaf again."""
+    if j.expr is not ref.expr or j.result is not ref.result or j.rule != ref.rule:
+        return False
+    if ref.context is None and not ref.premises:
+        return True
+    return len(j.premises) == len(ref.premises) and all(
+        map(agrees, j.premises, ref.premises)
+    )
+
+
+def assert_leaf_path_agrees(table, trace) -> int:
+    """Checker and ProbingChecker answer every query of the trace alike,
+    with the same ticks, and verify_trace reports the same with either;
+    returns how many fewer memo entries the Checker made."""
+    checker, ref = Checker(table), ProbingChecker(table)
+    got, want = queries(checker, trace), queries(ref, trace)
+    assert len(got) == len(want)
+    for step, ((j, ticks), (r, ref_ticks)) in enumerate(zip(got, want)):
+        assert ticks == ref_ticks, step
+        if isinstance(r, Judgment):
+            assert isinstance(j, Judgment) and agrees(j, r), step
+        else:
+            assert j == r, step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metatheory, "Checker", ProbingChecker)
+        expected = verify_trace(table, trace)
+    assert verify_trace(table, trace) == expected
+    return len(ref.memo) - len(checker.memo)
+
+
+class TestLeafPremises:
+    """From the second query on, a variable or literal whose structural
+    rule meets its goal is judged at once, with no memo probe and no
+    projection; every query must end as with the probing reference."""
+
+    @pytest.mark.parametrize(
+        "size, seeds, reject_rate",
+        [(8, 200, 0.0), (8, 200, 0.3), (16, 200, 0.0), (16, 200, 0.3), (64, 20, 0.0)],
+    )
+    def test_generated(self, size, seeds, reject_rate):
+        saved = 0
+        for seed in range(seeds):
+            src = gen_source(GenConfig(seed=seed, size=size, reject_rate=reject_rate))
+            try:
+                p, trace = reduce_source(src)
+            except ReductionError:
+                continue  # an ill-typed program that gets stuck
+            saved += assert_leaf_path_agrees(p.table, trace)
+        assert saved > 0
+
+    def test_doctored(self):
+        for table, trace in doctored_traces():
+            assert_leaf_path_agrees(table, trace)

@@ -2,7 +2,9 @@
 static well-formedness checks on programs and class tables."""
 
 import copy
+import dataclasses
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -19,6 +21,7 @@ from capslang.syntax import (
     FieldAccess,
     FieldAssign,
     IntLit,
+    IntType,
     MethodCall,
     New,
     Plus,
@@ -94,6 +97,94 @@ class TestSubtype:
         assert subtype(RefType(Q.MUT, "C"), RefType(Q.READ, "C"))
         assert not subtype(RefType(Q.MUT, "C"), RefType(Q.MUT, "D"))
         assert not subtype(RefType(Q.READ, "C"), RefType(Q.MUT, "C"))
+
+
+def corpus_types():
+    """Every type written in the corpus programs that parse: field types,
+    method signatures and declared types."""
+    out = []
+    for path in sorted(CORPUS.glob("*/*.caps")):
+        try:
+            p = parse(path.read_text())
+        except ParseError:
+            continue
+        terms = [p.main]
+        for cd in p.table.classes.values():
+            out.extend(t for t, _ in cd.fields)
+            for m in cd.methods.values():
+                out.append(m.ret)
+                out.extend(t for t, _ in m.params)
+                terms.append(m.body)
+        while terms:
+            e = terms.pop()
+            if isinstance(e, Block):
+                out.extend(d.dtype for d in e.decls if d.dtype is not None)
+            terms.extend(children(e))
+    return out
+
+
+# the types as they were before interning, for their str and repr
+RecordRefType = dataclasses.make_dataclass(
+    "RefType", [("qualifier", Qualifier), ("cname", str)], frozen=True,
+    namespace={"__str__": lambda t: f"{t.qualifier} {t.cname}"},
+)
+RecordIntType = dataclasses.make_dataclass(
+    "IntType", [], frozen=True, namespace={"__str__": lambda t: "int"}
+)
+
+
+def record(t):
+    if t is INT:
+        return RecordIntType()
+    return RecordRefType(t.qualifier, t.cname)
+
+
+class TestInternedTypes:
+    """A type is one object per value: equality and hashing are identity."""
+
+    def test_one_object_per_value(self):
+        for q, c in itertools.product(Q, ("C", "D")):
+            t = RefType(q, c)
+            assert RefType(q, c) is t
+            assert RefType(qualifier=q, cname=c) is t
+            assert (t.qualifier, t.cname) == (q, c)
+        assert IntType() is INT
+        assert len({RefType(q, c) for q in Q for c in ("C", "D")}) == 10
+
+    def test_copies_and_pickles_are_the_object(self):
+        for t in (INT, RefType(Q.MUT, "C"), RefType(Q.LENT, "D")):
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert copy.deepcopy([t, (t,)])[1][0] is t
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, protocol)) is t
+        d = Decl(RefType(Q.CAPSULE, "C"), "x", Var("y"))
+        assert pickle.loads(pickle.dumps(d)).dtype is d.dtype
+
+    def test_fields_cannot_be_set(self):
+        t = RefType(Q.MUT, "C")
+        with pytest.raises(AttributeError):
+            t.cname = "D"
+        with pytest.raises(AttributeError):
+            t.qualifier = Q.IMM
+        with pytest.raises(AttributeError):
+            del t.cname
+        with pytest.raises(AttributeError):
+            INT.cname = "C"
+        assert t is RefType(Q.MUT, "C") and str(t) == "mut C"
+
+    def test_hashing_calls_no_python_code(self):
+        t = RefType(Q.MUT, "C")
+        assert type(t).__hash__ is object.__hash__
+        assert type(t).__eq__ is object.__eq__
+        assert Qualifier.__hash__ is object.__hash__
+
+    def test_str_and_repr_unchanged_on_corpus_types(self):
+        types = corpus_types()
+        assert {type(t) for t in types} == {IntType, RefType}
+        for t in types:
+            assert str(t) == str(record(t))
+            assert repr(t) == repr(record(t))
 
 
 class TestFreeVarsSubstitute:
