@@ -6,11 +6,13 @@ dot (export the object store as Graphviz), fuzz (random differential testing
 with shrinking).
 
 Exit codes: 0 success; 1 type error, reduction error or metatheory
-violation; 2 parse or well-formedness error, a file that cannot be read, or
-a negative --fuel, --budget, --count, --size or --at-step; 3 resource
-exhaustion (search budget, fuel, or a program nested too deeply for the
-recursion limit).  The commands raise; `main` maps each exception to its
-exit code and one-line diagnostic.
+violation; 2 parse or well-formedness error, a file that cannot be read, a
+negative --fuel, --budget, --count, --size or --at-step, or an --at-step
+past the end of the trace; 3 resource exhaustion (search budget, fuel, or a
+program nested too deeply for the recursion limit), and a --verify-meta
+whose every violation is inconclusive (its search budget ran out).  The
+commands raise; `main` maps each exception to its exit code and one-line
+diagnostic.
 """
 
 from __future__ import annotations
@@ -89,8 +91,10 @@ def cmd_run(args) -> int:
         violations = verify_trace(sp.table, trace, budget=args.budget)
         for v in violations:
             print(v.to_json(), file=sys.stderr)
-        if violations:
+        if any(not v.message.startswith("inconclusive:") for v in violations):
             return EXIT_TYPE
+        if violations:
+            return EXIT_RESOURCE  # only searches that ran out of budget
     return EXIT_OK
 
 

@@ -16,9 +16,10 @@ declarations that are new, those that are gone, and the names whose
 declaration in scope is another object now.  A block may hold one Decl
 object at several positions (a field assignment copies its value, and the
 copies share their nodes); the diff lists such an object once, and the
-scope knows all its positions.  Subject reduction (`Checker.check_block`)
-and the store checks of `metatheory` spend only on that diff, and what
-they find for an object serves each of its positions.
+scope knows all its positions (`RootScope.at`).  Subject reduction
+(`Checker.check_block`) and the store checks of `metatheory` spend only on
+that diff, and subject reduction's judgment of an object serves each of
+its positions.
 """
 
 from __future__ import annotations
@@ -142,14 +143,12 @@ class TypeContext:
 
     def __init__(
         self,
-        gamma,  # a Gamma, or a tuple of (name, Type)
+        gamma: Gamma,
         groups: tuple = (),  # of frozenset
         restricted: frozenset = frozenset(),
         base: Optional["TypeContext"] = None,
         sorted_groups: Optional[tuple] = None,  # groups as sorted tuples
     ):
-        if not isinstance(gamma, Gamma):
-            gamma = Gamma(dict(gamma))
         self.gamma = gamma
         self.groups = groups
         self.restricted = restricted
@@ -326,6 +325,11 @@ class RootScope:
         more = self._more.get(i)
         return more if more is not None else (self.pos[i],)
 
+    def at(self, ids) -> list:
+        """Every position of the Decls with these ids that the block holds,
+        in block order."""
+        return sorted(k for i in ids if i in self.pos for k in self.positions(i))
+
     def advance(self, decls: tuple):
         """Move on to a block with these declarations.  Returns (new, gone,
         changed): the Decl objects that the last block did not hold, those
@@ -450,11 +454,7 @@ class RootState:
 
     def lent_decls(self) -> list:
         """The block's lent declarations in block order, one per position."""
-        return [self.scope.decls[k] for k in self._positions(self.lent)]
-
-    def _positions(self, ids) -> list:
-        """Every position of the Decls with these ids, in block order."""
-        return sorted(k for i in ids for k in self.scope.positions(i))
+        return [self.scope.decls[k] for k in self.scope.at(self.lent)]
 
     def _totals(self, ctx_body: TypeContext) -> tuple:
         return len(self.gamma.mut_or_read()), len(ctx_body.mutable_group())
@@ -472,7 +472,7 @@ class RootState:
         for k, (t0, t1) in enumerate(zip(self.totals, self._totals(ctx_body))):
             if t0 != t1:
                 out.update(self._counted.get((k, min(t0, t1)), ()))
-        return self._positions(out)
+        return self.scope.at(out)
 
     def keep(self, ctx_body: TypeContext, decls: tuple, fresh: dict) -> None:
         """Record the judgments of the premises checked afresh (index ->

@@ -30,8 +30,9 @@ names now find another declaration) and spend only on that diff.
   of each term (`_StoreChecks`).  A root declaration is handed to them,
   with the declarations nested in its initializer, only when it is new,
   when a name its checks looked up finds another declaration now, or when
-  it reported a violation at the previous step; what they compute of one
-  declaration is kept per Decl object with the declarations it looked up.
+  it reported a violation at the previous step; a handed declaration is
+  checked afresh, so the diff is all they remember of the last term.  A
+  term that is not a block is a root block with no declarations.
 """
 
 from __future__ import annotations
@@ -393,27 +394,18 @@ class _StoreChecks:
     declaration by declaration over one walk of each trace term.
 
     Facts of a declaration alone (is it well-formed store, does its
-    initializer hold a block) are kept on the node (`syntax.node_cached`).
-    What these checks compute of one evaluated declaration in its scope
-    (the clauses it breaks, `_imm_closed`, its settled snapshot) depends
-    only on the Decl object and on the declarations it looks up there.
-    Each such result is kept per Decl object together with the
-    declarations it looked up, and reused while each of those names still
-    finds the same Decl.  The reducer shares unchanged declarations between
-    consecutive terms, so `run` hands the checks only the root declarations
-    the diff of two terms touches.  A root block may hold one Decl at
-    several positions; it is handed at each of them, as a walk of the term
-    hands it, and the entry computed at the first serves the others.  An
-    entry holds its Decl, so no id is reused while the entry lives.
+    initializer hold a block) are kept on the node (`syntax.node_cached`);
+    what the checks compute of a declaration in its scope is computed
+    afresh each time it is handed.  The only memory across terms is the
+    root diff: the reducer shares unchanged declarations between
+    consecutive terms, so `run` hands the checks only the root
+    declarations the diff of two terms touches, and the first settled
+    snapshot of each imm binder.
     """
 
     def __init__(self, table: ClassTable):
         self._shape_errors = functools.partial(_shape_errors, table)
-        self._shapes: dict = {}  # id(d) -> (d, lookups, result), as in _kept
-        self._closed: dict = {}
-        self._snapshots: dict = {}
         self._first_seen: dict = {}  # imm binder -> (step, snapshot)
-        self._read: Optional[set] = None  # see _kept
 
     def run(self, trace: ReductionTrace, *checks) -> tuple:
         """Give the evaluated declarations of every trace term, in order, to
@@ -428,8 +420,8 @@ class _StoreChecks:
         another declaration now, and those that reported a violation at the
         previous step, which are reported again at every step; every other
         one would report nothing again.  Each is handed at every position
-        the block holds it.  A term that is not a block is walked in
-        full."""
+        the block holds it.  A term that is not a block is a root block
+        with no declarations whose body is the term."""
         outs = tuple([] for _ in checks)
         scope = RootScope()
         # name -> ids of the root declarations whose checks looked it up
@@ -437,49 +429,46 @@ class _StoreChecks:
         readers: dict = {}
         reported: set = set()  # ids of the root declarations that reported
         for step, term in _trace_terms(trace):
-            if not isinstance(term, Block):
-                scope = RootScope()
-                readers.clear()
-                reported.clear()
-                stored: list = []
-                self._stored_decls(term, {}, stored)
-                self._hand(step, term, stored, checks, outs)
-                continue
-            new, _, changed = scope.advance(term.decls)
+            decls, body = (
+                (term.decls, term.body) if isinstance(term, Block) else ((), term)
+            )
+            new, _, changed = scope.advance(decls)
             todo = set(map(id, new)) | reported
             for x in changed:
                 todo.update(readers.get(x, ()))
             reported = set()
-            env, pos = scope.env, scope.pos
-            for k in sorted(j for i in todo if i in pos for j in scope.positions(i)):
-                d = term.decls[k]
+            env = scope.env
+            for k in scope.at(todo):
+                d = decls[k]
                 stored = []
                 if is_stored(d) or is_evaluated(d):
                     stored.append((d, env))
                 if _has_block(d.init):
                     self._stored_decls(d.init, env, stored)
-                self._read = set()
-                if self._hand(step, term, stored, checks, outs):
+                read: set = set()
+                if self._hand(step, term, stored, checks, outs, read):
                     reported.add(id(d))
-                for x in self._read:
+                for x in read:
                     readers.setdefault(x, set()).add(id(d))
-            self._read = None
-            if _has_block(term.body):
+            if _has_block(body):
                 stored = []
-                self._stored_decls(term.body, env, stored)
-                self._hand(step, term, stored, checks, outs)
+                self._stored_decls(body, env, stored)
+                self._hand(step, term, stored, checks, outs, set())
         return outs
 
     @staticmethod
-    def _hand(step, term, stored: list, checks, outs) -> bool:
-        """Give each (declaration, scope) of stored to each check; whether
-        one reported a violation."""
-        if not stored:
-            return False
+    def _hand(step, term, stored: list, checks, outs, read: set) -> bool:
+        """Give each (declaration, scope) of stored to each check, with a
+        lookup that adds the names it is asked for to read; whether one
+        reported a violation."""
         before = sum(map(len, outs))
         for d, env in stored:
+            def lookup(x, env=env):
+                read.add(x)
+                return env.get(x)
+
             for check, out in zip(checks, outs):
-                check(step, term, d, env, out)
+                check(step, term, d, lookup, out)
         return sum(map(len, outs)) != before
 
     def _stored_decls(self, e: Expr, env: dict, out: list) -> None:
@@ -502,46 +491,20 @@ class _StoreChecks:
         for c in children(e):
             self._stored_decls(c, env, out)
 
-    def _kept(self, cache: dict, fn, d: Decl, env: dict):
-        """fn(d, lookup), reused while every name it looked up finds the
-        same declaration in env.  The names it looks up go to `_read` when
-        that is a set."""
-        read = self._read
-        hit = cache.get(id(d))
-        if hit is not None:
-            for x, dx in hit[1]:
-                if env.get(x) is not dx:
-                    break
-            else:
-                if read is not None:
-                    read.update(x for x, _ in hit[1])
-                return hit[2]
-        seen: dict = {}
-
-        def lookup(x):
-            dx = seen[x] = env.get(x)
-            return dx
-
-        out = fn(d, lookup)
-        cache[id(d)] = (d, tuple(seen.items()), out)
-        if read is not None:
-            read.update(seen)
-        return out
-
-    def canonical_forms(self, step, term, d, env, out) -> None:
-        for msg in self._kept(self._shapes, self._shape_errors, d, env):
+    def canonical_forms(self, step, term, d, lookup, out) -> None:
+        for msg in self._shape_errors(d, lookup):
             out.append(
                 MetaViolation("canonical-forms", step, d.name, msg, pretty_print(term))
             )
 
-    def capsule(self, step, term, d, env, out) -> None:
+    def capsule(self, step, term, d, lookup, out) -> None:
         if not (
             isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.CAPSULE
         ):
             return
         if isinstance(d.init, Var):
             return  # alias, eliminated before the capsule is consumed
-        offender = self._kept(self._closed, _imm_closed, d, env)
+        offender = _imm_closed(d, lookup)
         if offender is not None:
             out.append(
                 MetaViolation(
@@ -551,12 +514,12 @@ class _StoreChecks:
                 )
             )
 
-    def immutable(self, step, term, d, env, out) -> None:
+    def immutable(self, step, term, d, lookup, out) -> None:
         if not (isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM):
             return
         if not is_stored(d):
             return  # not settled yet (alias/move still pending)
-        offender = self._kept(self._closed, _imm_closed, d, env)
+        offender = _imm_closed(d, lookup)
         if offender is not None:
             out.append(
                 MetaViolation(
@@ -565,7 +528,7 @@ class _StoreChecks:
                     pretty_print(term),
                 )
             )
-        key = self._kept(self._snapshots, _settled_snapshot, d, env)
+        key = _settled_snapshot(d, lookup)
         if key is None:
             # the graph is not settled yet: compare only from the first
             # settled step

@@ -77,7 +77,6 @@ from .syntax import (
     RefType,
     StaticCall,
     Var,
-    children,
     free_vars,
     is_evaluated,
     is_objstate,
@@ -141,14 +140,6 @@ class NonWfDecl:
 class Decomposition:
     frames: list  # outermost first; hole in frames[-1].active.init
     redex: object  # FieldAccess|MethodCall|StaticCall|FieldAssign|Plus|NonWfDecl
-
-
-def is_simplified(e: Expr) -> bool:
-    """Every compound subterm is a value, except declaration right-hand
-    sides; block bodies are values."""
-    if isinstance(e, Block):
-        return is_value(e.body) and all(is_simplified(d.init) for d in e.decls)
-    return all(is_value(c) and is_simplified(c) for c in children(e))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from capslang.reducer import (
     Reducer,
     decompose,
     field_of,
-    is_simplified,
     plug,
 )
 from capslang.syntax import (
@@ -55,7 +54,7 @@ from capslang.typecheck import (
 )
 
 from conftest import reduce_source
-from test_reducer import alpha_equiv
+from test_reducer import alpha_equiv, is_simplified
 
 # ---------------------------------------------------------------------------
 # Criterion 1: typing verdicts

@@ -18,6 +18,7 @@ from capslang.cli import (
     main,
 )
 from capslang.generator import GenConfig, gen_source
+from capslang.metatheory import MetaViolation
 from capslang.typecheck import TypeCheckError, typecheck_program
 
 from conftest import CORPUS, ROOT
@@ -126,6 +127,29 @@ class TestRun:
     def test_verify_meta_clean(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, GOOD), "--verify-meta"]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "budget, code, found", [(100, EXIT_RESOURCE, 5), (200, EXIT_OK, 0)]
+    )
+    def test_verify_meta_inconclusive(self, capsys, budget, code, found):
+        # at budget 100, subject reduction runs out of budget at steps 10-14
+        # and finds no violation: resource exhaustion, not a counterexample
+        path = str(CORPUS / "accept" / "nested_mix_clone.caps")
+        args = ["run", path, "--verify-meta", "--budget", str(budget)]
+        assert main(args) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == found
+        assert all('"inconclusive: search budget of 100' in x for x in lines)
+
+    def test_verify_meta_conclusive_wins(self, tmp_path, capsys, monkeypatch):
+        # one conclusive violation among inconclusive ones is a violation
+        found = [
+            MetaViolation("subject-reduction", 1, None, "inconclusive: budget", "t"),
+            MetaViolation("canonical-forms", 1, "y", "wrong class", "t"),
+        ]
+        monkeypatch.setattr(cli, "verify_trace", lambda *a, **k: found)
+        assert main(["run", write(tmp_path, GOOD), "--verify-meta"]) == EXIT_TYPE
+        assert len(capsys.readouterr().err.splitlines()) == 2
 
     def test_out_of_fuel(self, tmp_path, capsys):
         src = """

@@ -17,6 +17,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capslang.context import Gamma
 from capslang.generator import GenConfig, gen_source
 from capslang.syntax import (
     Block, IntLit, Qualifier, RefType, children, free_vars, stored_type,
@@ -99,7 +100,7 @@ class UnprunedChecker(Checker):
         first = None
         candidates = self._group_candidates(block, lent_locals, base_groups, mut_locals)
         for groups in candidates:
-            ctx_body = TypeContext(gamma_items, groups, restricted)
+            ctx_body = TypeContext(Gamma(dict(gamma_items)), groups, restricted)
             if not wf_context(ctx_body):
                 continue
             try:

@@ -399,7 +399,9 @@ def doctored_traces():
     traces whose steps keep a declaration object while a declaration it
     reads changes, or hide a bad declaration in an unevaluated one, or keep
     a root declaration object whose context changes at the second reduct,
-    where subject reduction would keep its premise's judgment."""
+    where subject reduction would keep its premise's judgment, or put a term
+    that is not a block between two blocks, or retype a name that only a
+    declaration nested in a root declaration reads."""
     p, tr = reduce_source(CLS + "mut D y = new D(0);\ny")
     for bogus in (
         "{mut D y = new D(0); mut D w = y.f; w}",
@@ -489,6 +491,19 @@ def doctored_traces():
             for decls in ((u, x, w, x), (u, w, x), (x, u, x, w))
         ),
     )
+    # a term that is not a block between two copies of one block: the
+    # block's violation is reported at steps 0 and 2
+    yield p.table, ReductionTrace(
+        bad, [("bogus", parse_expr("new D(0)")), ("bogus", bad)], 2, True
+    )
+    # only w, nested in the transient y, reads u: when u is retyped, both
+    # of w's fields break canonical forms at step 1
+    first = parse_expr(
+        "{mut D u = new D(0); mut C y = {mut C w = new C(u, u); w}; y}"
+    )
+    (u,) = parse_expr("{mut C u = new C(v, v); u}").decls
+    step = Block((u,) + first.decls[1:], first.body)  # shares y's Decl
+    yield p.table, ReductionTrace(first, [("bogus", step)], 1, True)
 
 
 class TestAgainstOracle:

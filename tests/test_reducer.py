@@ -19,7 +19,6 @@ from capslang.reducer import (
     StuckTerm,
     decompose,
     field_of,
-    is_simplified,
     plug,
 )
 from capslang.syntax import (
@@ -51,6 +50,14 @@ def alpha_equiv(e1, e2) -> bool:
     """e1 and e2 are equal up to alpha-conversion and the reordering of
     evaluated declarations: their `canonical` forms are equal."""
     return canonical(e1) == canonical(e2)
+
+
+def is_simplified(e) -> bool:
+    """Every compound subterm is a value, except declaration right-hand
+    sides; block bodies are values."""
+    if isinstance(e, Block):
+        return is_value(e.body) and all(is_simplified(d.init) for d in e.decls)
+    return all(is_value(c) and is_simplified(c) for c in syntax.children(e))
 
 
 def rules(trace):
