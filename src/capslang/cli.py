@@ -56,7 +56,9 @@ def _load(text: str):
     p = resolve_implicit_types(parse(text))
     issues = validate_wellformedness(p) + validate_classtable(p.table)
     if issues:
-        raise ParseError("; ".join(str(v) for v in issues), 0, 0)
+        # at the first violation's span; class-table violations and capsule
+        # parameters have none
+        raise ParseError("; ".join(str(v) for v in issues), *(issues[0].span or ()))
     return p
 
 

@@ -16,10 +16,12 @@ declarations that are new, those that are gone, and the names whose
 declaration in scope is another object now.  A block may hold one Decl
 object at several positions (a field assignment copies its value, and the
 copies share their nodes); the diff lists such an object once, and the
-scope knows all its positions (`RootScope.at`).  Subject reduction
-(`Checker.check_block`) and the store checks of `metatheory` spend only on
-that diff, and subject reduction's judgment of an object serves each of
-its positions.
+scope knows all its positions (`RootScope.at`).  `metatheory.verify_trace`
+moves one scope on once per trace term, and both subject reduction and the
+store checks spend only on that diff.  A `RootState` is what subject
+reduction (`Checker.check_block`) keeps of the root block on that shared
+scope: the block's gamma, moved on by every diff, and the judgments of its
+premises, so that one judgment of an object serves each of its positions.
 """
 
 from __future__ import annotations
@@ -310,14 +312,12 @@ class RootScope:
     holds the block's Decl objects, so no id it keeps is reused while it
     lives."""
 
-    __slots__ = ("decls", "pos", "env", "_named", "_shared", "_more")
+    __slots__ = ("decls", "pos", "env", "_more")
 
     def __init__(self):
         self.decls: tuple = ()
         self.pos: dict = {}
         self.env: dict = {}
-        self._named: dict = {}  # name -> the block's Decls of that name
-        self._shared: set = set()  # names of more than one Decl object
         self._more: dict = {}  # id(d) -> its positions, for d held twice or more
 
     def positions(self, i: int) -> tuple:
@@ -329,6 +329,11 @@ class RootScope:
         """Every position of the Decls with these ids that the block holds,
         in block order."""
         return sorted(k for i in ids if i in self.pos for k in self.positions(i))
+
+    def held(self, ids) -> list:
+        """The Decls with these ids at every position the block holds them,
+        in block order."""
+        return [self.decls[k] for k in self.at(ids)]
 
     def advance(self, decls: tuple):
         """Move on to a block with these declarations.  Returns (new, gone,
@@ -342,36 +347,13 @@ class RootScope:
             for k, d in enumerate(decls):
                 more.setdefault(id(d), []).append(k)
             more = {i: tuple(ks) for i, ks in more.items() if len(ks) > 1}
-        old, named = self.pos, self._named
-        new = [decls[k] for i, k in pos.items() if i not in old]
-        gone = [self.decls[k] for i, k in old.items() if i not in pos]
-        touched = set(self._shared)  # the last of a shared name may move
-        for d in gone:
-            rest = [o for o in named[d.name] if o is not d]
-            if rest:
-                named[d.name] = rest
-            else:
-                del named[d.name]
-            touched.add(d.name)
-        for d in new:
-            named.setdefault(d.name, []).append(d)
-            touched.add(d.name)
-        env, changed = self.env, set()
-        for x in touched:
-            held = named.get(x, ())
-            if len(held) > 1:
-                self._shared.add(x)
-                last = max(held, key=lambda o: pos[id(o)])
-            else:
-                self._shared.discard(x)
-                last = held[0] if held else None
-            if env.get(x) is not last:
-                changed.add(x)
-                if last is None:
-                    del env[x]
-                else:
-                    env[x] = last
-        self.decls, self.pos, self._more = decls, pos, more
+        env = {d.name: d for d in decls}
+        old_pos, old_env = self.pos, self.env
+        new = [decls[k] for i, k in pos.items() if i not in old_pos]
+        gone = [self.decls[k] for i, k in old_pos.items() if i not in pos]
+        changed = {x for x, d in env.items() if old_env.get(x) is not d}
+        changed.update(old_env.keys() - env.keys())
+        self.decls, self.pos, self.env, self._more = decls, pos, env, more
         return new, gone, changed
 
 
@@ -384,10 +366,11 @@ def _may_consume(d: Decl) -> bool:
 
 
 class RootState:
-    """What `typecheck.Checker.check_block` keeps of the block a query asks
-    about for the next query: the query's context, the block's scope, gamma
-    and lent declarations, and the groups, restricted set and name totals of
-    its last derivation with the judgments of its premises.
+    """What `typecheck.Checker.check_block` keeps of the root block of
+    consecutive queries: the queries' context, the root scope they share
+    with their caller, the block, its gamma, lent and untyped declarations,
+    and the groups, restricted set and name totals of its last derivation
+    with the judgments of its premises.
 
     A premise's record keeps its judgment with the names its initializer
     mentions and its own name, and how many of those are mut or read in
@@ -398,49 +381,59 @@ class RootState:
     when the total moves and the lower one is the count.  Records are
     indexed by name and by count, so a move finds the premises to check
     again from its diff alone.  Grouped declarations and those that may
-    consume a sibling get no record: they are checked every time.
+    consume a sibling get no record: they are checked every time.  The
+    records are dropped when a move follows a block whose derivation they
+    do not hold (its query failed, or none was asked with this state): a
+    premise may read a name that moved before.
 
     Records and judgments are kept per Decl object.  A premise reads only
     its Decl, its name's group and the name's type in gamma, so one Decl
     at several positions of the block has one premise at all of them:
-    `to_check` gives every position of a Decl to check, and `lent_decls`
-    every position of a lent one, as a walk over the block would."""
+    `to_check` gives every position of a Decl to check, and `lent` and
+    `untyped` give every position of theirs (`RootScope.held`), as a walk
+    over the block would."""
 
-    __slots__ = ("ctx", "scope", "gamma", "changed", "lent", "groups", "restricted",
-                 "totals", "judgments", "_records", "_readers", "_counted",
-                 "_unrecorded")
+    __slots__ = ("ctx", "scope", "block", "gamma", "changed", "lent", "untyped",
+                 "groups", "restricted", "totals", "judgments", "_records",
+                 "_readers", "_counted", "_unrecorded", "_kept")
 
-    def __init__(self, ctx: TypeContext):
+    def __init__(self, ctx: TypeContext, scope: RootScope):
         self.ctx = ctx
-        self.scope = RootScope()
+        self.scope = scope
+        self.block = None
         self.gamma = ctx.gamma
         self.changed: dict = {}  # name -> its new type, or None, in the last move
         self.lent: dict = {}  # id(d) -> d, the block's lent declarations
+        self.untyped: dict = {}  # id(d) -> d, those that lack a type
         self.groups = self.restricted = self.totals = None
         self.judgments: dict = {}  # id(d) -> the judgment of d's premise
         self._records: dict = {}  # id(d) -> (its names, its two counts)
         self._readers: dict = {}  # name -> ids of the records naming it
         self._counted: dict = {}  # (0 or 1, count) -> ids of the records
         self._unrecorded: set = set()  # ids of the block's other declarations
+        self._kept = False  # the records hold the block's derivation
 
-    def advance(self, block) -> list:
-        """Move on to block: its gamma is the last one updated from the diff
-        of the two blocks.  Returns the new declarations that lack a type,
-        in block order."""
-        scope = self.scope
-        new, gone, names = scope.advance(block.decls)
+    def advance(self, block, new, gone, names) -> None:
+        """Move on to block, whose root the scope has just moved on to with
+        the diff (new, gone, names) of `RootScope.advance`: its gamma is the
+        last one updated from the diff."""
+        if not self._kept:
+            self._drop()
+        self._kept = False
+        self.block = block
         for d in gone:
-            self._forget(id(d))
-            self._unrecorded.discard(id(d))
-            self.lent.pop(id(d), None)
-        untyped = [d for d in new if d.dtype is None]
-        if untyped:
-            return sorted(untyped, key=lambda d: scope.positions(id(d))[0])
+            k = id(d)
+            self._forget(k)
+            self._unrecorded.discard(k)
+            self.lent.pop(k, None)
+            self.untyped.pop(k, None)
         for d in new:
             self._unrecorded.add(id(d))
-            if _qualifier(d.dtype) is Qualifier.LENT:
+            if d.dtype is None:
+                self.untyped[id(d)] = d
+            elif _qualifier(d.dtype) is Qualifier.LENT:
                 self.lent[id(d)] = d
-        env, outer, last = scope.env, self.ctx.env, self.gamma.env
+        env, outer, last = self.scope.env, self.ctx.env, self.gamma.env
         changes = {}
         for x in names:
             d = env.get(x)
@@ -450,11 +443,6 @@ class RootState:
         if changes:
             self.gamma = self.gamma.updated(changes)
         self.changed = changes
-        return []
-
-    def lent_decls(self) -> list:
-        """The block's lent declarations in block order, one per position."""
-        return [self.scope.decls[k] for k in self.scope.at(self.lent)]
 
     def _totals(self, ctx_body: TypeContext) -> tuple:
         return len(self.gamma.mut_or_read()), len(ctx_body.mutable_group())
@@ -479,9 +467,9 @@ class RootState:
         judgment) under ctx_body, the context of the block's derivation;
         the other records were kept under it."""
         if self.groups != ctx_body.groups or self.restricted != ctx_body.restricted:
-            for k in list(self._records):
-                self._forget(k)
+            self._drop()
             self.groups, self.restricted = ctx_body.groups, ctx_body.restricted
+        self._kept = True
         self.totals = self._totals(ctx_body)
         mutreads, mg = self.gamma.mut_or_read(), ctx_body.mutable_group()
         for i, j in fresh.items():
@@ -501,6 +489,11 @@ class RootState:
                 self._readers.setdefault(x, set()).add(k)
             for key in enumerate(counts):
                 self._counted.setdefault(key, set()).add(k)
+
+    def _drop(self) -> None:
+        for k in list(self._records):
+            self._forget(k)
+        self.groups = self.restricted = None
 
     def _forget(self, k: int) -> None:
         record = self._records.pop(k, None)

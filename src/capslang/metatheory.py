@@ -17,22 +17,26 @@ Violations serialize to JSON lines for machine consumption.
 
 The checks are incremental along a trace; each reduct shares most of its
 subterms and store declarations with the term before it.  The store is the
-root block, and a step rewrites a few of its declarations: both halves of
-`verify_trace` compare each reduct's root block with the last one by Decl
-identity (`context.RootScope`: which declarations are new or gone, which
-names now find another declaration) and spend only on that diff.
+root block, and a step rewrites a few of its declarations.  `verify_trace`
+walks the trace once (`_walk`): it compares each term's root block with the
+last one's once, by Decl identity (`context.RootScope`: which declarations
+are new or gone, which names now find another declaration), and gives the
+term with that diff to each check, which spends only on the diff.
 
 * Subject reduction uses one `Checker` for the whole trace, so a reduct's
-  subterms find the verdicts earlier terms computed, and a root premise
-  whose Decl and projected context are the last ones keeps its judgment
-  with no projection and no memo probe (see the `typecheck` module).
-* Canonical forms, capsule encapsulation and immutability share one walk
-  of each term (`_StoreChecks`).  A root declaration is handed to them,
+  subterms find the verdicts earlier terms computed.  Its root state
+  (`context.RootState`) is moved on by every diff, and a root premise whose
+  Decl and projected context are the last ones keeps its judgment with no
+  projection and no memo probe (see the `typecheck` module).
+* Canonical forms, capsule encapsulation and immutability are checked
+  together (`_StoreChecks`).  A root declaration is handed to them,
   with the declarations nested in its initializer, only when it is new,
   when a name its checks looked up finds another declaration now, or when
   it reported a violation at the previous step; a handed declaration is
   checked afresh, so the diff is all they remember of the last term.  A
   term that is not a block is a root block with no declarations.
+
+Each `check_*` function is the same walk with its one check.
 """
 
 from __future__ import annotations
@@ -64,13 +68,8 @@ from .syntax import (
     is_value,
     node_cached,
 )
-from .context import RootScope
-from .typecheck import (
-    Checker,
-    IllTyped,
-    SearchExhausted,
-    TypeContext,
-)
+from .context import RootScope, RootState
+from .typecheck import Checker, SearchExhausted, TypeCheckError, TypeContext
 
 
 @dataclass
@@ -80,6 +79,10 @@ class MetaViolation:
     binder: Optional[str]
     message: str
     term: str  # pretty-printed offending term
+
+    @classmethod
+    def at(cls, theorem: str, step: int, binder, message: str, term: Expr):
+        return cls(theorem, step, binder, message, pretty_print(term))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -91,13 +94,6 @@ class MetaViolation:
                 "term": self.term,
             }
         )
-
-
-def _trace_terms(trace: ReductionTrace):
-    """(step number, term) for the initial term and every reduct."""
-    yield 0, trace.initial
-    for i, (_, term) in enumerate(trace.steps):
-        yield i + 1, term
 
 
 def _decl_type(lookup, x: str) -> Optional[Type]:
@@ -153,54 +149,48 @@ def _has_open(key) -> bool:
 def check_subject_reduction(
     table: ClassTable, trace: ReductionTrace, budget: Optional[int] = None
 ) -> list:
-    """Re-typecheck every term of the trace against the type of the initial
-    term, with one Checker for the whole trace: each reduct is a query of
-    its own, with the whole budget.  The trace keeps every term alive, as
-    the Checker's id-keyed memo needs.  A SearchExhausted outcome is
-    reported distinctly (inconclusive, not a counterexample)."""
-    out: list = []
-    checker = Checker(table, budget)
-    empty = TypeContext.make({})
-    try:
-        j0 = checker.infer(empty, trace.initial)
-    except SearchExhausted as e:
-        return [
-            MetaViolation(
-                "subject-reduction", 0, None,
-                f"inconclusive: {e}", pretty_print(trace.initial),
-            )
-        ]
-    except IllTyped as e:
-        return [
-            MetaViolation(
-                "subject-reduction", 0, None,
-                f"initial term does not typecheck: {e}",
-                pretty_print(trace.initial),
-            )
-        ]
-    goal = j0.result
-    for step, term in _trace_terms(trace):
+    """Every term of the trace must typecheck at the type of the initial
+    term (see `_SubjectReduction`)."""
+    return _walk(trace, _SubjectReduction(table, budget))
+
+
+class _SubjectReduction:
+    """Subject reduction, one term at a time: each term is a query of its
+    own, with the whole budget, of one Checker for the whole trace, so a
+    reduct's subterms find the verdicts earlier terms computed.  The trace
+    keeps every term alive, as the Checker's id-keyed memo needs.  The root
+    state (`context.RootState`) is built on the walk's scope and moved on
+    by each diff, and the query of each reduct gets it.  A SearchExhausted
+    outcome is reported distinctly (inconclusive, not a counterexample);
+    after a failed initial term nothing more is checked."""
+
+    def __init__(self, table: ClassTable, budget: Optional[int]):
+        self.checker = Checker(table, budget)
+        self.ctx = TypeContext.make({})
+        self.root = self.goal = None
+        self.outs = ([],)
+
+    def __call__(self, step: int, term: Expr, scope: RootScope, diff) -> None:
         if step == 0:
-            continue
-        checker.ticks = 0  # a new query, with the whole budget
+            self.root = RootState(self.ctx, scope)
+        elif self.goal is None:
+            return  # the initial term did not typecheck
+        self.root.advance(term, *diff)
         try:
-            checker.check(empty, term, goal)
-        except IllTyped as e:
-            out.append(
-                MetaViolation(
-                    "subject-reduction", step, None,
-                    f"reduct no longer typechecks at {goal}: {e}",
-                    pretty_print(term),
-                )
+            if step == 0:
+                self.goal = self.checker.query(self.ctx, term, None).result
+            else:
+                self.checker.query(self.ctx, term, self.goal, self.root)
+        except TypeCheckError as e:
+            if isinstance(e, SearchExhausted):
+                what = "inconclusive"
+            elif step == 0:
+                what = "initial term does not typecheck"
+            else:
+                what = f"reduct no longer typechecks at {self.goal}"
+            self.outs[0].append(
+                MetaViolation.at("subject-reduction", step, None, f"{what}: {e}", term)
             )
-        except SearchExhausted as e:
-            out.append(
-                MetaViolation(
-                    "subject-reduction", step, None,
-                    f"inconclusive: {e}", pretty_print(term),
-                )
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +202,35 @@ def check_progress(table: ClassTable, trace: ReductionTrace) -> list:
     """A completed trace proves progress by construction; this validates the
     terminal term: it must be a value whose declarations are all well-formed
     store.  (A StuckTerm raised during reduction is reported by the caller.)"""
-    out: list = []
-    if not trace.done:
-        return out
-    term = trace.final
-    step = len(trace.steps)
-    if isinstance(term, Block):
-        for d in term.decls:
-            if not is_stored(d):
-                out.append(
-                    MetaViolation(
+    return _walk(trace, _Progress(trace))
+
+
+class _Progress:
+    """Progress, at the terminal term of a completed trace."""
+
+    def __init__(self, trace: ReductionTrace):
+        self.last = len(trace.steps) if trace.done else None
+        self.outs = ([],)
+
+    def __call__(self, step: int, term: Expr, scope: RootScope, diff) -> None:
+        if step != self.last:
+            return
+        out = self.outs[0]
+        if isinstance(term, Block):
+            for d in term.decls:
+                if not is_stored(d):
+                    out.append(MetaViolation.at(
                         "progress", step, d.name,
-                        "terminal store declaration is not well-formed",
-                        pretty_print(term),
-                    )
-                )
-        if not is_value(term.body):
-            out.append(
-                MetaViolation(
-                    "progress", step, None,
-                    "terminal block body is not a value", pretty_print(term),
-                )
-            )
-    elif not is_value(term):
-        out.append(
-            MetaViolation(
-                "progress", step, None,
-                "terminal term is not a value", pretty_print(term),
-            )
-        )
-    return out
+                        "terminal store declaration is not well-formed", term,
+                    ))
+            if not is_value(term.body):
+                out.append(MetaViolation.at(
+                    "progress", step, None, "terminal block body is not a value", term
+                ))
+        elif not is_value(term):
+            out.append(MetaViolation.at(
+                "progress", step, None, "terminal term is not a value", term
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +256,10 @@ def _rv_class(rv: Expr, lookup) -> Optional[str]:
 
 def check_canonical_forms(table: ClassTable, trace: ReductionTrace) -> list:
     """The canonical-forms violations of the trace: `verify_trace` runs this
-    check in one walk with the other two store checks, and the traced run
-    of `perfbench/pipeline.py` runs each of the five checks on its own to
-    time it."""
-    checks = _StoreChecks(table)
-    return checks.run(trace, checks.canonical_forms)[0]
+    check in one walk with the other four, and the traced run of
+    `perfbench/pipeline.py` runs each of the five checks on its own to time
+    it."""
+    return _walk(trace, _StoreChecks(table, "canonical_forms"))
 
 
 def _shape_errors(table: ClassTable, d: Decl, lookup) -> tuple:
@@ -376,8 +364,7 @@ def check_capsule_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     just before it is consumed), it must be closed except for imm references.
     Run on its own by the traced run of `perfbench/pipeline.py`, as
     `check_canonical_forms` is."""
-    checks = _StoreChecks(table)
-    return checks.run(trace, checks.capsule)[0]
+    return _walk(trace, _StoreChecks(table, "capsule"))
 
 
 def check_immutable_theorem(table: ClassTable, trace: ReductionTrace) -> list:
@@ -385,91 +372,82 @@ def check_immutable_theorem(table: ClassTable, trace: ReductionTrace) -> list:
     reachable from it never changes for the rest of the trace, and the
     right-value is closed except for imm references.  Run on its own by the
     traced run of `perfbench/pipeline.py`, as `check_canonical_forms` is."""
-    checks = _StoreChecks(table)
-    return checks.run(trace, checks.immutable)[0]
+    return _walk(trace, _StoreChecks(table, "immutable"))
 
 
 class _StoreChecks:
-    """Canonical forms, capsule encapsulation and immutability, checked
-    declaration by declaration over one walk of each trace term.
+    """Canonical forms, capsule encapsulation and immutability (the checks
+    named), declaration by declaration, one term at a time.
 
     Facts of a declaration alone (is it well-formed store, does its
     initializer hold a block) are kept on the node (`syntax.node_cached`);
     what the checks compute of a declaration in its scope is computed
     afresh each time it is handed.  The only memory across terms is the
     root diff: the reducer shares unchanged declarations between
-    consecutive terms, so `run` hands the checks only the root
-    declarations the diff of two terms touches, and the first settled
-    snapshot of each imm binder.
+    consecutive terms, so the checks get only the root declarations the
+    diff of two terms touches, and the first settled snapshot of each imm
+    binder.
+
+    A declaration of a root block is handed to the checks together with
+    the evaluated declarations nested in its initializer (they are walked
+    as `_stored_decls` walks them), and all of them read only the
+    declaration's object and the names they look up.  So from one root
+    block to the next the checks get only the root declarations that are
+    new, those with a looked-up name that finds another declaration now,
+    and those that reported a violation at the previous step, which are
+    reported again at every step; every other one would report nothing
+    again.  Each is handed at every position the block holds it.  A term
+    that is not a block is a root block with no declarations whose body is
+    the term.
     """
 
-    def __init__(self, table: ClassTable):
+    def __init__(self, table: ClassTable, *names: str):
         self._shape_errors = functools.partial(_shape_errors, table)
         self._first_seen: dict = {}  # imm binder -> (step, snapshot)
-
-    def run(self, trace: ReductionTrace, *checks) -> tuple:
-        """Give the evaluated declarations of every trace term, in order, to
-        each check; the violations of each check.
-
-        A declaration of a root block is handed to the checks together with
-        the evaluated declarations nested in its initializer (they are
-        walked as `_stored_decls` walks them), and all of them read only
-        the declaration's object and the names they look up.  So from one
-        root block to the next (`RootScope`) the checks get only the root
-        declarations that are new, those with a looked-up name that finds
-        another declaration now, and those that reported a violation at the
-        previous step, which are reported again at every step; every other
-        one would report nothing again.  Each is handed at every position
-        the block holds it.  A term that is not a block is a root block
-        with no declarations whose body is the term."""
-        outs = tuple([] for _ in checks)
-        scope = RootScope()
+        self.checks = tuple(getattr(self, n) for n in names)
+        self.outs = tuple([] for _ in names)
         # name -> ids of the root declarations whose checks looked it up
         # (and perhaps of some that no longer do, or are gone)
-        readers: dict = {}
-        reported: set = set()  # ids of the root declarations that reported
-        for step, term in _trace_terms(trace):
-            decls, body = (
-                (term.decls, term.body) if isinstance(term, Block) else ((), term)
-            )
-            new, _, changed = scope.advance(decls)
-            todo = set(map(id, new)) | reported
-            for x in changed:
-                todo.update(readers.get(x, ()))
-            reported = set()
-            env = scope.env
-            for k in scope.at(todo):
-                d = decls[k]
-                stored = []
-                if is_stored(d) or is_evaluated(d):
-                    stored.append((d, env))
-                if _has_block(d.init):
-                    self._stored_decls(d.init, env, stored)
-                read: set = set()
-                if self._hand(step, term, stored, checks, outs, read):
-                    reported.add(id(d))
-                for x in read:
-                    readers.setdefault(x, set()).add(id(d))
-            if _has_block(body):
-                stored = []
-                self._stored_decls(body, env, stored)
-                self._hand(step, term, stored, checks, outs, set())
-        return outs
+        self._readers: dict = {}
+        self._reported: set = set()  # ids of the root declarations that reported
 
-    @staticmethod
-    def _hand(step, term, stored: list, checks, outs, read: set) -> bool:
+    def __call__(self, step: int, term: Expr, scope: RootScope, diff) -> None:
+        readers, env = self._readers, scope.env
+        new, _, changed = diff
+        todo = set(map(id, new)) | self._reported
+        for x in changed:
+            todo.update(readers.get(x, ()))
+        self._reported = set()
+        for d in scope.held(todo):
+            stored = []
+            if is_stored(d) or is_evaluated(d):
+                stored.append((d, env))
+            if _has_block(d.init):
+                self._stored_decls(d.init, env, stored)
+            read: set = set()
+            if self._hand(step, term, stored, read):
+                self._reported.add(id(d))
+            for x in read:
+                readers.setdefault(x, set()).add(id(d))
+        body = term.body if isinstance(term, Block) else term
+        if _has_block(body):
+            stored = []
+            self._stored_decls(body, env, stored)
+            self._hand(step, term, stored, set())
+
+    def _hand(self, step, term, stored: list, read: set) -> bool:
         """Give each (declaration, scope) of stored to each check, with a
         lookup that adds the names it is asked for to read; whether one
         reported a violation."""
-        before = sum(map(len, outs))
+        before = sum(map(len, self.outs))
         for d, env in stored:
             def lookup(x, env=env):
                 read.add(x)
                 return env.get(x)
 
-            for check, out in zip(checks, outs):
+            for check, out in zip(self.checks, self.outs):
                 check(step, term, d, lookup, out)
-        return sum(map(len, outs)) != before
+        return sum(map(len, self.outs)) != before
 
     def _stored_decls(self, e: Expr, env: dict, out: list) -> None:
         """All evaluated declarations in e, each paired with the
@@ -493,9 +471,7 @@ class _StoreChecks:
 
     def canonical_forms(self, step, term, d, lookup, out) -> None:
         for msg in self._shape_errors(d, lookup):
-            out.append(
-                MetaViolation("canonical-forms", step, d.name, msg, pretty_print(term))
-            )
+            out.append(MetaViolation.at("canonical-forms", step, d.name, msg, term))
 
     def capsule(self, step, term, d, lookup, out) -> None:
         if not (
@@ -506,13 +482,10 @@ class _StoreChecks:
             return  # alias, eliminated before the capsule is consumed
         offender = _imm_closed(d, lookup)
         if offender is not None:
-            out.append(
-                MetaViolation(
-                    "capsule", step, d.name,
-                    f"capsule right-value refers to non-imm {offender}",
-                    pretty_print(term),
-                )
-            )
+            out.append(MetaViolation.at(
+                "capsule", step, d.name,
+                f"capsule right-value refers to non-imm {offender}", term,
+            ))
 
     def immutable(self, step, term, d, lookup, out) -> None:
         if not (isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.IMM):
@@ -521,13 +494,10 @@ class _StoreChecks:
             return  # not settled yet (alias/move still pending)
         offender = _imm_closed(d, lookup)
         if offender is not None:
-            out.append(
-                MetaViolation(
-                    "immutable", step, d.name,
-                    f"imm right-value refers to non-imm {offender}",
-                    pretty_print(term),
-                )
-            )
+            out.append(MetaViolation.at(
+                "immutable", step, d.name,
+                f"imm right-value refers to non-imm {offender}", term,
+            ))
         key = _settled_snapshot(d, lookup)
         if key is None:
             # the graph is not settled yet: compare only from the first
@@ -537,13 +507,10 @@ class _StoreChecks:
         if prev is None:
             self._first_seen[d.name] = (step, key)
         elif prev[1] != key:
-            out.append(
-                MetaViolation(
-                    "immutable", step, d.name,
-                    f"imm reachable state changed since step {prev[0]}",
-                    pretty_print(term),
-                )
-            )
+            out.append(MetaViolation.at(
+                "immutable", step, d.name,
+                f"imm reachable state changed since step {prev[0]}", term,
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +518,28 @@ class _StoreChecks:
 # ---------------------------------------------------------------------------
 
 
+def _walk(trace: ReductionTrace, *parts) -> list:
+    """One walk of the trace: the root block of each term is compared with
+    the last one once (`RootScope.advance`), and each part is called with
+    the step, the term, the scope and the diff in turn.  A part's `outs`
+    holds a list of violations per check it runs; returns them all, check
+    by check, in the order of the parts."""
+    scope = RootScope()
+    for step, term in enumerate([trace.initial, *(t for _, t in trace.steps)]):
+        diff = scope.advance(term.decls if isinstance(term, Block) else ())
+        for part in parts:
+            part(step, term, scope, diff)
+    return [v for part in parts for out in part.outs for v in out]
+
+
 def verify_trace(
     table: ClassTable, trace: ReductionTrace, budget: Optional[int] = None
 ) -> list:
-    out = []
-    out += check_subject_reduction(table, trace, budget)
-    out += check_progress(table, trace)
-    checks = _StoreChecks(table)
-    for found in checks.run(
-        trace, checks.canonical_forms, checks.capsule, checks.immutable
-    ):
-        out += found
-    return out
+    """The violations of the five checks, in one walk of the trace: subject
+    reduction, progress, canonical forms, capsule, immutability."""
+    return _walk(
+        trace,
+        _SubjectReduction(table, budget),
+        _Progress(trace),
+        _StoreChecks(table, "canonical_forms", "capsule", "immutable"),
+    )

@@ -58,8 +58,8 @@ QUAL_WORDS = {q.value: q for q in Qualifier}
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int, expected=()):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, line=None, col=None, expected=()):
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.line = line
         self.col = col
         self.expected = tuple(expected)

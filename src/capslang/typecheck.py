@@ -29,42 +29,42 @@ and re-raised fresh.
 A configurable budget bounds the search (exhausting it raises
 SearchExhausted, which is distinct from a typing failure).
 
-A Checker may answer several top-level queries, each with a budget of its
-own (subject reduction asks one per reduct of a trace, see
-`metatheory.check_subject_reduction`).  A
-failure is tainted when its search met a check still in progress ("cyclic
-search") or a tainted failure: it holds for the stack of the query that
-computed it, not for its key alone, like an incomplete answer in tabled
-resolution (Chen & Warren, JACM 1996).  Within its query a tainted failure
-is used as any other, so a query's search, ticks and memo do not depend on
-whether more queries follow.  Each query starts with an empty memo, which
-evicts the tainted failures.  Every other entry lives on under its key's
-projection (`Checker._projection`: the context cut down to what a check of
-the term can read of it), and from the second query on a miss of the full
-key is looked up there.  A reduct shares most subterms with the term before
-it, but its store, and so every context beneath it, is new: the projection
-lets those subterms find their verdicts again.  Projections are computed
-only once a second query starts, and an entry of the first query only once
-its term is asked about again, so a one-query Checker (`typecheck_program`)
-never pays for them.  Reuse keeps verdicts and results, not derivations: a
-judgment found under a projected key has its term, result and rule, but no
-context and no premises.  A variable or literal whose structural rule
-meets its goal needs neither: from the second query on it is judged at
-once, with no projection (see `Checker.check`).
+A Checker may answer several top-level queries (`Checker.query`), each with
+a budget of its own (subject reduction asks one per reduct of a trace, see
+`metatheory._SubjectReduction`).  A failure is tainted when its search met
+a check still in progress ("cyclic search") or a tainted failure: it holds
+for the stack of the query that computed it, not for its key alone, like an
+incomplete answer in tabled resolution (Chen & Warren, JACM 1996).  Within
+its query a tainted failure is used as any other, so a query's search,
+ticks and memo do not depend on whether more queries follow.  Each query
+starts with an empty memo, which evicts the tainted failures.  Every other
+entry lives on under its key's projection (`Checker._projection`: the
+context cut down to what a check of the term can read of it), and from the
+second query on a miss of the full key is looked up there.  A reduct shares
+most subterms with the term before it, but its store, and so every context
+beneath it, is new: the projection lets those subterms find their verdicts
+again.  Projections are computed only once a second query starts, and an
+entry of the first query only once its term is asked about again, so a
+one-query Checker (`typecheck_program`) never pays for them.  Reuse keeps
+verdicts and results, not derivations: a judgment found under a projected
+key has its term, result and rule, but no context and no premises.  A
+variable or literal whose structural rule meets its goal needs neither:
+from the second query on it is judged at once, with no projection (see
+`Checker.check`).
 
 The root block of a reduct (the store) differs from the last one in a few
-declarations.  From the second query on, `check_block` keeps a root state
-for the block the query asks about (`context.RootState`): the block's
-scope, compared with the next query's block by Decl identity
-(`context.RootScope`), its gamma, updated from that diff alone, and the
-judgment of each premise of its derivation.  A premise is checked again
-only when its Decl is new, a name it mentions (its own included) changed
-type, the candidate's groups or restricted set differ from the last, or
-its projection's "mut or read names outside" or "mutable group beyond"
-part flipped; otherwise its projection, and so its verdict, is the last
-one, and it keeps its judgment with no projection and no memo probe.
-Grouped declarations, declarations that may consume a sibling and the body
-are checked every time.
+declarations.  A query may come with a root state for its block
+(`context.RootState`), which the caller moves on from one query's block to
+the next by the diff of their declarations by Decl identity
+(`context.RootScope`): the block's gamma, updated from that diff alone, and
+the judgment of each premise of its last derivation, which `check_block`
+keeps there.  A premise is checked again only when its Decl is new, a name
+it mentions (its own included) changed type, the candidate's groups or
+restricted set differ from the last, or its projection's "mut or read names
+outside" or "mutable group beyond" part flipped; otherwise its projection,
+and so its verdict, is the last one, and it keeps its judgment with no
+projection and no memo probe.  Grouped declarations, declarations that may
+consume a sibling and the body are checked every time.
 
 A block's lent locals are grouped by search: `check_block` tries candidate
 group assignments in a fixed order, each set partition of the locals once,
@@ -243,22 +243,48 @@ class Checker:
         # entry, from the second top-level query on
         self._reuse = None
         self._pending: dict = {}  # id(e) -> the first query's entries for e
-        # from the second query on: (context, term) of the current query,
-        # and the root state the last query kept (see check_block)
-        self._query = None
-        self._root: Optional[RootState] = None
+        # the root state the current query was asked with (see check_block)
+        self._query: Optional[RootState] = None
 
     # ------------------------------------------------------------------
     # public entry points
     # ------------------------------------------------------------------
 
-    def check(self, ctx: TypeContext, e: Expr, goal: Optional[Type]) -> Judgment:
-        """Derive a judgment for e whose result is <= goal (or the structural
-        minimum when goal is None).
+    def query(
+        self, ctx: TypeContext, e: Expr, goal: Optional[Type],
+        root: Optional[RootState] = None,
+    ) -> Judgment:
+        """Start a top-level query, with the whole budget, and answer it:
+        check e in ctx against goal.  root, when given, is the root state
+        of the block e in ctx (`RootState`, moved on to e by its caller):
+        `check_block` keeps premise judgments in it for the next query.
 
-        A call made while `ticks` is 0, as in a fresh Checker, starts a
-        top-level query: the caller resets `ticks` to give the next query
-        a budget of its own.  A failure is tainted when its search met an
+        The query starts with an empty memo, which evicts the last query's
+        tainted failures; the other entries live on under their projected
+        keys, filed as they completed or, for the first query's memo, once
+        their term is asked about again.  Its own term is one not asked
+        about before (a reduct), so it is neither looked up nor filed under
+        its projection (`top`).  A `check` on a fresh Checker answers its
+        first query as this does."""
+        self.ticks = 0
+        memo = self.memo
+        if memo and self._reuse is None:
+            self._reuse = {}
+            for (i, c, g), entry in memo.items():
+                self._pending.setdefault(i, []).append((c, g, entry))
+        memo.clear()
+        self._gamma_parts.clear()  # its gammas are the last query's
+        self._query = root
+        return self.check(ctx, e, goal, top=True)
+
+    def check(
+        self, ctx: TypeContext, e: Expr, goal: Optional[Type], top: bool = False
+    ) -> Judgment:
+        """Derive a judgment for e whose result is <= goal (or the structural
+        minimum when goal is None), within the current query (see `query`;
+        top marks the query's own call).
+
+        A failure is tainted when its search met an
         in-progress entry ("cyclic search") or a tainted failure: it is a
         verdict about this query's stack, not about its key.  Within the
         query it is memoized as any failure is; the next query starts with
@@ -279,12 +305,7 @@ class Checker:
         fails, or misses the goal, is checked as any term.  The first
         query never takes this path: it has no projections to save, and
         a failing leaf would pay for its rule twice."""
-        top = not self.ticks
-        if top:
-            self._start_query(ctx, e)
         self._tick()
-        # a query's own term is one not asked about before (a reduct), so
-        # it is neither looked up nor filed under its projection
         reuse = None if top else self._reuse
         if reuse is not None and e.__class__ in _LEAVES:
             # a leaf whose structural rule meets the goal has the judgment
@@ -334,21 +355,6 @@ class Checker:
         if reuse is not None:
             reuse[pkey] = _kept(j)
         return j
-
-    def _start_query(self, ctx: TypeContext, e: Expr) -> None:
-        """Empty the memo, which evicts the last query's tainted failures;
-        its other entries live on under their projected keys, filed as they
-        completed or, for the first query's memo, once their term is asked
-        about again."""
-        memo = self.memo
-        if memo and self._reuse is None:
-            self._reuse = {}
-            for (i, c, g), entry in memo.items():
-                self._pending.setdefault(i, []).append((c, g, entry))
-        memo.clear()
-        self._gamma_parts.clear()  # its gammas are the last query's
-        if self._reuse is not None:
-            self._query = (ctx, e)
 
     def infer(self, ctx: TypeContext, e: Expr) -> Judgment:
         return self.check(ctx, e, None)
@@ -577,14 +583,17 @@ class Checker:
         self, ctx: TypeContext, block: Block, goal: Optional[Type]
     ) -> Judgment:
         """A block's premises (its initializers, then its body) under the
-        first candidate group assignment that types them all.  The block a
-        query asks about keeps premise judgments from the last query's
-        block (`RootState`, see the module docstring)."""
+        first candidate group assignment that types them all.  The block of
+        the query's root state, in the state's context, keeps premise
+        judgments from the last query's block (`RootState`, see the module
+        docstring)."""
         decls = block.decls
         if not decls:
             j = self.check(ctx, block.body, goal)
             return Judgment(ctx, block, j.result, "t-block", (j,))
-        root = self._root_state(ctx, block)
+        root = self._query
+        if root is not None and (root.block is not block or root.ctx is not ctx):
+            root = None
         if root is None:
             dom: dict = {}  # name -> its declared type
             for d in decls:
@@ -596,8 +605,10 @@ class Checker:
                 d.name for d in decls if _qualifier(d.dtype) is Qualifier.LENT
             ]
         else:
+            if root.untyped:
+                raise _untyped(root.scope.held(root.untyped)[0])
             dom, gamma = root.scope.env, root.gamma
-            lent_locals = [d.name for d in root.lent_decls()]
+            lent_locals = [d.name for d in root.scope.held(root.lent)]
         env = gamma.env
         base_groups = tuple(h for h in (g.difference(dom) for g in ctx.groups) if h)
         restricted = ctx.restricted.difference(dom)
@@ -660,7 +671,6 @@ class Checker:
                 continue
             if root is not None:
                 root.keep(ctx_body, decls, {i: _kept(j) for i, j in fresh.items()})
-                self._root = root
             return Judgment(
                 ctx,
                 block,
@@ -672,22 +682,6 @@ class Checker:
         raise first.error() if first else IllTyped(
             "no lent-group assignment typechecks", block.span
         )
-
-    def _root_state(self, ctx: TypeContext, block: Block) -> Optional[RootState]:
-        """The root state for block, moved on to it, when block is the term
-        of the current query asked in the query's context, from the second
-        query on; None otherwise.  The state leaves the Checker until the
-        block checks: a query whose block fails starts the next one afresh."""
-        query = self._query
-        if query is None or query[1] is not block or query[0] is not ctx:
-            return None
-        root, self._root = self._root, None
-        if root is None or root.ctx != ctx:
-            root = RootState(ctx)
-        untyped = root.advance(block)
-        if untyped:
-            raise _untyped(untyped[0])
-        return root
 
     def _projection(self, ctx: TypeContext, e: Expr) -> tuple:
         """What a check of e can read of ctx, for the names e mentions (free

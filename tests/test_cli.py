@@ -75,6 +75,20 @@ class TestCheck:
         assert main(["check", write(tmp_path, src)]) == EXIT_TYPE
         assert capsys.readouterr().err == "type error: unknown variable w at 2:17\n"
 
+    @pytest.mark.parametrize(
+        "name, where", [("capsule_reuse", "4:11"), ("forward_ref", "3:5")]
+    )
+    def test_wellformedness_location(self, capsys, name, where):
+        # a well-formedness rejection is located at its declaration
+        assert main(["check", str(CORPUS / "reject" / f"{name}.caps")]) == EXIT_PARSE
+        kind = name.replace("_", "-")
+        assert_diagnostic(capsys.readouterr().err, f"error: {where}: {kind}: ")
+
+    def test_class_table_violation_has_no_location(self, tmp_path, capsys):
+        path = write(tmp_path, "class D { int f; int f; }\nnew D(1, 2)\n")
+        assert main(["check", path]) == EXIT_PARSE
+        assert_diagnostic(capsys.readouterr().err, "error: dup-field: f: duplicate field")
+
     def test_parse_error(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, "class {")]) == EXIT_PARSE
         assert "error" in capsys.readouterr().err

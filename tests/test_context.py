@@ -4,7 +4,7 @@ premises RootState keeps, against definitions that recompute everything."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capslang.context import Gamma, RootScope
+from capslang.context import Gamma, RootScope, RootState
 from capslang.parser import parse, parse_expr
 from capslang.syntax import INT, Block, Decl, IntLit, Qualifier, RefType
 from capslang.typecheck import Checker, SearchExhausted, TypeContext
@@ -83,8 +83,8 @@ class TestRootScope:
 class TestRootState:
     TABLE = parse("class D { int f; }\nclass C { mut D f; }\nnew D(0)").table
 
-    def premises(self, checker, term, goal):
-        j = checker.check(TypeContext.make({}), term, goal)
+    def premises(self, checker, ctx, term, goal, root=None):
+        j = checker.query(ctx, term, goal, root)
         return [(id(p.expr), p.result, p.rule) for p in j.premises]
 
     def test_every_position_has_its_premise(self):
@@ -97,19 +97,21 @@ class TestRootState:
         (z,) = parse_expr("{mut D z = new D(2); z}").decls
         (k,) = parse_expr("{lent D k = new D(3); k}").decls
         blocks = [(u, z, l, w, z), (z, u, l, w), (u, k, z, l, w, k, z), (k, u, l, w, k)]
-        checker = Checker(self.TABLE)
-        goal = checker.infer(TypeContext.make({}), first).result
+        checker, ctx, scope = Checker(self.TABLE), TypeContext.make({}), RootScope()
+        root = RootState(ctx, scope)
+        goal = checker.infer(ctx, first).result
+        root.advance(first, *scope.advance(first.decls))
         for decls in blocks:
             term = Block(decls, first.body)
-            checker.ticks = 0  # a new query, as in verify_trace
-            got = self.premises(checker, term, goal)
+            root.advance(term, *scope.advance(decls))  # as in verify_trace
+            got = self.premises(checker, ctx, term, goal, root)
             assert None not in got
-            assert got == self.premises(Checker(self.TABLE), term, goal)
+            assert got == self.premises(Checker(self.TABLE), ctx, term, goal)
         # seven lent positions, four lent objects: past the cap, as a walk
         # over the block counts
         m, n = (parse_expr(f"{{lent D {x} = new D(4); {x}}}").decls[0] for x in "mn")
         term = Block((l, k, m, n, l, k, m, u, w), first.body)
-        for c in (checker, Checker(self.TABLE)):
-            c.ticks = 0
+        root.advance(term, *scope.advance(term.decls))
+        for c, r in ((checker, root), (Checker(self.TABLE), None)):
             with pytest.raises(SearchExhausted, match="7 lent locals"):
-                c.check(TypeContext.make({}), term, goal)
+                c.query(ctx, term, goal, r)

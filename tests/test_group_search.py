@@ -412,7 +412,7 @@ class TestEnumeration:
 
 def verdict(checker, ctx, e, goal):
     try:
-        return "ok", str(checker.check(ctx, e, goal).result)
+        return "ok", str(checker.query(ctx, e, goal).result)
     except TypeCheckError as err:
         return err.kind, str(err)
 
@@ -453,7 +453,6 @@ class TestMemoAcrossQueries:
         if src == lent_block_source(2268):
             assert tainted  # the case this test is about
         for eid, ctx, goal in first:
-            c.ticks = 0  # each query has the whole budget
             got = verdict(c, ctx, terms[eid], goal)
             assert got == verdict(Checker(p.table), ctx, terms[eid], goal)
             # the second query started by evicting them

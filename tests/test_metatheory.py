@@ -10,6 +10,7 @@ import pytest
 
 from capslang import metatheory
 from capslang.congruence import all_mut, wf_rightvalue, wf_store_decl
+from capslang.context import RootScope, RootState
 from capslang.generator import GenConfig, gen_source
 from capslang.metatheory import (
     MetaViolation,
@@ -394,14 +395,22 @@ def assert_same_as_oracle(table, trace):
     assert conclusive(verify_trace(table, trace)) == conclusive(want)
 
 
+def advance(root, term):
+    """Move root, and the scope it shares, on to term, as the walk of
+    `verify_trace` does."""
+    diff = root.scope.advance(term.decls if isinstance(term, Block) else ())
+    root.advance(term, *diff)
+
+
 def doctored_traces():
     """The doctored traces of TestDetection and TestViolationReporting, and
     traces whose steps keep a declaration object while a declaration it
     reads changes, or hide a bad declaration in an unevaluated one, or keep
     a root declaration object whose context changes at the second reduct,
-    where subject reduction would keep its premise's judgment, or put a term
-    that is not a block between two blocks, or retype a name that only a
-    declaration nested in a root declaration reads."""
+    where subject reduction would keep its premise's judgment (also after a
+    failed step), or put a term that is not a block between two blocks, or
+    retype a name that only a declaration nested in a root declaration
+    reads, or keep a declaration that lacks a type."""
     p, tr = reduce_source(CLS + "mut D y = new D(0);\ny")
     for bogus in (
         "{mut D y = new D(0); mut D w = y.f; w}",
@@ -445,10 +454,16 @@ def doctored_traces():
     # a mentioned declaration changes type, or is removed
     yield p.table, kept(first, Block((imm_u, v, y), first.body))
     yield p.table, kept(first, Block((v, y), first.body))
+    # the same retyping fails y's kept premise, and a step later it stays
+    # while an unrelated declaration comes: the judgment y's premise had
+    # before the failed step is not kept, and both steps report it
+    (z,) = parse_expr("{mut D z = new D(1); z}").decls
+    yield p.table, kept(
+        first, Block((imm_u, v, y), first.body), Block((imm_u, v, y, z), first.body)
+    )
     # a new mut declaration: w's premise, which mentions every mut name,
     # now has one outside its names; the body is imm, not mut
     first = parse_expr("{mut D x = new D(0); imm D w = new D(x.f); x}")
-    (z,) = parse_expr("{mut D z = new D(1); z}").decls
     yield p.table, kept(first, Block(first.decls + (z,), Var("w")))
     # a second declaration of x changes the goal of the kept first one
     first = parse_expr("{mut D y = new D(1); mut D x = new D(0); y}")
@@ -504,6 +519,15 @@ def doctored_traces():
     (u,) = parse_expr("{mut C u = new C(v, v); u}").decls
     step = Block((u,) + first.decls[1:], first.body)  # shares y's Decl
     yield p.table, ReductionTrace(first, [("bogus", step)], 1, True)
+    # a declaration that lacks a type (unresolved statement sugar) stays for
+    # two steps: subject reduction reports it at both
+    first = parse_expr("{mut D u = new D(0); mut D w = new D(1); w}")
+    u, w = first.decls
+    v, untyped = parse_expr("{mut D v = new D(2); v.f; v}").decls
+    yield p.table, kept(
+        first, Block((u, untyped, w), first.body),
+        Block((u, untyped, w, v), first.body), Block((u, w), first.body),
+    )
 
 
 class TestAgainstOracle:
@@ -633,10 +657,13 @@ class TestSubjectReductionCost:
                 gen_source(GenConfig(seed=seed, size=16, reject_rate=0.0))
             )
             checker, empty = Checker(p.table), TypeContext.make({})
+            root = RootState(empty, RootScope())
             goal = checker.infer(empty, trace.initial).result
+            advance(root, trace.initial)
             for rule, term in trace.steps:
-                checker.ticks = calls = 0  # a new query, as in verify_trace
-                checker.check(empty, term, goal)
+                advance(root, term)
+                calls = 0  # a new query, as in verify_trace
+                checker.query(empty, term, goal, root)
                 per_rule.get(rule, []).append(calls)
         mean = {r: sum(xs) / len(xs) for r, xs in per_rule.items()}
         assert min(map(len, per_rule.values())) >= 40, per_rule
@@ -683,6 +710,28 @@ class TestVerifyCost:
         assert per_term[128] <= 1.5 * per_term[16], per_term
         assert per_term[16] <= 4.6, per_term
 
+    def test_one_root_diff_per_term(self, monkeypatch):
+        # one walk compares each term's root block with the last one's once,
+        # for subject reduction and the store checks alike (twice per term
+        # when each walked the trace with a scope of its own)
+        calls = 0
+        advance = RootScope.advance
+
+        def counted(self, decls):
+            nonlocal calls
+            calls += 1
+            return advance(self, decls)
+
+        monkeypatch.setattr(RootScope, "advance", counted)
+        for size in (16, 128):
+            for seed in range(10):
+                p, trace = reduce_source(
+                    gen_source(GenConfig(seed=seed, size=size, reject_rate=0.0))
+                )
+                calls = 0
+                assert verify_trace(p.table, trace) == []
+                assert calls == len(trace.steps) + 1, (size, seed, calls)
+
 
 # ---------------------------------------------------------------------------
 # Leaf premises judged without a projection
@@ -694,10 +743,7 @@ class ProbingChecker(Checker):
     at once, so every variable and literal goes through the memo and, from
     the second query on, is looked up under its projection."""
 
-    def check(self, ctx, e, goal):
-        top = not self.ticks
-        if top:
-            self._start_query(ctx, e)
+    def check(self, ctx, e, goal, top=False):
         self._tick()
         key = (id(e), ctx, goal)
         memo = self.memo
@@ -743,12 +789,13 @@ def queries(checker, trace):
     check_subject_reduction asks them: per query, the judgment or the
     error's kind, message and span, and the ticks spent."""
     empty = TypeContext.make({})
+    root = RootState(empty, RootScope())
     goal = None
     out = []
     for step, term in enumerate([trace.initial] + [t for _, t in trace.steps]):
-        checker.ticks = 0
+        advance(root, term)
         try:
-            j = checker.check(empty, term, goal)
+            j = checker.query(empty, term, goal, root if step else None)
         except TypeCheckError as err:
             out.append(((err.kind, str(err), err.span), checker.ticks))
             if step == 0:

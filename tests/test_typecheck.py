@@ -497,9 +497,9 @@ MUT_D, IMM_D, READ_D = (RefType(q, "D") for q in (Qualifier.MUT, Qualifier.IMM, 
 
 
 def verdict(checker, ctx, e, goal):
-    """The result, or the error's kind and message."""
+    """The result of a query, or the error's kind and message."""
     try:
-        return "ok", str(checker.check(ctx, e, goal).result)
+        return "ok", str(checker.query(ctx, e, goal).result)
     except TypeCheckError as err:
         return err.kind, str(err)
 
@@ -528,6 +528,5 @@ class TestProjectedReuse:
         p = resolve_implicit_types(parse(REUSE_SOURCE + term))
         c = Checker(p.table)
         verdict(c, TypeContext.make(*p1), p.main, goal)
-        c.ticks = 0
         ctx = TypeContext.make(*p2)
         assert verdict(c, ctx, p.main, goal) == verdict(Checker(p.table), ctx, p.main, goal)
