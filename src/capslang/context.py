@@ -13,15 +13,13 @@ A `RootScope` follows the root block of consecutive terms (the reducts of a
 trace) by Decl identity: a reduct keeps the Decl objects of the store its
 step did not rewrite, so from one block to the next the scope names the
 declarations that are new, those that are gone, and the names whose
-declaration in scope is another object now.  A block may hold one Decl
-object at several positions (a field assignment copies its value, and the
-copies share their nodes); the diff lists such an object once, and the
-scope knows all its positions (`RootScope.at`).  `metatheory.verify_trace`
+declaration in scope is another object now.  A block holds each Decl object
+at one position, as the reducer leaves it.  `metatheory.verify_trace`
 moves one scope on once per trace term, and both subject reduction and the
 store checks spend only on that diff.  A `RootState` is what subject
 reduction (`Checker.check_block`) keeps of the root block on that shared
 scope: the block's gamma, moved on by every diff, and the judgments of its
-premises, so that one judgment of an object serves each of its positions.
+premises.
 """
 
 from __future__ import annotations
@@ -129,18 +127,16 @@ class TypeContext:
     groups as sorted tuples in sorted order, the sorted restricted set) and
     the fingerprint's hash are computed once, when it is built; contexts are
     equal exactly when their fingerprints are, so the order of the groups
-    does not matter.  The views behind `group_of` and `mutable_group` are
-    built on first use and kept, and so are the contexts `swap` builds;
-    what depends on gamma alone is kept on the `Gamma`, which derived
-    contexts share.  A context derived from `base` reuses base's sorted
-    restricted set when the set is the same; `sorted_groups`, the groups as
-    sorted tuples, is passed on by derived contexts so that no group is
-    sorted twice.
+    does not matter.  The mutable group is built on first use and kept, and
+    so are the contexts `swap` builds; what depends on gamma alone is kept
+    on the `Gamma`, which derived contexts share.  `sorted_groups`, the
+    groups as sorted tuples, is passed on by derived contexts so that no
+    group is sorted twice.
     """
 
     __slots__ = (
         "gamma", "groups", "restricted", "sorted_groups",
-        "_fp", "_hash", "_group_index", "_mutable", "_mutable_sorted", "_swapped",
+        "_fp", "_hash", "_mutable", "_swapped",
     )
 
     def __init__(
@@ -148,7 +144,6 @@ class TypeContext:
         gamma: Gamma,
         groups: tuple = (),  # of frozenset
         restricted: frozenset = frozenset(),
-        base: Optional["TypeContext"] = None,
         sorted_groups: Optional[tuple] = None,  # groups as sorted tuples
     ):
         self.gamma = gamma
@@ -157,16 +152,9 @@ class TypeContext:
         if sorted_groups is None:
             sorted_groups = tuple(tuple(sorted(g)) for g in groups)
         self.sorted_groups = sorted_groups
-        groups_fp = tuple(sorted(sorted_groups))
-        if base is not None and base.restricted is restricted:
-            restricted_fp = base._fp[2]
-        else:
-            restricted_fp = tuple(sorted(restricted))
-        self._fp = (gamma, groups_fp, restricted_fp)
+        self._fp = (gamma, tuple(sorted(sorted_groups)), tuple(sorted(restricted)))
         self._hash = hash(self._fp)
-        self._group_index = None
         self._mutable = None
-        self._mutable_sorted = None
         self._swapped = None
 
     @staticmethod
@@ -212,20 +200,9 @@ class TypeContext:
         restricts them)."""
         return self.gamma.mut_or_read()
 
-    def sorted_mutable_group(self) -> tuple:
-        key = self._mutable_sorted
-        if key is None:
-            key = self._mutable_sorted = tuple(sorted(self.mutable_group()))
-        return key
-
     def group_of(self, x: str) -> Optional[frozenset]:
-        index = self._group_index
-        if index is None:
-            index = self._group_index = {}
-            for g in self.groups:
-                for n in g:
-                    index.setdefault(n, g)  # the first group holding n wins
-        return index.get(x)
+        """The first group holding x, or None."""
+        return next((g for g in self.groups if x in g), None)
 
     def fingerprint(self) -> tuple:
         return self._fp
@@ -254,16 +231,11 @@ class TypeContext:
     def _with_mutable_group(self, groups, sorted_groups, restricted) -> "TypeContext":
         if self.mutable_group():
             groups += (self._mutable,)
-            sorted_groups += (self.sorted_mutable_group(),)
-        return TypeContext(
-            self.gamma, groups, restricted, base=self, sorted_groups=sorted_groups
-        )
+            sorted_groups += (tuple(sorted(self._mutable)),)
+        return TypeContext(self.gamma, groups, restricted, sorted_groups)
 
     def unrestricted(self) -> "TypeContext":
-        return TypeContext(
-            self.gamma, self.groups, frozenset(), base=self,
-            sorted_groups=self.sorted_groups,
-        )
+        return TypeContext(self.gamma, self.groups, frozenset(), self.sorted_groups)
 
 
 def wf_context(ctx: TypeContext) -> bool:
@@ -306,54 +278,44 @@ class RootScope:
     `env` maps each name the block declares to the Decl in scope under it:
     the last declaration of the name, as a walk that binds the block's
     declarations in order leaves it.  `pos` maps id(d) to the index of d in
-    `decls`, the block's tuple; a block may hold one Decl object at several
-    positions (a step that copies a value copies its declarations), and
-    then `pos` has the last of them and `positions` all of them.  The scope
-    holds the block's Decl objects, so no id it keeps is reused while it
-    lives."""
+    `decls`, the block's tuple, which holds each Decl object once.  The
+    scope holds the block's Decl objects, so no id it keeps is reused while
+    it lives."""
 
-    __slots__ = ("decls", "pos", "env", "_more")
+    __slots__ = ("decls", "pos", "env")
 
     def __init__(self):
         self.decls: tuple = ()
         self.pos: dict = {}
         self.env: dict = {}
-        self._more: dict = {}  # id(d) -> its positions, for d held twice or more
-
-    def positions(self, i: int) -> tuple:
-        """The positions of the Decl with id i, in block order."""
-        more = self._more.get(i)
-        return more if more is not None else (self.pos[i],)
 
     def at(self, ids) -> list:
-        """Every position of the Decls with these ids that the block holds,
+        """The positions of the Decls with these ids that the block holds,
         in block order."""
-        return sorted(k for i in ids if i in self.pos for k in self.positions(i))
+        pos = self.pos
+        return sorted(pos[i] for i in ids if i in pos)
 
     def held(self, ids) -> list:
-        """The Decls with these ids at every position the block holds them,
-        in block order."""
+        """The Decls with these ids that the block holds, in block order."""
         return [self.decls[k] for k in self.at(ids)]
 
     def advance(self, decls: tuple):
         """Move on to a block with these declarations.  Returns (new, gone,
         changed): the Decl objects that the last block did not hold, those
         that this one does not hold, and the names whose Decl in env is
-        another one now.  An object held at several positions is listed
-        once."""
+        another one now.  Raises ValueError when the block holds one Decl
+        object twice."""
         pos = dict(zip(map(id, decls), range(len(decls))))
-        more: dict = {}
         if len(pos) != len(decls):
-            for k, d in enumerate(decls):
-                more.setdefault(id(d), []).append(k)
-            more = {i: tuple(ks) for i, ks in more.items() if len(ks) > 1}
+            d = next(d for k, d in enumerate(decls) if pos[id(d)] != k)
+            raise ValueError(f"the root block holds the declaration of {d.name} twice")
         env = {d.name: d for d in decls}
         old_pos, old_env = self.pos, self.env
         new = [decls[k] for i, k in pos.items() if i not in old_pos]
         gone = [self.decls[k] for i, k in old_pos.items() if i not in pos]
         changed = {x for x, d in env.items() if old_env.get(x) is not d}
         changed.update(old_env.keys() - env.keys())
-        self.decls, self.pos, self.env, self._more = decls, pos, env, more
+        self.decls, self.pos, self.env = decls, pos, env
         return new, gone, changed
 
 
@@ -386,12 +348,8 @@ class RootState:
     do not hold (its query failed, or none was asked with this state): a
     premise may read a name that moved before.
 
-    Records and judgments are kept per Decl object.  A premise reads only
-    its Decl, its name's group and the name's type in gamma, so one Decl
-    at several positions of the block has one premise at all of them:
-    `to_check` gives every position of a Decl to check, and `lent` and
-    `untyped` give every position of theirs (`RootScope.held`), as a walk
-    over the block would."""
+    Records and judgments are kept per Decl object, which the block holds
+    at one position."""
 
     __slots__ = ("ctx", "scope", "block", "gamma", "changed", "lent", "untyped",
                  "groups", "restricted", "totals", "judgments", "_records",

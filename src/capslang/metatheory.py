@@ -36,7 +36,8 @@ term with that diff to each check, which spends only on the diff.
   checked afresh, so the diff is all they remember of the last term.  A
   term that is not a block is a root block with no declarations.
 
-Each `check_*` function is the same walk with its one check.
+Each `check_*` function but `check_progress`, which reads only the final
+term, is the same walk with its one check.
 """
 
 from __future__ import annotations
@@ -201,8 +202,11 @@ class _SubjectReduction:
 def check_progress(table: ClassTable, trace: ReductionTrace) -> list:
     """A completed trace proves progress by construction; this validates the
     terminal term: it must be a value whose declarations are all well-formed
-    store.  (A StuckTerm raised during reduction is reported by the caller.)"""
-    return _walk(trace, _Progress(trace))
+    store.  (A StuckTerm raised during reduction is reported by the caller.)
+    Only the final term is read, so no root diff is made."""
+    progress = _Progress(trace)
+    progress(len(trace.steps), trace.final, None, None)
+    return progress.outs[0]
 
 
 class _Progress:
@@ -396,9 +400,8 @@ class _StoreChecks:
     new, those with a looked-up name that finds another declaration now,
     and those that reported a violation at the previous step, which are
     reported again at every step; every other one would report nothing
-    again.  Each is handed at every position the block holds it.  A term
-    that is not a block is a root block with no declarations whose body is
-    the term.
+    again.  A term that is not a block is a root block with no declarations
+    whose body is the term.
     """
 
     def __init__(self, table: ClassTable, *names: str):

@@ -14,8 +14,9 @@ the previous term.  Value normalization returns a value that is already
 normal as it is, and otherwise rebuilds only the nodes whose children
 changed (`congruence.normalize_value`), so a value a step moves or copies
 keeps its nodes, and with them their facts and the identity-keyed caches
-of `metatheory`; a field assignment, which copies its value, can leave one
-`Decl` object at two positions of the store.  What a node is on its own is
+of `metatheory`.  A field assignment copies its value: the copy it leaves
+in the hole gets declarations of its own, so a term holds each `Decl`
+object once.  What a node is on its own is
 kept on the node (`syntax.node_cached`): decomposition steps over the
 declarations known to be evaluated well-formed store
 (`congruence.is_stored`), normalization returns the values known to be
@@ -524,7 +525,9 @@ class Reducer:
         block = Block(tuple(decls), fr.block.body, fr.block.span)
         frames2 = list(frames)
         frames2[j] = Frame(self._rebuilt(fr.block, block, at[0], 1, at), fr.index)
-        return ("field-assign", self._plug(frames2, u))
+        # the object state keeps u, the hole gets a copy with new Decl
+        # objects at every depth under the same names
+        return ("field-assign", self._plug(frames2, rename(u, {}, lambda x: x)))
 
     def _field_assign_move(self, frames, k: int, xs: frozenset, redex):
         """Hoist the store connected to xs from frame k into frame k-1; fails

@@ -238,7 +238,6 @@ class Checker:
         # what a term is on its own (the names it mentions, its free
         # variables) is kept on the term (`syntax.node_cached`)
         self.memo: dict = {}
-        self._gamma_parts: dict = {}  # id(e) -> (gamma, parts), see _projection
         # (id(e), projection, goal) -> what _kept keeps of a completed memo
         # entry, from the second top-level query on
         self._reuse = None
@@ -273,7 +272,6 @@ class Checker:
             for (i, c, g), entry in memo.items():
                 self._pending.setdefault(i, []).append((c, g, entry))
         memo.clear()
-        self._gamma_parts.clear()  # its gammas are the last query's
         self._query = root
         return self.check(ctx, e, goal, top=True)
 
@@ -439,7 +437,7 @@ class Checker:
         j = self.check(ctx2, e, RefType(Qualifier.MUT, cname))
         return Judgment(
             ctx, e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,),
-            note=("grouped", ctx.sorted_mutable_group()),
+            note=("grouped", tuple(sorted(ctx.mutable_group()))),
         )
 
     def _try_imm(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
@@ -633,7 +631,7 @@ class Checker:
             block, lent_locals, base_groups, mut_locals
         ):
             # every candidate shares the block's gamma
-            ctx_body = TypeContext(gamma, groups, restricted, base=ctx_body)
+            ctx_body = TypeContext(gamma, groups, restricted)
             if not wf_context(ctx_body):
                 continue
             if failed is not None:
@@ -722,24 +720,15 @@ class Checker:
         the group parts alone decide.
         """
         names = mentions(e)
-        # the parts read from gamma alone, kept for the last gamma e was
-        # projected under (the candidates of one block share their gamma)
-        last = self._gamma_parts.get(id(e))
-        if last is None or last[0] is not ctx.gamma:
-            env = ctx.env
-            last = self._gamma_parts[id(e)] = (
-                ctx.gamma,
-                # a frozenset keeps its hash: each probe of a key hashes
-                # the types in it only once
-                frozenset([(n, env[n]) for n in names if n in env]),
-                not ctx.mut_or_read_names() <= names,
-            )
+        env = ctx.env
         restricted = ctx.restricted
         mg = ctx.mutable_group()
         outside = restricted - names
         return (
-            last[1],
-            last[2],
+            # a frozenset keeps its hash: each probe of a key hashes the
+            # types in it only once
+            frozenset([(n, env[n]) for n in names if n in env]),
+            not ctx.mut_or_read_names() <= names,
             tuple([
                 (g & names, not g <= names, not restricted.isdisjoint(g - names))
                 for g in ctx.groups

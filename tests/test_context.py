@@ -33,26 +33,29 @@ class TestGamma:
         assert got.lents() == built.lents()
 
 
-# a pool of declarations: several objects per name
-POOL = [Decl(INT, x, IntLit(i)) for i in range(3) for x in NAMES]
+def copy(d: Decl) -> Decl:
+    """A Decl equal to d but another object."""
+    return Decl(d.dtype, d.name, d.init, d.span)
+
+
+# a pool of declarations: several objects per name, each in two equal copies
+POOL = [Decl(INT, x, IntLit(i)) for i in range(3) for x in NAMES for _ in range(2)]
 
 
 class TestRootScope:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.sampled_from(POOL), max_size=8), max_size=8))
+    @given(st.lists(st.lists(st.sampled_from(POOL), max_size=8, unique_by=id), max_size=8))
     def test_diff_against_recomputed_scopes(self, blocks):
-        # a block may hold one Decl object at several positions
+        # a block may hold equal Decls and declare a name twice
         scope = RootScope()
         last_env: dict = {}
         last_ids: set = set()
         for decls in map(tuple, blocks):
             new, gone, changed = scope.advance(decls)
             env = {}
-            at: dict = {}  # id(d) -> every position of d
-            for k, d in enumerate(decls):
+            for d in decls:
                 env[d.name] = d  # the last declaration of a name is in scope
-                at.setdefault(id(d), []).append(k)
-            ids = set(at)
+            ids = set(map(id, decls))
             assert {x: id(d) for x, d in scope.env.items()} == {
                 x: id(d) for x, d in env.items()
             }
@@ -63,21 +66,15 @@ class TestRootScope:
                 if env.get(x) is not last_env.get(x)
             }
             assert scope.pos == {id(d): k for k, d in enumerate(decls)}
-            assert {i: scope.positions(i) for i in ids} == {
-                i: tuple(ks) for i, ks in at.items()
-            }
             last_env, last_ids = env, ids
 
-    def test_one_object_twice_has_a_diff(self):
-        d, e = POOL[0], POOL[1]
+    def test_one_object_twice_is_refused(self):
+        d, e = POOL[0], POOL[2]
         scope = RootScope()
         scope.advance((d,))
-        new, gone, changed = scope.advance((d, e, d))
-        assert new == [e] and gone == [] and changed == {e.name}
-        assert scope.positions(id(d)) == (0, 2) and scope.positions(id(e)) == (1,)
-        new, gone, changed = scope.advance((d,))
-        assert new == [] and gone == [e] and changed == {e.name}
-        assert scope.positions(id(d)) == (0,)
+        with pytest.raises(ValueError, match=f"declaration of {d.name} twice"):
+            scope.advance((d, e, d))
+        assert scope.decls == (d,)
 
 
 class TestRootState:
@@ -88,7 +85,7 @@ class TestRootState:
         return [(id(p.expr), p.result, p.rule) for p in j.premises]
 
     def test_every_position_has_its_premise(self):
-        # declarations held at several positions, lent ones among them: the
+        # equal declarations at several positions, lent ones among them: the
         # root state gives each position the premise a fresh Checker gives
         first = parse_expr(
             "{mut D u = new D(0); lent D l = new D(1); mut C w = new C(u); w}"
@@ -96,7 +93,10 @@ class TestRootState:
         u, l, w = first.decls
         (z,) = parse_expr("{mut D z = new D(2); z}").decls
         (k,) = parse_expr("{lent D k = new D(3); k}").decls
-        blocks = [(u, z, l, w, z), (z, u, l, w), (u, k, z, l, w, k, z), (k, u, l, w, k)]
+        z2, k2 = copy(z), copy(k)
+        blocks = [
+            (u, z, l, w, z2), (z2, u, l, w), (u, k, z, l, w, k2, z2), (k2, u, l, w, k)
+        ]
         checker, ctx, scope = Checker(self.TABLE), TypeContext.make({}), RootScope()
         root = RootState(ctx, scope)
         goal = checker.infer(ctx, first).result
@@ -107,10 +107,9 @@ class TestRootState:
             got = self.premises(checker, ctx, term, goal, root)
             assert None not in got
             assert got == self.premises(Checker(self.TABLE), ctx, term, goal)
-        # seven lent positions, four lent objects: past the cap, as a walk
-        # over the block counts
+        # seven lent declarations, four lent names: past the cap
         m, n = (parse_expr(f"{{lent D {x} = new D(4); {x}}}").decls[0] for x in "mn")
-        term = Block((l, k, m, n, l, k, m, u, w), first.body)
+        term = Block((l, k, m, n, copy(l), k2, copy(m), u, w), first.body)
         root.advance(term, *scope.advance(term.decls))
         for c, r in ((checker, root), (Checker(self.TABLE), None)):
             with pytest.raises(SearchExhausted, match="7 lent locals"):

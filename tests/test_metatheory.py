@@ -53,6 +53,7 @@ from capslang.typecheck import (
 )
 
 from conftest import CORPUS, reduce_source
+from test_context import copy
 
 CLS = """
 class D { int f; }
@@ -486,14 +487,16 @@ def doctored_traces():
         first, Block((u, u2, w), first.body), Block((w,), first.body),
         Block((w,), Var("u")),
     )
-    # a block that holds one Decl object twice, as a step that copies a
-    # value leaves it: both positions of u are checked, by one judgment
+    # a block that holds two equal declarations, as a field assignment
+    # that copies a value leaves it: both are checked
     first = parse_expr("{mut D u = new D(0); mut D w = new C(u, u); w}")
     u, w = first.decls
-    yield p.table, kept(first, Block((u, u, w), first.body), Block((u, w), first.body))
-    # a declaration comes at two positions at once, stays at one, then is
-    # at two again; then one that breaks subject reduction and a store
-    # check does the same, and each of its positions reports it
+    yield p.table, kept(
+        first, Block((u, copy(u), w), first.body), Block((u, w), first.body)
+    )
+    # a declaration comes with an equal one, stays alone, then comes with
+    # another equal one; then one that breaks subject reduction and a
+    # store check does the same, and each copy reports it
     first = parse_expr("{mut D u = new D(0); mut D w = new D(1); w}")
     u, w = first.decls
     (z,) = parse_expr("{mut D z = new D(2); z}").decls
@@ -503,7 +506,7 @@ def doctored_traces():
         *(
             Block(decls, first.body)
             for x in (z, y)
-            for decls in ((u, x, w, x), (u, w, x), (x, u, x, w))
+            for decls in ((u, x, w, copy(x)), (u, w, x), (copy(x), u, x, w))
         ),
     )
     # a term that is not a block between two copies of one block: the
@@ -556,6 +559,16 @@ class TestAgainstOracle:
         for table, trace in doctored_traces():
             assert_same_as_oracle(table, trace)
             assert oracle_verify(table, trace)  # each one is flagged
+
+    def test_one_object_twice_is_refused(self):
+        # a root block never holds one Decl object twice (the reducer gives
+        # a copied value declarations of its own); a trace from elsewhere
+        # that does is refused, not checked
+        p, tr = reduce_source(CLS + "mut D y = new D(0);\ny")
+        (y,) = tr.final.decls
+        bad = doctored(tr, Block((y, y), tr.final.body))
+        with pytest.raises(ValueError, match="declaration of y twice"):
+            verify_trace(p.table, bad)
 
     def test_doctored_generated(self):
         # three bogus root blocks per trace, each a reduct with one
@@ -678,10 +691,10 @@ class TestVerifyCost:
         # and the store checks get every evaluated declaration of every
         # term; 8.9 and 12.2 when both spend only on the root diff; 7.4
         # and 10.1 since normalized values keep their nodes, so that a
-        # copied value's declarations stay the same objects (at several
-        # positions of the root block); 4.3 and 5.2 since a variable or
-        # literal whose structural rule meets its goal is judged without
-        # a projection
+        # moved value's declarations stay the same objects; 4.3 and 5.2
+        # since a variable or literal whose structural rule meets its goal
+        # is judged without a projection (also since a copied value gets
+        # declarations of its own)
         work = 0
         project, canonical = Checker._projection, _StoreChecks.canonical_forms
 

@@ -460,7 +460,7 @@ class TestContextViews:
         rnd.shuffle(items)
         other = TypeContext.make(dict(items), tuple(shuffled), restricted)
         assert other == ctx and hash(other) == hash(ctx)
-        derived = TypeContext(ctx.gamma, tuple(shuffled), restricted, base=ctx)
+        derived = TypeContext(ctx.gamma, tuple(shuffled), restricted)
         assert derived == ctx and hash(derived) == hash(ctx)
 
     @settings(max_examples=300, deadline=None)
