@@ -14,11 +14,12 @@ the previous term.  Value normalization returns a value that is already
 normal as it is, and otherwise rebuilds only the nodes whose children
 changed (`congruence.normalize_value`), so a value a step moves or copies
 keeps its nodes, and with them their facts and the identity-keyed caches
-of `metatheory`.  A field assignment copies its value: the copy it leaves
-in the hole gets declarations of its own, so a term holds each `Decl`
-object once.  What a node is on its own is
-kept on the node (`syntax.node_cached`): decomposition steps over the
-declarations known to be evaluated well-formed store
+of `metatheory`.  A field access or a field assignment leaves a value in
+the store and a copy of it in the hole, and the copy gets declarations of
+its own (`copy_value`), so a term holds each `Decl` object once.  What a
+node is on its own is kept on the node (`syntax.node_cached`):
+decomposition steps over the declarations known to be evaluated
+well-formed store
 (`congruence.is_stored`), normalization returns the values known to be
 normal (`congruence.is_normal_value`), and substitution
 (int-elim, alias-elim, capsule-elim) descends only where the eliminated name
@@ -264,6 +265,14 @@ def receiver_class(frames: list, v: Expr) -> str:
     return t.cname
 
 
+def copy_value(v: Expr) -> Expr:
+    """A copy of v with new Decl and Block objects at every depth, under the
+    same names; the nodes that hold no block are shared.  A step that leaves
+    a value where it was and puts it in the hole too puts a copy there, so a
+    term holds each Decl object once."""
+    return rename(v, {}, lambda x: x)
+
+
 # ---------------------------------------------------------------------------
 # Global binder freshness
 # ---------------------------------------------------------------------------
@@ -439,7 +448,8 @@ class Reducer:
         if not self.table.has_field(cname, redex.fname):
             raise StuckTerm(f"no field {redex.fname} in {cname}")
         i = self.table.field_index(cname, redex.fname)
-        v = field_lookup(frames, redex.recv, i)
+        # the store keeps the field's value, the hole gets a copy
+        v = copy_value(field_lookup(frames, redex.recv, i))
         return ("field-access", self._plug(frames, self._normal_value(v)))
 
     def _invoke(self, frames, redex):
@@ -521,13 +531,14 @@ class Reducer:
         at = [p for p, d in enumerate(fr.block.decls) if d.name == x]
         decls = list(fr.block.decls)
         for p in at:
-            decls[p] = Decl(decls[p].dtype, x, new_rv, decls[p].span)
+            # a name declared twice: each declaration gets its own copy
+            rv = new_rv if p == at[0] else copy_value(new_rv)
+            decls[p] = Decl(decls[p].dtype, x, rv, decls[p].span)
         block = Block(tuple(decls), fr.block.body, fr.block.span)
         frames2 = list(frames)
         frames2[j] = Frame(self._rebuilt(fr.block, block, at[0], 1, at), fr.index)
-        # the object state keeps u, the hole gets a copy with new Decl
-        # objects at every depth under the same names
-        return ("field-assign", self._plug(frames2, rename(u, {}, lambda x: x)))
+        # the object state keeps u, the hole gets a copy
+        return ("field-assign", self._plug(frames2, copy_value(u)))
 
     def _field_assign_move(self, frames, k: int, xs: frozenset, redex):
         """Hoist the store connected to xs from frame k into frame k-1; fails

@@ -673,6 +673,10 @@ def test_each_decl_object_once(size, seeds):
 
 
 def test_each_decl_object_once_in_the_corpus(corpus_accept):
+    # a field access copies its value into the hole too, and an assignment
+    # writes each declaration of a name declared twice: without a copy of
+    # their own, imm_field_read_twice and assign_through_copy hold one
+    # Decl object twice
     for path in corpus_accept:
         _, trace = reduce_source(path.read_text())
         for step, term in enumerate([trace.initial] + [t for _, t in trace.steps]):
