@@ -11,7 +11,10 @@ goal-directed backtracking search:
 * capsule promotion is attempted when the goal qualifier is capsule (or imm,
   since capsule <= imm), immutability promotion when the goal is imm;
 * a group swap is attempted at the smallest enclosing subterm whose check
-  failed structurally, for each lent group disjoint from the restricted set;
+  failed structurally, for each lent group disjoint from the restricted set,
+  unless the goal is mut: the swap weakens its premise's mut result to
+  lent, and by induction a premise with a mut goal ends at mut, so a swap
+  never concludes a mut goal (see `Checker._check`);
 * unrestriction is attempted when the goal is capsule/imm/int.
 
 Results are memoized per judgment, keyed by subterm identity, the context
@@ -387,8 +390,16 @@ class Checker:
                     return self._try_imm(ctx, e, goal.cname)
                 except IllTyped as err:
                     first = first or _Failure(err)
-        # group swap
-        for g, g_sorted in zip(ctx.groups, ctx.sorted_groups):
+        # group swap.  It never concludes a mut goal, so it is not tried for
+        # one.  By induction on the derivation, a check against mut ends at
+        # mut: the structural rules (t-block among them) end in _sub, which
+        # ends at the goal; the promotions and t-unrst are not tried for
+        # mut; and a t-swap conclusion is _weaken(r), with r the result of
+        # a check against the goal or mut (_swap_goals), here against mut,
+        # so r is mut and _weaken(mut) = lent is not <= mut.
+        mut_goal = isinstance(goal, RefType) and goal.qualifier is Qualifier.MUT
+        groups = () if mut_goal else zip(ctx.groups, ctx.sorted_groups)
+        for g, g_sorted in groups:
             if g & ctx.restricted:
                 continue
             swapped = ctx.swap(g)

@@ -143,17 +143,18 @@ class TestRun:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "budget, code, found", [(100, EXIT_RESOURCE, 5), (200, EXIT_OK, 0)]
+        "budget, code, found", [(75, EXIT_RESOURCE, 5), (200, EXIT_OK, 0)]
     )
     def test_verify_meta_inconclusive(self, capsys, budget, code, found):
-        # at budget 100, subject reduction runs out of budget at steps 10-14
-        # and finds no violation: resource exhaustion, not a counterexample
+        # at budget 75, subject reduction runs out of budget at steps 10, 11,
+        # 14, 18 and 19 and finds no violation: resource exhaustion, not a
+        # counterexample
         path = str(CORPUS / "accept" / "nested_mix_clone.caps")
         args = ["run", path, "--verify-meta", "--budget", str(budget)]
         assert main(args) == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == found
-        assert all('"inconclusive: search budget of 100' in x for x in lines)
+        assert all('"inconclusive: search budget of 75 ' in x for x in lines)
 
     def test_verify_meta_conclusive_wins(self, tmp_path, capsys, monkeypatch):
         # one conclusive violation among inconclusive ones is a violation

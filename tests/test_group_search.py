@@ -3,11 +3,12 @@
 `Checker.check_block` enumerates each group assignment once, as a
 restricted growth string, and skips a candidate when one of its premises
 repeats a check that already failed under the same projection of its
-context.  `UnprunedChecker` is the search as it was before: every tuple of
-`itertools.product` with duplicates dropped after sorting, and every
-candidate checked in full.  Both must reach the same verdict, message, span,
-derivation (rules and notes included), and the pruned search may not spend
-more ticks.
+context.  `Checker._check` does not try the group swap for a mut goal,
+which it can never conclude.  `UnprunedChecker` is the search as it was
+before: every tuple of `itertools.product` with duplicates dropped after
+sorting, every candidate checked in full, and the swap tried for every
+goal.  Both must reach the same verdict, message, span, derivation (rules
+and notes included), and the pruned search may not spend more ticks.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from capslang.context import Gamma
 from capslang.generator import GenConfig, gen_source
 from capslang.syntax import (
-    Block, IntLit, Qualifier, RefType, children, free_vars, stored_type,
+    Block, IntLit, Qualifier, RefType, children, free_vars, stored_type, subtype,
 )
 from capslang.typecheck import (
     MAX_LENT_LOCALS,
@@ -31,6 +32,7 @@ from capslang.typecheck import (
     TypeContext,
     _Failure,
     _growth_strings,
+    _weaken,
     method_context,
     wf_context,
 )
@@ -73,8 +75,50 @@ def product_candidates(names, base_groups, seeded):
 
 
 class UnprunedChecker(Checker):
-    """The oracle: product-plus-dedup enumeration, and every candidate's
-    premises checked in full until one candidate succeeds."""
+    """The oracle: product-plus-dedup enumeration, every candidate's
+    premises checked in full until one candidate succeeds, and the group
+    swap tried for a mut goal too.  It records the goal of every judgment
+    the swap concludes in `swap_goals`, and how many swaps it tried for a
+    mut goal in `mut_swaps`."""
+
+    def __init__(self, table, budget=None):
+        super().__init__(table, budget)
+        self.swap_goals: list = []
+        self.mut_swaps = 0
+
+    def _check(self, ctx, e, goal):
+        try:
+            j = super()._check(ctx, e, goal)
+        except IllTyped:
+            if not (isinstance(goal, RefType) and goal.qualifier is Qualifier.MUT):
+                raise
+            # Checker skips the swap for a mut goal.  For mut it came last,
+            # right before the first failure was raised, and left that
+            # failure as it was: trying it here is the search as before.
+            j = self._swap(ctx, e, goal)
+            if j is None:
+                raise
+        if j.rule == "t-swap":
+            self.swap_goals.append(goal)
+        return j
+
+    def _swap(self, ctx, e, goal):
+        """The swap loop of `Checker._check` for a mut goal (whose only
+        inner goal is mut itself)."""
+        for g, g_sorted in zip(ctx.groups, ctx.sorted_groups):
+            if g & ctx.restricted:
+                continue
+            self.mut_swaps += 1
+            try:
+                j = self.check(ctx.swap(g), e, goal)
+            except IllTyped:
+                continue
+            weakened = _weaken(j.result)
+            if subtype(weakened, goal):
+                return Judgment(
+                    ctx, e, weakened, "t-swap", (j,), note=("swap", g_sorted)
+                )
+        return None
 
     def check_block(self, ctx, block, goal: Optional[RefType]):
         decls = block.decls
@@ -174,17 +218,22 @@ def derivation(j):
     return out
 
 
-def outcomes(p, checker_cls):
-    """(verdict, ticks) for every method body and main, each with a fresh
-    checker."""
+def checked_bodies(p):
+    """(context, body, goal) of every method body and of main."""
     goals = [
         (method_context(p.table, cname, sig), sig.body, sig.ret)
         for cname, cd in p.table.classes.items()
         for sig in cd.methods.values()
     ]
     goals.append((TypeContext.make({}), p.main, None))
+    return goals
+
+
+def outcomes(p, checker_cls):
+    """(verdict, ticks) for every method body and main, each with a fresh
+    checker."""
     out = []
-    for ctx, body, goal in goals:
+    for ctx, body, goal in checked_bodies(p):
         c = checker_cls(p.table)
         try:
             j = c.check(ctx, body, goal)
@@ -345,10 +394,61 @@ class TestAgainstOracle:
         assert_same_as_oracle(lent_block_source(seed) for seed in range(60))
 
 
+def oracle_swaps(sources):
+    """The goals of the oracle's swap conclusions over every method body
+    and main, and how many swaps it tried for a mut goal."""
+    goals, mut_swaps = [], 0
+    for src in sources:
+        p = load(src)
+        for ctx, body, goal in checked_bodies(p):
+            c = UnprunedChecker(p.table)
+            try:
+                c.check(ctx, body, goal)
+            except TypeCheckError:
+                pass
+            goals += c.swap_goals
+            mut_swaps += c.mut_swaps
+    return goals, mut_swaps
+
+
+class TestSwapNeverConcludesMut:
+    """The lemma behind skipping the swap for a mut goal, in the oracle,
+    which still tries it: no judgment the swap concludes answers a mut
+    goal.  Each case asserts that the oracle did try to swap for a mut
+    goal, so the lemma is not met vacuously."""
+
+    def assert_lemma(self, sources):
+        goals, mut_swaps = oracle_swaps(sources)
+        assert mut_swaps > 0
+        assert not [
+            g for g in goals
+            if isinstance(g, RefType) and g.qualifier is Qualifier.MUT
+        ]
+
+    def test_corpus(self):
+        self.assert_lemma(p.read_text() for p in sorted(CORPUS.glob("*/*.caps")))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_lent_family(self, k):
+        self.assert_lemma(
+            lent_source(k, leak, seed)
+            for leak in (False, True)
+            for seed in range(3 if k < 6 else 1)
+        )
+
+    @pytest.mark.parametrize("size", [8, 16])
+    @pytest.mark.parametrize("reject_rate", [0.0, 0.3])
+    def test_generated(self, size, reject_rate):
+        self.assert_lemma(
+            gen_source(GenConfig(seed=s, size=size, reject_rate=reject_rate))
+            for s in range(200)
+        )
+
+
 class TestTicks:
     """Ticks are deterministic, so the pruning is gated on them."""
 
-    @pytest.mark.parametrize("k, bound", [(5, 6_000), (6, 22_000)])
+    @pytest.mark.parametrize("k, bound", [(5, 500), (6, 800)])
     def test_lent_reject(self, k, bound):
         verdict, ticks = main_ticks(lent_source(k, True, seed=0))
         assert verdict == "rejected"
@@ -417,6 +517,12 @@ def verdict(checker, ctx, e, goal):
         return err.kind, str(err)
 
 
+# A block whose check of main leaves tainted failures in the memo.  Seed 2268
+# did until the swap stopped being tried for mut goals: each of its cyclic
+# hits was met under such a swap.  1,185 of seeds 0..2999 still leave some.
+TAINTED_SEED = 6
+
+
 class TestMemoAcrossQueries:
     """A failure whose search met a check still in progress ("cyclic
     search") is a verdict about that query's stack, not about its key.  A
@@ -426,7 +532,7 @@ class TestMemoAcrossQueries:
 
     @pytest.mark.parametrize(
         "src",
-        [pytest.param(lent_block_source(2268), id="block-2268")]
+        [pytest.param(lent_block_source(TAINTED_SEED), id=f"block-{TAINTED_SEED}")]
         + [
             pytest.param(
                 lent_source(k, leak, seed=0),
@@ -450,7 +556,7 @@ class TestMemoAcrossQueries:
             stack.extend(children(e))
         first = dict(c.memo)
         tainted = {k: v for k, v in first.items() if getattr(v, "tainted", False)}
-        if src == lent_block_source(2268):
+        if src == lent_block_source(TAINTED_SEED):
             assert tainted  # the case this test is about
         for eid, ctx, goal in first:
             got = verdict(c, ctx, terms[eid], goal)

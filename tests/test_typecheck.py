@@ -171,6 +171,28 @@ class TestGroups:
             """
         )
 
+    def test_swap_concludes_a_lent_goal(self):
+        # under capsule promotion x and k form a lent group: new C(x) is mut
+        # only with that group swapped in, and weakened to lent it meets the
+        # lent parameter.  The checker skips the swap for mut goals alone.
+        out = accepts(
+            """
+            class A { int f; }
+            class C { mut A f1; int peek(read, lent C c) { return c.f1.f; } }
+            mut A x = new A(1);
+            mut C k = new C(x);
+            capsule C z = { mut A a = new A(0); int n = k.peek(new C(x)); new C(a) };
+            z
+            """
+        )
+        stack, swaps = [out["main"]], []
+        while stack:
+            j = stack.pop()
+            stack.extend(j.premises)
+            if j.rule == "t-swap":
+                swaps.append(j.result)
+        assert RefType(Qualifier.LENT, "C") in swaps
+
 
 class TestNestedRecovery:
     def test_inner_slot_local(self):
