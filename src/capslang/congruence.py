@@ -29,7 +29,6 @@ from .syntax import (
     is_objstate,
     is_rightvalue,
     is_value,
-    map_children,
     node_cached,
     rename,
     stored_type,
@@ -295,25 +294,24 @@ def _sort_run(run: list, block: Block) -> list:
 
 def canonical(e: Expr) -> Expr:
     """Canonical representative modulo alpha-conversion and reordering of
-    contiguous evaluated-declaration runs: the runs are sorted, then every
-    binder is numbered v1, v2, ... in preorder."""
+    contiguous evaluated-declaration runs, in one walk: each block's runs
+    are sorted (`_sorted_runs`), and its binders numbered v1, v2, ... in
+    preorder."""
     counter = itertools.count(1)
-    return rename(_reorder(e), {}, lambda _: f"v{next(counter)}")
+    return rename(e, {}, lambda _: f"v{next(counter)}", _sorted_runs)
 
 
-def _reorder(e: Expr) -> Expr:
-    """e with every run of evaluated declarations sorted by `_sort_run`; a
-    block is sorted as it stands, before its children are."""
-    if isinstance(e, Block):
-        ordered: list = []
-        run: list = []
-        for d in e.decls:
-            if is_evaluated(d):
-                run.append(d)
-            else:
-                ordered.extend(_sort_run(run, e))
-                run = []
-                ordered.append(d)
-        ordered.extend(_sort_run(run, e))
-        e = Block(tuple(ordered), e.body, e.span)
-    return map_children(e, _reorder)
+def _sorted_runs(block: Block) -> list:
+    """The block's declarations with every run of evaluated ones sorted by
+    `_sort_run`; the block is sorted as it stands, before its children
+    are."""
+    ordered, run = [], []
+    for d in block.decls:
+        if is_evaluated(d):
+            run.append(d)
+        else:
+            ordered.extend(_sort_run(run, block))
+            run = []
+            ordered.append(d)
+    ordered.extend(_sort_run(run, block))
+    return ordered

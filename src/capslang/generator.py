@@ -31,12 +31,14 @@ from .syntax import (
 )
 
 
+N_CLASSES = 3  # classes of every generated table
+MAX_FIELDS = 3  # fields per class, at most
+
+
 @dataclass
 class GenConfig:
     seed: int = 0
     size: int = 8  # main declarations
-    n_classes: int = 3
-    max_fields: int = 3
     reject_rate: float = 0.15  # fraction of deliberately ill-typed declarations
 
 
@@ -64,11 +66,10 @@ class _Gen:
     # -- class table -------------------------------------------------------
 
     def gen_classes(self) -> str:
-        n = self.cfg.n_classes
         out = []
-        for i in range(n):
+        for i in range(N_CLASSES):
             fields = []
-            nf = self.rng.randint(1, self.cfg.max_fields)
+            nf = self.rng.randint(1, MAX_FIELDS)
             for k in range(nf):
                 name = f"f{k}"
                 if i == 0 or self.rng.random() < 0.4:
@@ -154,7 +155,7 @@ class _Gen:
                     lines.append(line)
                     continue
             choice = self.rng.randrange(8)
-            i = self.rng.randrange(self.cfg.n_classes)
+            i = self.rng.randrange(N_CLASSES)
             if choice == 0:  # ground mut construction
                 x = self.fresh("m")
                 lines.append(f"mut C{i} {x} = {self.ground(i)};")

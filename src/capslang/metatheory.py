@@ -161,9 +161,10 @@ class _SubjectReduction:
     reduct's subterms find the verdicts earlier terms computed.  The trace
     keeps every term alive, as the Checker's id-keyed memo needs.  The root
     state (`context.RootState`) is built on the walk's scope and moved on
-    by each diff, and the query of each reduct gets it.  A SearchExhausted
-    outcome is reported distinctly (inconclusive, not a counterexample);
-    after a failed initial term nothing more is checked."""
+    by each diff, and every query gets it, the initial term's (whose goal
+    is None) included.  A SearchExhausted outcome is reported distinctly
+    (inconclusive, not a counterexample); after a failed initial term
+    nothing more is checked."""
 
     def __init__(self, table: ClassTable, budget: Optional[int]):
         self.checker = Checker(table, budget)
@@ -178,10 +179,7 @@ class _SubjectReduction:
             return  # the initial term did not typecheck
         self.root.advance(term, *diff)
         try:
-            if step == 0:
-                self.goal = self.checker.query(self.ctx, term, None).result
-            else:
-                self.checker.query(self.ctx, term, self.goal, self.root)
+            result = self.checker.query(self.ctx, term, self.goal, self.root).result
         except TypeCheckError as e:
             if isinstance(e, SearchExhausted):
                 what = "inconclusive"
@@ -192,6 +190,9 @@ class _SubjectReduction:
             self.outs[0].append(
                 MetaViolation.at("subject-reduction", step, None, f"{what}: {e}", term)
             )
+        else:
+            if step == 0:
+                self.goal = result
 
 
 # ---------------------------------------------------------------------------

@@ -455,27 +455,29 @@ def substitute(e: Expr, v: Expr, x: str) -> Expr:
     return map_children(e, substitute, v, x)
 
 
-def rename(e: Expr, ren: dict, namer) -> Expr:
+def rename(e: Expr, ren: dict, namer, order=None) -> Expr:
     """e with its free variables renamed by `ren` and every block binder x
     renamed to namer(x).  Binders are named in preorder: a block names all
-    its binders, in declaration order, before its initializers and body are
-    walked.  Unchanged subterms without binders are shared with e."""
+    its binders, in declaration order or the order order(block) gives, and
+    holds them so, before its initializers and body are walked.  Unchanged
+    subterms without binders are shared with e."""
     if isinstance(e, Var):
         name = ren.get(e.name, e.name)
         return e if name == e.name else Var(name, e.span)
     if isinstance(e, Block):
+        decls = e.decls if order is None else order(e)
         ren = dict(ren)
-        for d in e.decls:
+        for d in decls:
             ren[d.name] = namer(d.name)
         return Block(
             tuple(
-                Decl(d.dtype, ren[d.name], rename(d.init, ren, namer), d.span)
-                for d in e.decls
+                Decl(d.dtype, ren[d.name], rename(d.init, ren, namer, order), d.span)
+                for d in decls
             ),
-            rename(e.body, ren, namer),
+            rename(e.body, ren, namer, order),
             e.span,
         )
-    return map_children(e, rename, ren, namer)
+    return map_children(e, rename, ren, namer, order)
 
 
 # ---------------------------------------------------------------------------

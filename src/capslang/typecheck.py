@@ -48,12 +48,13 @@ most subterms with the term before it, but its store, and so every context
 beneath it, is new: the projection lets those subterms find their verdicts
 again.  Projections are computed only once a second query starts, and an
 entry of the first query only once its term is asked about again, so a
-one-query Checker (`typecheck_program`) never pays for them.  Reuse keeps
-verdicts and results, not derivations: a judgment found under a projected
-key has its term, result and rule, but no context and no premises.  A
-variable or literal whose structural rule meets its goal needs neither:
-from the second query on it is judged at once, with no projection (see
-`Checker.check`).
+one-query Checker (`typecheck_program`) never pays for them.  A judgment
+holds no context (a premise's follows from the root context and the rules
+and notes above it), so reuse keeps whole derivations: a success found
+under a projected key, or kept by the root state, is the judgment an
+earlier query built, with the terms, results and rules a fresh Checker
+builds.  A variable or literal whose structural rule meets its goal is
+judged at once, in every query, with no memo probe and no projection.
 
 The root block of a reduct (the store) differs from the last one in a few
 declarations.  A query may come with a root state for its block
@@ -167,7 +168,6 @@ class _Failure:
 
 @dataclass(slots=True)
 class Judgment:
-    context: TypeContext
     expr: Expr
     result: Type
     rule: str
@@ -182,13 +182,11 @@ class Judgment:
 
 
 def _kept(entry):
-    """What a later query may use of a completed memo entry: a judgment's
-    term, result and rule (dropping its context and premises lets the
-    contexts of earlier queries go), an untainted failure, and nothing of a
-    tainted one."""
-    if entry.__class__ is Judgment:
-        return Judgment(None, entry.expr, entry.result, entry.rule)
-    return None if entry.tainted else entry
+    """What a later query may use of a completed memo entry: a judgment,
+    whole, and an untainted failure; nothing of a tainted one.  A judgment
+    holds no context, so keeping it keeps no context of an earlier query
+    alive."""
+    return None if entry.__class__ is _Failure and entry.tainted else entry
 
 
 def _weaken(t: Type) -> Type:
@@ -294,21 +292,20 @@ class Checker:
         filed under its key's projection (`_projection`) too, and a miss
         of the full key is looked up there.  Every term asked about must
         stay alive while the Checker is in use: entries are keyed by
-        id(e).
+        id(e).  A success found under its projection is the earlier
+        query's judgment, premises included: contexts with one projection
+        give e the same search step for step.
 
-        From the second query on, a variable or literal (other than the
-        query's own term) whose structural rule meets the goal is judged
-        at once, with no memo probe and no projection: t-var reads only
-        the variable's gamma entry, group and restriction, so the
-        judgment is the one `_check` would return, for the one tick a
-        memo hit costs.  It gets no memo entry; no search can meet it in
-        progress, since its rule asks nothing further.  A leaf whose rule
-        fails, or misses the goal, is checked as any term.  The first
-        query never takes this path: it has no projections to save, and
-        a failing leaf would pay for its rule twice."""
+        A variable or literal whose structural rule meets the goal is
+        judged at once, in every query, with no memo probe and no
+        projection: t-var reads only the variable's gamma entry, group
+        and restriction, so the judgment is the one `_check` would
+        return, for the one tick a memo hit costs.  It gets no memo
+        entry; no search can meet it in progress, since its rule asks
+        nothing further.  A leaf whose rule fails, or misses the goal, is
+        checked as any term."""
         self._tick()
-        reuse = None if top else self._reuse
-        if reuse is not None and e.__class__ in _LEAVES:
+        if e.__class__ in _LEAVES:
             # a leaf whose structural rule meets the goal has the judgment
             # _check would find, whatever the memo holds: judge it at once
             try:
@@ -318,6 +315,7 @@ class Checker:
             else:
                 if goal is None or subtype(j.result, goal):
                     return self._sub(j, goal)
+        reuse = None if top else self._reuse
         key = (id(e), ctx, goal)
         memo = self.memo
         hit = memo.get(key)
@@ -354,7 +352,7 @@ class Checker:
         self._cyclic = cyclic
         memo[key] = j
         if reuse is not None:
-            reuse[pkey] = _kept(j)
+            reuse[pkey] = j
         return j
 
     def infer(self, ctx: TypeContext, e: Expr) -> Judgment:
@@ -411,7 +409,7 @@ class Checker:
                 weakened = _weaken(j.result)
                 if subtype(weakened, goal):
                     return Judgment(
-                        ctx, e, weakened, "t-swap", (j,), note=("swap", g_sorted)
+                        e, weakened, "t-swap", (j,), note=("swap", g_sorted)
                     )
         # unrestriction
         if ctx.restricted and (
@@ -423,7 +421,7 @@ class Checker:
                 if isinstance(j.result, IntType) or qual_leq(
                     j.result.qualifier, Qualifier.IMM
                 ):
-                    return Judgment(ctx, e, j.result, "t-unrst", (j,))
+                    return Judgment(e, j.result, "t-unrst", (j,))
             except IllTyped as err:
                 first = first or _Failure(err)
         raise first.error() if first else IllTyped(
@@ -441,13 +439,13 @@ class Checker:
     def _sub(self, j: Judgment, goal: Optional[Type]) -> Judgment:
         if goal is None or j.result == goal:
             return j
-        return Judgment(j.context, j.expr, goal, "t-sub", (j,))
+        return Judgment(j.expr, goal, "t-sub", (j,))
 
     def _try_capsule(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
         ctx2 = ctx.grouped(ctx.restricted)
         j = self.check(ctx2, e, RefType(Qualifier.MUT, cname))
         return Judgment(
-            ctx, e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,),
+            e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,),
             note=("grouped", tuple(sorted(ctx.mutable_group()))),
         )
 
@@ -455,7 +453,7 @@ class Checker:
         restricted = ctx.mut_or_read_names()
         j = self.check(ctx.grouped(restricted), e, RefType(Qualifier.READ, cname))
         return Judgment(
-            ctx, e, RefType(Qualifier.IMM, cname), "t-imm", (j,),
+            e, RefType(Qualifier.IMM, cname), "t-imm", (j,),
             note=("restricted", tuple(sorted(restricted))),
         )
 
@@ -467,11 +465,11 @@ class Checker:
         if isinstance(e, Var):
             return self._var(ctx, e)
         if isinstance(e, IntLit):
-            return Judgment(ctx, e, INT, "t-int")
+            return Judgment(e, INT, "t-int")
         if isinstance(e, Plus):
             jl = self.check(ctx, e.left, INT)
             jr = self.check(ctx, e.right, INT)
-            return Judgment(ctx, e, INT, "t-plus", (jl, jr))
+            return Judgment(e, INT, "t-plus", (jl, jr))
         if isinstance(e, New):
             return self._new(ctx, e)
         if isinstance(e, FieldAccess):
@@ -498,7 +496,7 @@ class Checker:
             and ctx.group_of(e.name) is not None
         ):
             t = RefType(Qualifier.LENT, t.cname)
-        return Judgment(ctx, e, t, "t-var")
+        return Judgment(e, t, "t-var")
 
     def _new(self, ctx: TypeContext, e: New) -> Judgment:
         if e.cname not in self.table:
@@ -512,7 +510,7 @@ class Checker:
         premises = tuple(
             self.check(ctx, a, ft) for a, (ft, _) in zip(e.args, fields)
         )
-        return Judgment(ctx, e, RefType(Qualifier.MUT, e.cname), "t-new", premises)
+        return Judgment(e, RefType(Qualifier.MUT, e.cname), "t-new", premises)
 
     def _field_access(self, ctx: TypeContext, e: FieldAccess) -> Judgment:
         jr = self.infer(ctx, e.recv)
@@ -527,7 +525,7 @@ class Checker:
             result: Type = RefType(jr.result.qualifier, ft.cname)
         else:
             result = ft  # imm and int fields keep their declared type
-        return Judgment(ctx, e, result, "t-field-access", (jr,))
+        return Judgment(e, result, "t-field-access", (jr,))
 
     def _field_assign(self, ctx: TypeContext, e: FieldAssign) -> Judgment:
         cname = self._receiver_class(ctx, e.recv)
@@ -537,7 +535,7 @@ class Checker:
         except KeyError:
             raise IllTyped(f"no field {e.fname} in class {cname}", _span(e))
         jv = self.check(ctx, e.value, ft)
-        return Judgment(ctx, e, ft, "t-field-assign", (jr, jv))
+        return Judgment(e, ft, "t-field-assign", (jr, jv))
 
     def _meth_call(self, ctx: TypeContext, e: MethodCall) -> Judgment:
         cname = self._receiver_class(ctx, e.recv)
@@ -558,7 +556,7 @@ class Checker:
         premises = (jr,) + tuple(
             self.check(ctx, a, pt) for a, (pt, _) in zip(e.args, sig.params)
         )
-        return Judgment(ctx, e, sig.ret, "t-meth-call", premises)
+        return Judgment(e, sig.ret, "t-meth-call", premises)
 
     def _static_call(self, ctx: TypeContext, e: StaticCall) -> Judgment:
         if not self.table.has_method(e.cname, e.mname):
@@ -574,7 +572,7 @@ class Checker:
         premises = tuple(
             self.check(ctx, a, pt) for a, (pt, _) in zip(e.args, sig.params)
         )
-        return Judgment(ctx, e, sig.ret, "t-static-call", premises)
+        return Judgment(e, sig.ret, "t-static-call", premises)
 
     def _receiver_class(self, ctx: TypeContext, recv: Expr) -> str:
         t = shape_type(self.table, ctx.env, recv)
@@ -599,7 +597,7 @@ class Checker:
         decls = block.decls
         if not decls:
             j = self.check(ctx, block.body, goal)
-            return Judgment(ctx, block, j.result, "t-block", (j,))
+            return Judgment(block, j.result, "t-block", (j,))
         root = self._query
         if root is not None and (root.block is not block or root.ctx is not ctx):
             root = None
@@ -679,9 +677,8 @@ class Checker:
                 failed = (i, _premise_context(ctx_body, decls, i))
                 continue
             if root is not None:
-                root.keep(ctx_body, decls, {i: _kept(j) for i, j in fresh.items()})
+                root.keep(ctx_body, decls, fresh)
             return Judgment(
-                ctx,
                 block,
                 premises[-1].result,
                 "t-block",
@@ -803,9 +800,8 @@ class Checker:
                 continue
             return None
         rule = "t-capsule" if d.dtype.qualifier is Qualifier.CAPSULE else "t-imm"
-        premise = Judgment(ctx, d.init, t_y, "t-var")
+        premise = Judgment(d.init, t_y, "t-var")
         return Judgment(
-            ctx,
             d.init,
             d.dtype,
             rule,

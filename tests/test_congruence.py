@@ -1,6 +1,8 @@
 """Value normalization, right-value/store well-formedness, and the canonical
 form used for comparison modulo alpha-conversion and declaration reordering."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,7 @@ from capslang.syntax import (
     is_evaluated,
     is_value,
     map_children,
+    rename,
 )
 from capslang.typecheck import TypeCheckError, typecheck_program
 
@@ -346,38 +349,27 @@ class TestCanonical:
         assert canonical(a) == parse_expr("new C(u, v)")
 
 
-def oracle_canonical(e):
-    """`canonical` as one walk that sorts each block's evaluated runs and
-    numbers its binders in the same pass."""
-    counter = [0]
+def reference_canonical(e):
+    """`canonical` as two walks: every run of evaluated declarations sorted
+    by `_sort_run` first (a block as it stands, before its children are),
+    then every binder numbered v1, v2, ... in preorder (`syntax.rename`)."""
+    counter = itertools.count(1)
+    return rename(reordered(e), {}, lambda _: f"v{next(counter)}")
 
-    def walk(e, ren):
-        if isinstance(e, Var):
-            name = ren.get(e.name, e.name)
-            return e if name == e.name else Var(name)
-        if isinstance(e, Block):
-            ordered, run = [], []
-            for d in e.decls:
-                if is_evaluated(d):
-                    run.append(d)
-                else:
-                    ordered.extend(_sort_run(run, e))
-                    run = []
-                    ordered.append(d)
-            ordered.extend(_sort_run(run, e))
-            ren2 = dict(ren)
-            for d in ordered:
-                counter[0] += 1
-                ren2[d.name] = f"v{counter[0]}"
-            return Block(
-                tuple(
-                    Decl(d.dtype, ren2[d.name], walk(d.init, ren2)) for d in ordered
-                ),
-                walk(e.body, ren2),
-            )
-        return map_children(e, walk, ren)
 
-    return walk(e, {})
+def reordered(e):
+    if isinstance(e, Block):
+        ordered, run = [], []
+        for d in e.decls:
+            if is_evaluated(d):
+                run.append(d)
+            else:
+                ordered.extend(_sort_run(run, e))
+                run = []
+                ordered.append(d)
+        ordered.extend(_sort_run(run, e))
+        e = Block(tuple(ordered), e.body, e.span)
+    return map_children(e, reordered)
 
 
 def _trace_terms():
@@ -399,10 +391,10 @@ def _trace_terms():
             yield term
 
 
-def test_canonical_equals_the_one_pass_oracle():
+def test_canonical_equals_the_two_walk_definition():
     n = 0
     for term in _trace_terms():
-        got, want = canonical(term), oracle_canonical(term)
+        got, want = canonical(term), reference_canonical(term)
         assert got == want
         assert pretty_print(got) == pretty_print(want)
         n += 1

@@ -115,16 +115,14 @@ class UnprunedChecker(Checker):
                 continue
             weakened = _weaken(j.result)
             if subtype(weakened, goal):
-                return Judgment(
-                    ctx, e, weakened, "t-swap", (j,), note=("swap", g_sorted)
-                )
+                return Judgment(e, weakened, "t-swap", (j,), note=("swap", g_sorted))
         return None
 
     def check_block(self, ctx, block, goal: Optional[RefType]):
         decls = block.decls
         if not decls:
             j = self.check(ctx, block.body, goal)
-            return Judgment(ctx, block, j.result, "t-block", (j,))
+            return Judgment(block, j.result, "t-block", (j,))
         dom = frozenset(d.name for d in decls)
         gamma = dict(ctx.env)
         for d in decls:
@@ -159,7 +157,7 @@ class UnprunedChecker(Checker):
                     )
                 jb = self.check(ctx_body, block.body, goal)
                 return Judgment(
-                    ctx, block, jb.result, "t-block", tuple(premises) + (jb,),
+                    block, jb.result, "t-block", tuple(premises) + (jb,),
                     note=("groups", tuple(tuple(sorted(g)) for g in groups)),
                 )
             except IllTyped as err:
@@ -210,9 +208,10 @@ class UnprunedChecker(Checker):
 
 
 def derivation(j):
-    """Everything a judgment shows: rule, result, note and context of every
-    node, in preorder."""
-    out = [(j.rule, str(j.result), j.note, j.context)]
+    """Everything a judgment shows: rule, result and note of every node, in
+    preorder.  A premise's context follows from the root context and the
+    rules and notes above it."""
+    out = [(j.rule, str(j.result), j.note)]
     for p in j.premises:
         out.extend(derivation(p))
     return out

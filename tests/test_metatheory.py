@@ -626,7 +626,9 @@ class TestSubjectReductionCost:
         # searches run per trace term (calls of Checker._check, memo and
         # projected hits excluded) over seeds 0..19: 34.6 at N = 8 and
         # 172 at N = 32 with a fresh Checker per reduct, about 6.8 at both
-        # with one Checker per trace
+        # with one Checker per trace; 5.4 and 5.5 before, and 3.4 and 3.5
+        # since, every query judges a leaf whose rule meets its goal at
+        # once and the initial term has the root state too
         calls = 0
         search = Checker._check
 
@@ -647,14 +649,16 @@ class TestSubjectReductionCost:
                 assert check_subject_reduction(p.table, trace) == []
             per_term[size] = calls / terms
         assert per_term[32] <= 1.25 * per_term[8], per_term
-
+        assert per_term[8] <= 3.7, per_term
 
     def test_move_reducts_check_what_moved(self, monkeypatch):
         # searches per reduct of the move rules over seeds 0..62 at N = 16:
         # the moved value's right-values are the objects they were, so
         # their premises keep their judgments (6.2 per mut-move and 15.2
         # per imm-move reduct when normalization rebuilt every constructor,
-        # 1.8 and 3.3 since it returns them)
+        # 1.8 and 3.3 since it returns them; 1.57 and 3.21 measured again
+        # when the initial term got the root state, which left them as
+        # they were)
         calls = 0
         search = Checker._check
 
@@ -671,8 +675,8 @@ class TestSubjectReductionCost:
             )
             checker, empty = Checker(p.table), TypeContext.make({})
             root = RootState(empty, RootScope())
-            goal = checker.infer(empty, trace.initial).result
             advance(root, trace.initial)
+            goal = checker.query(empty, trace.initial, None, root).result
             for rule, term in trace.steps:
                 advance(root, term)
                 calls = 0  # a new query, as in verify_trace
@@ -680,7 +684,7 @@ class TestSubjectReductionCost:
                 per_rule.get(rule, []).append(calls)
         mean = {r: sum(xs) / len(xs) for r, xs in per_rule.items()}
         assert min(map(len, per_rule.values())) >= 40, per_rule
-        assert mean["mut-move"] < 2.5 and mean["imm-move"] < 5, mean
+        assert mean["mut-move"] < 1.8 and mean["imm-move"] < 3.6, mean
 
 
 class TestVerifyCost:
@@ -694,7 +698,8 @@ class TestVerifyCost:
         # moved value's declarations stay the same objects; 4.3 and 5.2
         # since a variable or literal whose structural rule meets its goal
         # is judged without a projection (also since a copied value gets
-        # declarations of its own)
+        # declarations of its own); 3.5 and 4.2 since it is so judged in
+        # every query and the initial term has the root state too
         work = 0
         project, canonical = Checker._projection, _StoreChecks.canonical_forms
 
@@ -721,7 +726,7 @@ class TestVerifyCost:
                 assert verify_trace(p.table, trace) == []
             per_term[size] = work / terms
         assert per_term[128] <= 1.5 * per_term[16], per_term
-        assert per_term[16] <= 4.6, per_term
+        assert per_term[16] <= 3.8, per_term
 
     def test_one_root_diff_per_term(self, monkeypatch):
         # one walk compares each term's root block with the last one's once,
@@ -808,7 +813,7 @@ def queries(checker, trace):
     for step, term in enumerate([trace.initial] + [t for _, t in trace.steps]):
         advance(root, term)
         try:
-            j = checker.query(empty, term, goal, root if step else None)
+            j = checker.query(empty, term, goal, root)
         except TypeCheckError as err:
             out.append(((err.kind, str(err), err.span), checker.ticks))
             if step == 0:
@@ -822,13 +827,9 @@ def queries(checker, trace):
 
 def agrees(j, ref):
     """j derives what ref derives: the same term, result and rule at every
-    node, down to where ref holds a verdict reused from an earlier query
-    (no context, no premises), whose derivation is not kept.  Where the
-    reference reused a leaf's verdict, the checker judges the leaf again."""
+    node."""
     if j.expr is not ref.expr or j.result is not ref.result or j.rule != ref.rule:
         return False
-    if ref.context is None and not ref.premises:
-        return True
     return len(j.premises) == len(ref.premises) and all(
         map(agrees, j.premises, ref.premises)
     )
@@ -855,9 +856,9 @@ def assert_leaf_path_agrees(table, trace) -> int:
 
 
 class TestLeafPremises:
-    """From the second query on, a variable or literal whose structural
-    rule meets its goal is judged at once, with no memo probe and no
-    projection; every query must end as with the probing reference."""
+    """In every query, a variable or literal whose structural rule meets
+    its goal is judged at once, with no memo probe and no projection; every
+    query must end as with the probing reference."""
 
     @pytest.mark.parametrize(
         "size, seeds, reject_rate",
@@ -877,3 +878,64 @@ class TestLeafPremises:
     def test_doctored(self):
         for table, trace in doctored_traces():
             assert_leaf_path_agrees(table, trace)
+
+
+# ---------------------------------------------------------------------------
+# Whole derivations across queries
+# ---------------------------------------------------------------------------
+
+
+def count_fresh_mismatches(table, trace):
+    """(later queries, those whose derivation, and so whose rule_path(),
+    differs from the one a fresh Checker builds for the same term and
+    goal) over the queries of one checker, as check_subject_reduction asks
+    them.  The first query's derivation must be the fresh one too."""
+    empty = TypeContext.make({})
+    answers = queries(Checker(table), trace)
+    terms = [trace.initial] + [t for _, t in trace.steps]
+    if not isinstance(answers[0][0], Judgment):
+        return 0, 0
+    goal, later, differ = answers[0][0].result, 0, 0
+    assert agrees(answers[0][0], Checker(table).infer(empty, trace.initial))
+    for term, (j, _) in zip(terms[1:], answers[1:]):
+        if not isinstance(j, Judgment):
+            continue
+        later += 1
+        fresh = Checker(table).check(empty, term, goal)
+        differ += not agrees(j, fresh)
+    return later, differ
+
+
+class TestWholeDerivations:
+    """A success that a later query finds under a projected key, or that
+    the root state keeps, is the judgment an earlier query built, premises
+    included: every query's derivation (term, result and rule at every
+    node) is the one a fresh Checker builds for its term and goal.  The
+    notes are not compared: a promotion's, a swap's and a block's note
+    name the groups or names of the context the judgment was built in,
+    which may differ from this one outside the names its term mentions."""
+
+    def test_corpus(self):
+        later = 0
+        for path in sorted((CORPUS / "accept").glob("*.caps")):
+            p, trace = reduce_source(path.read_text())
+            n, differ = count_fresh_mismatches(p.table, trace)
+            assert differ == 0, path.name
+            later += n
+        assert later > 0
+
+    @pytest.mark.parametrize("size, seeds", [(8, 150), (16, 100), (64, 10)])
+    def test_generated(self, size, seeds):
+        later = 0
+        for seed in range(seeds):
+            p, trace = reduce_source(
+                gen_source(GenConfig(seed=seed, size=size, reject_rate=0.0))
+            )
+            n, differ = count_fresh_mismatches(p.table, trace)
+            assert differ == 0, seed
+            later += n
+        assert later > 1000
+
+    def test_doctored(self):
+        for table, trace in doctored_traces():
+            assert count_fresh_mismatches(table, trace)[1] == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse
-from capslang.syntax import INT, Qualifier, RefType
+from capslang.syntax import INT, IntLit, Qualifier, RefType, Var, subtype
 from capslang.typecheck import (
     _IN_PROGRESS,
     Checker,
@@ -324,10 +324,20 @@ def naive_fingerprint(ctx):
 class FingerprintKeyChecker(Checker):
     """Reference checker: the memo is keyed on the fingerprint tuple rebuilt
     and hashed on every call, and failures are memoized as the exceptions
-    themselves.  The production key must mean exactly the same."""
+    themselves.  The production key must mean exactly the same.  A variable
+    or literal whose rule meets its goal is judged at once, with no memo
+    entry, as `Checker.check` judges it."""
 
     def check(self, ctx, e, goal):
         self._tick()
+        if isinstance(e, (Var, IntLit)):
+            try:
+                j = self._structural(ctx, e, goal)
+            except IllTyped:
+                pass
+            else:
+                if goal is None or subtype(j.result, goal):
+                    return self._sub(j, goal)
         key = (id(e), naive_fingerprint(ctx), goal)
         hit = self.memo.get(key)
         if hit is _IN_PROGRESS:
