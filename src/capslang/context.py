@@ -123,20 +123,18 @@ class TypeContext:
     gamma entry stays mut; the mutable group is derived (mut variables not in
     any lent group).
 
-    A context is its own memo key.  Its canonical fingerprint (gamma, the
-    groups as sorted tuples in sorted order, the sorted restricted set) and
-    the fingerprint's hash are computed once, when it is built; contexts are
-    equal exactly when their fingerprints are, so the order of the groups
-    does not matter.  The mutable group is built on first use and kept, and
-    so are the contexts `swap` builds; what depends on gamma alone is kept
-    on the `Gamma`, which derived contexts share.  `sorted_groups`, the
-    groups as sorted tuples, is passed on by derived contexts so that no
-    group is sorted twice.
+    A context is its own memo key: (gamma, the set of its groups, the
+    restricted set), hashed once when it is built.  Each part hashes
+    without regard to order, so no group is sorted; for well-formed
+    contexts, whose groups are disjoint and non-empty, two contexts are
+    equal exactly when their gammas, restricted sets and groups in any
+    order are.  The mutable group is built on first use and kept, and so
+    are the contexts `swap` builds; what depends on gamma alone is kept on
+    the `Gamma`, which derived contexts share.
     """
 
     __slots__ = (
-        "gamma", "groups", "restricted", "sorted_groups",
-        "_fp", "_hash", "_mutable", "_swapped",
+        "gamma", "groups", "restricted", "_fp", "_hash", "_mutable", "_swapped",
     )
 
     def __init__(
@@ -144,15 +142,11 @@ class TypeContext:
         gamma: Gamma,
         groups: tuple = (),  # of frozenset
         restricted: frozenset = frozenset(),
-        sorted_groups: Optional[tuple] = None,  # groups as sorted tuples
     ):
         self.gamma = gamma
         self.groups = groups
         self.restricted = restricted
-        if sorted_groups is None:
-            sorted_groups = tuple(tuple(sorted(g)) for g in groups)
-        self.sorted_groups = sorted_groups
-        self._fp = (gamma, tuple(sorted(sorted_groups)), tuple(sorted(restricted)))
+        self._fp = (gamma, frozenset(groups), restricted)
         self._hash = hash(self._fp)
         self._mutable = None
         self._swapped = None
@@ -204,9 +198,6 @@ class TypeContext:
         """The first group holding x, or None."""
         return next((g for g in self.groups if x in g), None)
 
-    def fingerprint(self) -> tuple:
-        return self._fp
-
     def swap(self, g: frozenset) -> "TypeContext":
         """Lent group g exchanged with the mutable group; built once per
         context and group."""
@@ -215,27 +206,23 @@ class TypeContext:
             table = self._swapped = {}
         out = table.get(g)
         if out is None:
-            kept = [i for i, h in enumerate(self.groups) if h != g]
             out = table[g] = self._with_mutable_group(
-                tuple(self.groups[i] for i in kept),
-                tuple(self.sorted_groups[i] for i in kept),
-                self.restricted,
+                tuple(h for h in self.groups if h != g), self.restricted
             )
         return out
 
     def grouped(self, restricted: frozenset) -> "TypeContext":
         """The mutable group made one more lent group (the premise context of
         capsule and immutability promotion), with the given restricted set."""
-        return self._with_mutable_group(self.groups, self.sorted_groups, restricted)
+        return self._with_mutable_group(self.groups, restricted)
 
-    def _with_mutable_group(self, groups, sorted_groups, restricted) -> "TypeContext":
+    def _with_mutable_group(self, groups, restricted) -> "TypeContext":
         if self.mutable_group():
             groups += (self._mutable,)
-            sorted_groups += (tuple(sorted(self._mutable)),)
-        return TypeContext(self.gamma, groups, restricted, sorted_groups)
+        return TypeContext(self.gamma, groups, restricted)
 
     def unrestricted(self) -> "TypeContext":
-        return TypeContext(self.gamma, self.groups, frozenset(), self.sorted_groups)
+        return TypeContext(self.gamma, self.groups, frozenset())
 
 
 def wf_context(ctx: TypeContext) -> bool:

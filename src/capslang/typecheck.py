@@ -18,19 +18,30 @@ goal-directed backtracking search:
 * unrestriction is attempted when the goal is capsule/imm/int.
 
 Results are memoized per judgment, keyed by subterm identity, the context
-and the goal.  A TypeContext (module `context`) hashes a canonical
-fingerprint of itself (gamma, sorted groups, sorted restricted set) computed
-once when it is built, and compares by that fingerprint, so a memo probe
-costs the same however large gamma is; the recovery rules re-ask a subterm
-under many derived contexts, which makes this probe the checker's hot path.
-A block's gamma is its context's gamma updated with its declarations
-(`Gamma.updated`), so its hash costs what the block declares.  Derived
-contexts (a group swapped with the mutable group, the promotions' premise
-contexts) reuse the sorted forms of their groups, and each context keeps the
-swapped contexts it has built.  Failures are memoized as message and span
-and re-raised fresh.
-A configurable budget bounds the search (exhausting it raises
-SearchExhausted, which is distinct from a typing failure).
+and the goal.  A TypeContext (module `context`) hashes its gamma, the set
+of its groups and its restricted set once when it is built, and no part
+depends on order, so a memo probe costs the same however large gamma is
+and sorts nothing; the recovery rules re-ask a subterm under many derived
+contexts, which makes this probe the checker's hot path.  A block's gamma
+is its context's gamma updated with its declarations (`Gamma.updated`), so
+its hash costs what the block declares.  Each context keeps the swapped
+contexts it has built.  Failures are memoized as message and span and
+re-raised fresh.  A configurable budget bounds the search (exhausting it
+raises SearchExhausted, which is distinct from a typing failure).
+
+A judgment is a function of its term, the projection of its context (see
+`Checker._projection`) and its goal, notes included.  The promotions, and
+a consumption (`Checker._try_consume`), have no note: a certifier
+recomputes a promotion's premise context from the conclusion's
+(`TypeContext.grouped`).  A swap's note lists the swapped group's members
+that its term mentions, sorted.  Groups are disjoint, so only an empty
+note leaves the group open; every group the swap may take has no
+restricted member, so the premise contexts of two groups the term
+mentions nothing of differ only in which of the two is a lent group and
+which the mutable group, and the projection reads each of them alike:
+members beyond the term's names, none of them restricted.  A block's note
+lists each group of its body context cut to the names the block mentions,
+in order.
 
 A Checker may answer several top-level queries (`Checker.query`), each with
 a budget of its own (subject reduction asks one per reduct of a trace, see
@@ -396,8 +407,7 @@ class Checker:
         # a check against the goal or mut (_swap_goals), here against mut,
         # so r is mut and _weaken(mut) = lent is not <= mut.
         mut_goal = isinstance(goal, RefType) and goal.qualifier is Qualifier.MUT
-        groups = () if mut_goal else zip(ctx.groups, ctx.sorted_groups)
-        for g, g_sorted in groups:
+        for g in () if mut_goal else ctx.groups:
             if g & ctx.restricted:
                 continue
             swapped = ctx.swap(g)
@@ -408,9 +418,10 @@ class Checker:
                     continue
                 weakened = _weaken(j.result)
                 if subtype(weakened, goal):
-                    return Judgment(
-                        e, weakened, "t-swap", (j,), note=("swap", g_sorted)
-                    )
+                    # the swapped group's members the term mentions (see
+                    # the module docstring)
+                    note = ("swap", tuple(sorted(g & mentions(e))))
+                    return Judgment(e, weakened, "t-swap", (j,), note=note)
         # unrestriction
         if ctx.restricted and (
             isinstance(goal, IntType)
@@ -444,18 +455,12 @@ class Checker:
     def _try_capsule(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
         ctx2 = ctx.grouped(ctx.restricted)
         j = self.check(ctx2, e, RefType(Qualifier.MUT, cname))
-        return Judgment(
-            e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,),
-            note=("grouped", tuple(sorted(ctx.mutable_group()))),
-        )
+        return Judgment(e, RefType(Qualifier.CAPSULE, cname), "t-capsule", (j,))
 
     def _try_imm(self, ctx: TypeContext, e: Expr, cname: str) -> Judgment:
         restricted = ctx.mut_or_read_names()
         j = self.check(ctx.grouped(restricted), e, RefType(Qualifier.READ, cname))
-        return Judgment(
-            e, RefType(Qualifier.IMM, cname), "t-imm", (j,),
-            note=("restricted", tuple(sorted(restricted))),
-        )
+        return Judgment(e, RefType(Qualifier.IMM, cname), "t-imm", (j,))
 
     # ------------------------------------------------------------------
     # structural rules
@@ -678,12 +683,14 @@ class Checker:
                 continue
             if root is not None:
                 root.keep(ctx_body, decls, fresh)
+            # each group cut to the names the block mentions, in order;
+            # mentions(block) is asked only when there is a group to cut (a
+            # reduct's root block is a new node, and most have no group)
+            note = ("groups", tuple(
+                tuple(sorted(g & mentions(block))) for g in ctx_body.groups
+            ))
             return Judgment(
-                block,
-                premises[-1].result,
-                "t-block",
-                tuple(premises),
-                note=("groups", ctx_body.sorted_groups),
+                block, premises[-1].result, "t-block", tuple(premises), note=note
             )
         raise first.error() if first else IllTyped(
             "no lent-group assignment typechecks", block.span
@@ -751,12 +758,14 @@ class Checker:
         with the part of the local store only it refers to.  This is the
         transient shape left behind when a call returning capsule unfolds:
         the alias is about to be eliminated, and the consumed store is
-        unreachable from anywhere else in the block."""
+        unreachable from anywhere else in the block.  Like a promotion's,
+        the judgment has no note: the consumed store is the block's
+        declarations connected to the local (`connected_closure`), which the
+        block fixes."""
         if not _may_consume(d):
             return None
         y = d.init.name
-        siblings = {dd.name: dd for dd in block.decls}
-        if y not in siblings or y == d.name:
+        if y == d.name:
             return None
         t_y = gamma.get(y)
         if not (
@@ -767,8 +776,8 @@ class Checker:
             return None
         owned = connected_closure(block.decls, frozenset({y}))
         owned_names = {dd.name for dd in owned}
-        if d.name in owned_names:
-            return None
+        if not owned or d.name in owned_names:
+            return None  # y is no sibling, or its store holds d
         # nothing live may reach the consumed store: siblings that refer to
         # it but are themselves unreachable from the body are dead and
         # irrelevant
@@ -800,14 +809,7 @@ class Checker:
                 continue
             return None
         rule = "t-capsule" if d.dtype.qualifier is Qualifier.CAPSULE else "t-imm"
-        premise = Judgment(d.init, t_y, "t-var")
-        return Judgment(
-            d.init,
-            d.dtype,
-            rule,
-            (premise,),
-            note=("consumes", tuple(sorted(owned_names))),
-        )
+        return Judgment(d.init, d.dtype, rule, (Judgment(d.init, t_y, "t-var"),))
 
     def _group_candidates(self, block: Block, lent_locals, base_groups, mut_locals):
         """Group assignments for the block's locals.

@@ -8,7 +8,10 @@ which it can never conclude.  `UnprunedChecker` is the search as it was
 before: every tuple of `itertools.product` with duplicates dropped after
 sorting, every candidate checked in full, and the swap tried for every
 goal.  Both must reach the same verdict, message, span, derivation (rules
-and notes included), and the pruned search may not spend more ticks.
+and notes included), and the pruned search may not spend more ticks.  The
+oracle cuts its notes from its own groups as the checker does: a swap's to
+the swapped group's members the term mentions, a block's to each group's
+members the block mentions.
 """
 
 import itertools
@@ -21,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 from capslang.context import Gamma
 from capslang.generator import GenConfig, gen_source
 from capslang.syntax import (
-    Block, IntLit, Qualifier, RefType, children, free_vars, stored_type, subtype,
+    Block, IntLit, Qualifier, RefType, children, free_vars, mentions, stored_type,
+    subtype,
 )
 from capslang.typecheck import (
     MAX_LENT_LOCALS,
@@ -105,7 +109,7 @@ class UnprunedChecker(Checker):
     def _swap(self, ctx, e, goal):
         """The swap loop of `Checker._check` for a mut goal (whose only
         inner goal is mut itself)."""
-        for g, g_sorted in zip(ctx.groups, ctx.sorted_groups):
+        for g in ctx.groups:
             if g & ctx.restricted:
                 continue
             self.mut_swaps += 1
@@ -115,7 +119,8 @@ class UnprunedChecker(Checker):
                 continue
             weakened = _weaken(j.result)
             if subtype(weakened, goal):
-                return Judgment(e, weakened, "t-swap", (j,), note=("swap", g_sorted))
+                note = ("swap", tuple(sorted(g & mentions(e))))
+                return Judgment(e, weakened, "t-swap", (j,), note=note)
         return None
 
     def check_block(self, ctx, block, goal: Optional[RefType]):
@@ -124,6 +129,7 @@ class UnprunedChecker(Checker):
             j = self.check(ctx, block.body, goal)
             return Judgment(block, j.result, "t-block", (j,))
         dom = frozenset(d.name for d in decls)
+        names = mentions(block)
         gamma = dict(ctx.env)
         for d in decls:
             if d.dtype is None:
@@ -158,7 +164,7 @@ class UnprunedChecker(Checker):
                 jb = self.check(ctx_body, block.body, goal)
                 return Judgment(
                     block, jb.result, "t-block", tuple(premises) + (jb,),
-                    note=("groups", tuple(tuple(sorted(g)) for g in groups)),
+                    note=("groups", tuple(tuple(sorted(g & names)) for g in groups)),
                 )
             except IllTyped as err:
                 first = first or _Failure(err)

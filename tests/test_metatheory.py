@@ -38,6 +38,7 @@ from capslang.syntax import (
     free_vars,
     is_evaluated,
     is_objstate,
+    mentions,
 )
 from capslang.typecheck import (
     _IN_PROGRESS,
@@ -50,6 +51,7 @@ from capslang.typecheck import (
     _Failure,
     _kept,
     _span,
+    typecheck_program,
 )
 
 from conftest import CORPUS, reduce_source
@@ -826,9 +828,10 @@ def queries(checker, trace):
 
 
 def agrees(j, ref):
-    """j derives what ref derives: the same term, result and rule at every
-    node."""
-    if j.expr is not ref.expr or j.result is not ref.result or j.rule != ref.rule:
+    """j derives what ref derives: the same term, result, rule and note at
+    every node."""
+    if (j.expr is not ref.expr or j.result is not ref.result or j.rule != ref.rule
+            or j.note != ref.note):
         return False
     return len(j.premises) == len(ref.premises) and all(
         map(agrees, j.premises, ref.premises)
@@ -909,11 +912,10 @@ def count_fresh_mismatches(table, trace):
 class TestWholeDerivations:
     """A success that a later query finds under a projected key, or that
     the root state keeps, is the judgment an earlier query built, premises
-    included: every query's derivation (term, result and rule at every
-    node) is the one a fresh Checker builds for its term and goal.  The
-    notes are not compared: a promotion's, a swap's and a block's note
-    name the groups or names of the context the judgment was built in,
-    which may differ from this one outside the names its term mentions."""
+    included: every query's derivation (term, result, rule and note at
+    every node) is the one a fresh Checker builds for its term and goal.
+    A note names only names its term mentions (`TestContextFreeNotes`), so
+    it is the same in every context of one projection."""
 
     def test_corpus(self):
         later = 0
@@ -939,3 +941,66 @@ class TestWholeDerivations:
     def test_doctored(self):
         for table, trace in doctored_traces():
             assert count_fresh_mismatches(table, trace)[1] == 0
+
+
+def note_names(note) -> set:
+    """The names a note lists, in whatever nesting of tuples."""
+    out = set()
+    stack = list(note[1:])
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.add(x)
+        else:
+            stack.extend(x)
+    return out
+
+
+def judgments_of(j):
+    stack = [j]
+    while stack:
+        j = stack.pop()
+        yield j
+        stack.extend(j.premises)
+
+
+def assert_notes_context_free(p, trace) -> int:
+    """Every note of every judgment of typecheck_program and of the
+    subject-reduction queries of the trace names only names its term
+    mentions; returns how many notes there were."""
+    roots = list(typecheck_program(p).values())
+    roots += [j for j, _ in queries(Checker(p.table), trace) if isinstance(j, Judgment)]
+    notes = 0
+    for j in (j for root in roots for j in judgments_of(root)):
+        if j.rule in ("t-capsule", "t-imm"):
+            assert j.note == (), j.rule
+        if j.note:
+            notes += 1
+            assert note_names(j.note) <= mentions(j.expr), j.note
+    return notes
+
+
+class TestContextFreeNotes:
+    """A judgment is a function of its term, the projection of its context
+    and its goal: a promotion (or a consumption) has no note, a swap's
+    note lists the swapped group's members the term mentions, and a
+    block's note each group of its body context cut to the names the
+    block mentions.  A certifier recomputes the promotions' premise
+    contexts from the conclusion's."""
+
+    def test_corpus(self):
+        notes = 0
+        for path in sorted((CORPUS / "accept").glob("*.caps")):
+            notes += assert_notes_context_free(*reduce_source(path.read_text()))
+        assert notes > 0
+
+    @pytest.mark.parametrize("size, seeds", [(8, 100), (16, 50), (64, 5)])
+    def test_generated(self, size, seeds):
+        notes = 0
+        for seed in range(seeds):
+            notes += assert_notes_context_free(
+                *reduce_source(
+                    gen_source(GenConfig(seed=seed, size=size, reject_rate=0.0))
+                )
+            )
+        assert notes > 0
