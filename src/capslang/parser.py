@@ -18,11 +18,19 @@ Inside a block, `e; e'` is sugar for a declaration of a fresh discarded
 variable (its declared type is filled in by a later inference pass,
 `typecheck.resolve_implicit_types`).  Comments run from `//` to end of line.
 The outermost braces of the main block are optional.
+
+`tokenize` scans a source once: one pattern cuts it into pieces, each
+character in exactly one (`.` takes what no other alternative does), and a
+piece's first character gives its kind.  The parser records, per method body
+and for main, the names that receive a method call as a bare variable; the
+static-call pass (below) walks only a body where one of them names a class,
+since it rewrites nothing else.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from typing import NamedTuple, Optional
 
 from .syntax import (
@@ -72,12 +80,15 @@ class Token(NamedTuple):
     col: int
 
 
-# every character is matched by one alternative, so finditer skips none
-_TOKEN = re.compile(
-    r"(?P<nl>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[{}();,=+.])"
-    r"|(?P<other>.)"
+_PIECE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}();,=+.]|\n|[ \t\r]+|//[^\n]*|.", re.S
 )
+# a piece's kind by its first character; others, and a lone "/", are unexpected
+_KIND = {
+    **dict.fromkeys(string.ascii_letters + "_", "id"), **dict.fromkeys(string.digits, "int"),
+    **dict.fromkeys("{}();,=+.", "punct"), **dict.fromkeys(" \t\r", "space"),
+    "\n": "nl", "/": "comment",
+}
 
 
 def tokenize(text: str) -> list:
@@ -85,19 +96,18 @@ def tokenize(text: str) -> list:
     character outside a comment raises a ParseError."""
     toks = []
     line, col = 1, 1
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
+    for piece in _PIECE.findall(text):
+        kind = _KIND.get(piece[0])
+        if kind == "space":
+            col += len(piece)
+        elif kind == "nl":
             line += 1
             col = 1
-            continue
-        if kind == "comment":
-            continue  # col stays: the newline ending the comment resets it
-        if kind == "other":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        if kind != "space":
-            toks.append(Token(kind, m.group(), line, col))
-        col += m.end() - m.start()
+        elif kind is None or piece == "/":
+            raise ParseError(f"unexpected character {piece!r}", line, col)
+        elif kind != "comment":  # col stays: the newline ending it resets it
+            toks.append(tuple.__new__(Token, (kind, piece, line, col)))
+            col += len(piece)
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -113,6 +123,9 @@ class _Parser:
         self.toks = toks + toks[-1:] * _LOOKAHEAD
         self.pos = 0
         self.discards = 0
+        # names receiving a call as a bare Var: in this body, by id of each body
+        self.called = set()
+        self.receivers = {}
 
     def fresh_discard(self) -> str:
         self.discards += 1
@@ -123,40 +136,37 @@ class _Parser:
     def peek(self, k: int = 0) -> Token:
         return self.toks[self.pos + k]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
     def at(self, text: str, k: int = 0) -> bool:
-        return self.peek(k).text == text and self.peek(k).kind in ("punct", "id")
+        # text is a punctuation mark or "class": no int or EOF token has it
+        return self.toks[self.pos + k].text == text
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text != text:
             raise ParseError(
                 f"expected {text!r}, found {t.text!r}", t.line, t.col, (text,)
             )
-        return self.next()
+        self.pos += 1
+        return t
 
     def ident(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "id" or t.text in RESERVED:
             raise ParseError(
                 f"expected identifier, found {t.text!r}", t.line, t.col, ("ID",)
             )
-        return self.next()
+        self.pos += 1
+        return t
 
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
         t = self.peek()
         if t.text == "int":
-            self.next()
+            self.pos += 1
             return INT
         if t.text in QUAL_WORDS:
-            self.next()
+            self.pos += 1
             cname = self.ident().text
             return RefType(QUAL_WORDS[t.text], cname)
         raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
@@ -171,7 +181,9 @@ class _Parser:
                 t = self.peek()
                 raise ParseError(f"duplicate class {cd.name}", t.line, t.col)
             classes[cd.name] = cd
+        self.called = set()
         main = self.parse_main()
+        self.receivers[id(main)] = self.called
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"trailing input: {t.text!r}", t.line, t.col)
@@ -195,7 +207,7 @@ class _Parser:
         while True:
             t = self.peek()
             if t.text == "int" and self.peek(1).kind == "id" and self.at(";", 2):
-                self.next()
+                self.pos += 1
                 fname = self.ident().text
                 self.expect(";")
                 fields.append((INT, fname))
@@ -205,7 +217,7 @@ class _Parser:
                 and self.peek(2).kind == "id"
                 and self.at(";", 3)
             ):
-                self.next()
+                self.pos += 1
                 cname = self.ident().text
                 fname = self.ident().text
                 self.expect(";")
@@ -229,24 +241,26 @@ class _Parser:
         t = self.peek()
         if t.text == "static":
             this_qual: Optional[Qualifier] = None
-            self.next()
+            self.pos += 1
         elif t.text in QUAL_WORDS:
             this_qual = QUAL_WORDS[t.text]
-            self.next()
+            self.pos += 1
         else:
             raise ParseError(
                 f"expected this-qualifier or 'static', found {t.text!r}", t.line, t.col
             )
         params = []
         while self.at(","):
-            self.next()
+            self.pos += 1
             ptype = self.parse_type()
             pname = self.ident().text
             params.append((ptype, pname))
         self.expect(")")
         self.expect("{")
         self.expect("return")
+        self.called = set()
         body = self.parse_expr()
+        self.receivers[id(body)] = self.called
         self.expect(";")
         self.expect("}")
         return MethodSig(name, ret, this_qual, tuple(params), body)
@@ -298,7 +312,7 @@ class _Parser:
             if self.at(";"):
                 # statement sugar: {T x = e; e'} with x fresh and unused;
                 # the declared type is inferred later (dtype None placeholder)
-                self.next()
+                self.pos += 1
                 decls.append(Decl(None, self.fresh_discard(), e, (t.line, t.col)))
                 continue
             body = e
@@ -313,31 +327,35 @@ class _Parser:
         return Block(tuple(decls), body, span)
 
     def parse_expr(self) -> Expr:
-        if self.at("{"):
+        toks = self.toks
+        if toks[self.pos].text == "{":
             return self.parse_block()
         left = self.parse_postfix()
-        if self.at("="):
+        t = toks[self.pos]
+        if t.text == "=":
             if not isinstance(left, FieldAccess):
-                t = self.peek()
                 raise ParseError("assignment target must be a field access", t.line, t.col)
-            self.next()
+            self.pos += 1
             rhs = self.parse_expr()
             return FieldAssign(left.recv, left.fname, rhs, left.span)
-        while self.at("+"):
-            self.next()
+        while toks[self.pos].text == "+":
+            self.pos += 1
             right = self.parse_postfix()
             left = Plus(left, right)
         return left
 
     def parse_postfix(self) -> Expr:
         e = self.parse_primary()
-        while self.at("."):
-            self.next()
+        toks = self.toks
+        while toks[self.pos].text == ".":
+            self.pos += 1
             name = self.ident()
-            if self.at("("):
-                self.next()
+            if toks[self.pos].text == "(":
+                self.pos += 1
                 args = self.parse_exprlist()
                 self.expect(")")
+                if isinstance(e, Var):
+                    self.called.add(e.name)
                 e = MethodCall(e, name.text, tuple(args), (name.line, name.col))
             else:
                 e = FieldAccess(e, name.text, (name.line, name.col))
@@ -348,41 +366,47 @@ class _Parser:
         if not self.at(")"):
             args.append(self.parse_expr())
             while self.at(","):
-                self.next()
+                self.pos += 1
                 args.append(self.parse_expr())
         return args
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text == "new":
-            self.next()
+            self.pos += 1
             cname = self.ident().text
             self.expect("(")
             args = self.parse_exprlist()
             self.expect(")")
             return New(cname, tuple(args), (t.line, t.col))
         if t.text == "(":
-            self.next()
+            self.pos += 1
             e = self.parse_expr()
             self.expect(")")
             return e
         if t.text == "{":
             return self.parse_block()
         if t.kind == "int":
-            self.next()
+            self.pos += 1
             return IntLit(int(t.text), (t.line, t.col))
         if t.kind == "id" and (t.text == "this" or t.text not in RESERVED):
-            self.next()
+            self.pos += 1
             return Var(t.text, (t.line, t.col))
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
 
 def parse(text: str) -> Program:
-    p = _Parser(tokenize(text)).parse_program()
-    # names bound in a method body: its parameters and receiver
-    return map_program(
-        p, lambda body, gamma: _resolve_static(body, p.table, frozenset(gamma))
-    )
+    parser = _Parser(tokenize(text))
+    p = parser.parse_program()
+
+    def resolve(body, gamma):
+        # gamma binds a method's parameters and receiver; a body where no
+        # class name receives a call has nothing to rewrite
+        if p.table.classes.keys().isdisjoint(parser.receivers[id(body)]):
+            return body
+        return _resolve_static(body, p.table, frozenset(gamma))
+
+    return map_program(p, resolve)
 
 
 def parse_expr(text: str) -> Expr:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capslang.generator import GenConfig, gen_source
-from capslang.parser import ParseError, parse, parse_expr, pretty_print, tokenize
+from capslang.parser import (
+    ParseError,
+    _Parser,
+    _resolve_static,
+    parse,
+    parse_expr,
+    pretty_print,
+    tokenize,
+)
 from capslang.syntax import (
     Block,
     Decl,
@@ -20,6 +28,7 @@ from capslang.syntax import (
     RefType,
     StaticCall,
     Var,
+    map_program,
 )
 
 from conftest import CORPUS
@@ -241,14 +250,41 @@ TOKEN_EDGES = [
 ]
 
 
-def test_tokens_of_ascii_programs_are_unchanged():
-    srcs = [path.read_text() for path in sorted(CORPUS.glob("*/*.caps"))]
-    srcs += [gen_source(GenConfig(seed=seed, size=16)) for seed in range(100)]
-    for src in srcs + TOKEN_EDGES:
+CORPUS_SOURCES = [path.read_text() for path in sorted(CORPUS.glob("*/*.caps"))]
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """Generated sources: N = 16 well-typed, and N = 8 and N = 64 with 15%
+    ill-typed, the sizes and rate of the benchmark's fuzz and run workloads."""
+    return (
+        [gen_source(GenConfig(seed=seed, size=16)) for seed in range(100)]
+        + [gen_source(GenConfig(seed=seed, size=8, reject_rate=0.15)) for seed in range(100)]
+        + [gen_source(GenConfig(seed=seed, size=64, reject_rate=0.15)) for seed in range(20)]
+    )
+
+
+def test_tokens_of_ascii_programs_are_unchanged(generated):
+    for src in CORPUS_SOURCES + generated + TOKEN_EDGES:
         assert [tuple(t) for t in tokenize(src)] == loop_tokenize(src)
 
 
-@pytest.mark.parametrize("text", ["/", "x # y", "int x = 1;\n  @", "x y"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "/",
+        "x # y",
+        "int x = 1;\n  @",
+        "x y",
+        "x\r\ny\r\n$",
+        "x\r$",
+        "\t\tx\t~",
+        "x // @ is commented out\n  ?",
+        "// a comment\r\n\t!",
+        "a /b",
+        "//\n/",
+    ],
+)
 def test_unexpected_characters(text):
     with pytest.raises(ParseError) as old:
         loop_tokenize(text)
@@ -268,3 +304,82 @@ def test_non_ascii_digits_are_unexpected(digit):
     for text in (f"int x = {digit};\nx", f"int x = 1{digit};\nx", f"x{digit}"):
         with pytest.raises(ParseError, match=f"unexpected character {digit!r}"):
             tokenize(text)
+
+# ---------------------------------------------------------------------------
+# parse skips the static-call pass only where it would rewrite nothing
+# ---------------------------------------------------------------------------
+
+
+def full_static_pass(src):
+    """The raw parse with the static-call pass run on every body."""
+    p = _Parser(tokenize(src)).parse_program()
+    return map_program(
+        p, lambda body, gamma: _resolve_static(body, p.table, frozenset(gamma))
+    )
+
+
+def shown(parse_fn, src):
+    """The program parse_fn makes of src, spans included, or its error."""
+    try:
+        p = parse_fn(src)
+    except ParseError as e:
+        return ("ParseError", str(e), e.line, e.col, e.expected)
+    # a ClassTable has no repr of its own
+    return repr((p.table.classes, p.main))
+
+
+# a parameter, an earlier local and a later local named like a class shadow
+# it, in main, in a nested block and in a method body; `A.mk()` elsewhere
+# stays a static call
+SHADOWING = [
+    """
+    class A { int v;
+      mut A me(mut) { return this; }
+      mut A mk(static) { return new A(0); }
+      mut A param(mut, mut A A) { return A.me(); }
+      mut A earlier(mut) { return { mut A A = this; A.me() }; }
+      mut A later(mut) { return { mut A b = A.me(); mut A A = this; b }; }
+      mut A unbound(mut) { return { mut A b = A.mk(); b }; }
+      int none(read) { return this.v; }
+    }
+    mut A A = new A(0);
+    A.me()
+    """,
+    """
+    class A { int v; mut A me(mut) { return this; } mut A mk(static) { return new A(0); } }
+    mut A b = A.me();
+    mut A A = new A(0);
+    b
+    """,
+    """
+    class A { int v; mut A me(mut) { return this; } mut A mk(static) { return new A(0); } }
+    mut A b = { mut A A = new A(0); A.me() };
+    mut A c = { mut A d = A.me(); mut A A = new A(1); d };
+    mut A e = { mut A f = (A).mk(); f };
+    A.mk()
+    """,
+    """
+    class B { int v; mut B me(mut) { return this; } }
+    mut B b = new B(0);
+    b.me()
+    """,
+]
+
+
+def test_parse_equals_the_full_static_call_pass(generated):
+    for src in CORPUS_SOURCES + generated + SHADOWING:
+        assert shown(parse, src) == shown(full_static_pass, src)
+    # the shadowing cases hold calls of both kinds
+    first = parse(SHADOWING[0])
+    methods = first.table.classes["A"].methods
+    assert isinstance(methods["param"].body, MethodCall)
+    assert isinstance(methods["earlier"].body.body, MethodCall)
+    assert isinstance(methods["later"].body.decls[0].init, MethodCall)
+    assert isinstance(methods["unbound"].body.decls[0].init, StaticCall)
+    assert isinstance(first.main.body, MethodCall)
+    assert isinstance(parse(SHADOWING[1]).main.decls[0].init, MethodCall)
+    third = parse(SHADOWING[2]).main
+    assert isinstance(third.decls[0].init.body, MethodCall)
+    assert isinstance(third.decls[1].init.decls[0].init, MethodCall)
+    assert isinstance(third.decls[2].init.decls[0].init, StaticCall)
+    assert isinstance(third.body, StaticCall)
