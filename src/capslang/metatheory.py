@@ -21,7 +21,9 @@ root block, and a step rewrites a few of its declarations.  `verify_trace`
 walks the trace once (`_walk`): it compares each term's root block with the
 last one's once, by Decl identity (`context.RootScope`: which declarations
 are new or gone, which names now find another declaration), and gives the
-term with that diff to each check, which spends only on the diff.
+term with that diff to each check that reads every term, which spends only
+on the diff.  Progress reads only the final term (`check_progress`), so it
+takes no part in the walk.
 
 * Subject reduction uses one `Checker` for the whole trace, so a reduct's
   subterms find the verdicts earlier terms computed.  Its root state
@@ -36,15 +38,15 @@ term with that diff to each check, which spends only on the diff.
   checked afresh, so the diff is all they remember of the last term.  A
   term that is not a block is a root block with no declarations.
 
-Each `check_*` function but `check_progress`, which reads only the final
-term, is the same walk with its one check.
+Each `check_*` function but `check_progress` is that walk with its one
+check; `verify_trace` is the walk with all four, and then progress.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .congruence import all_mut, is_stored, wf_rightvalue
@@ -86,15 +88,7 @@ class MetaViolation:
         return cls(theorem, step, binder, message, pretty_print(term))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem": self.theorem,
-                "step": self.step,
-                "binder": self.binder,
-                "message": self.message,
-                "term": self.term,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _decl_type(lookup, x: str) -> Optional[Type]:
@@ -105,7 +99,9 @@ def _decl_type(lookup, x: str) -> Optional[Type]:
 def _snapshot(rv: Expr, lookup, stack: tuple):
     """The object graph reachable from rv, resolved through the store:
     invariant under renaming, reordering, alias elimination and store
-    movement.  Cycles are cut with back-references by unfolding depth."""
+    movement.  Cycles are cut with back-references by unfolding depth.
+    None while a reference in the graph is unresolved or not yet evaluated;
+    all parts are built first, so lookup is asked for every name reached."""
     if isinstance(rv, IntLit):
         return ("int", rv.value)
     if isinstance(rv, Var):
@@ -114,13 +110,14 @@ def _snapshot(rv: Expr, lookup, stack: tuple):
             return ("back", len(stack) - 1 - stack.index(x))
         d = lookup(x)
         if d is None or not is_evaluated(d):
-            return ("open", len(stack))  # unresolved reference
+            return None
         return _snapshot(d.init, lookup, stack + (x,))
     if isinstance(rv, Block):
         local = {d.name: d for d in rv.decls}
         return _snapshot(rv.body, _chain(local, lookup), stack)
     if isinstance(rv, New):
-        return ("new", rv.cname) + tuple(_snapshot(a, lookup, stack) for a in rv.args)
+        parts = tuple(_snapshot(a, lookup, stack) for a in rv.args)
+        return None if None in parts else ("new", rv.cname) + parts
     return ("opaque", pretty_print(rv))
 
 
@@ -132,14 +129,6 @@ def _has_block(e: Expr) -> bool:
 def _chain(local: dict, lookup):
     """A lookup that tries local first."""
     return lambda x: local[x] if x in local else lookup(x)
-
-
-def _has_open(key) -> bool:
-    if isinstance(key, tuple):
-        if key and key[0] == "open":
-            return True
-        return any(_has_open(k) for k in key)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -201,41 +190,28 @@ class _SubjectReduction:
 
 
 def check_progress(table: ClassTable, trace: ReductionTrace) -> list:
-    """A completed trace proves progress by construction; this validates the
-    terminal term: it must be a value whose declarations are all well-formed
-    store.  (A StuckTerm raised during reduction is reported by the caller.)
-    Only the final term is read, so no root diff is made."""
-    progress = _Progress(trace)
-    progress(len(trace.steps), trace.final, None, None)
-    return progress.outs[0]
-
-
-class _Progress:
-    """Progress, at the terminal term of a completed trace."""
-
-    def __init__(self, trace: ReductionTrace):
-        self.last = len(trace.steps) if trace.done else None
-        self.outs = ([],)
-
-    def __call__(self, step: int, term: Expr, scope: RootScope, diff) -> None:
-        if step != self.last:
-            return
-        out = self.outs[0]
-        if isinstance(term, Block):
-            for d in term.decls:
-                if not is_stored(d):
-                    out.append(MetaViolation.at(
-                        "progress", step, d.name,
-                        "terminal store declaration is not well-formed", term,
-                    ))
-            if not is_value(term.body):
+    """A completed trace proves progress by construction; this validates its
+    final term: it must be a value whose declarations are all well-formed
+    store.  (A StuckTerm raised during reduction is reported by the caller.)"""
+    if not trace.done:
+        return []
+    step, term, out = len(trace.steps), trace.final, []
+    if isinstance(term, Block):
+        for d in term.decls:
+            if not is_stored(d):
                 out.append(MetaViolation.at(
-                    "progress", step, None, "terminal block body is not a value", term
+                    "progress", step, d.name,
+                    "terminal store declaration is not well-formed", term,
                 ))
-        elif not is_value(term):
+        if not is_value(term.body):
             out.append(MetaViolation.at(
-                "progress", step, None, "terminal term is not a value", term
+                "progress", step, None, "terminal block body is not a value", term
             ))
+    elif not is_value(term):
+        out.append(MetaViolation.at(
+            "progress", step, None, "terminal term is not a value", term
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +330,6 @@ def _imm_closed(d: Decl, lookup) -> Optional[str]:
         if not (isinstance(t, RefType) and t.qualifier is Qualifier.IMM):
             return x
     return None
-
-
-def _settled_snapshot(d: Decl, lookup):
-    """The snapshot of d's reachable graph, or None while some referenced
-    declaration is still being evaluated (for instance an int member
-    awaiting substitution)."""
-    key = _snapshot(d.init, lookup, ())
-    return None if _has_open(key) else key
 
 
 def check_capsule_theorem(table: ClassTable, trace: ReductionTrace) -> list:
@@ -502,7 +470,7 @@ class _StoreChecks:
                 "immutable", step, d.name,
                 f"imm right-value refers to non-imm {offender}", term,
             ))
-        key = _settled_snapshot(d, lookup)
+        key = _snapshot(d.init, lookup, ())
         if key is None:
             # the graph is not settled yet: compare only from the first
             # settled step
@@ -524,10 +492,11 @@ class _StoreChecks:
 
 def _walk(trace: ReductionTrace, *parts) -> list:
     """One walk of the trace: the root block of each term is compared with
-    the last one once (`RootScope.advance`), and each part is called with
-    the step, the term, the scope and the diff in turn.  A part's `outs`
-    holds a list of violations per check it runs; returns them all, check
-    by check, in the order of the parts."""
+    the last one once (`RootScope.advance`), and each part (subject
+    reduction, the store checks) is called with the step, the term, the
+    scope and the diff in turn.  A part's `outs` holds a list of violations
+    per check it runs; returns them all, check by check, in the order of
+    the parts."""
     scope = RootScope()
     for step, term in enumerate([trace.initial, *(t for _, t in trace.steps)]):
         diff = scope.advance(term.decls if isinstance(term, Block) else ())
@@ -539,11 +508,11 @@ def _walk(trace: ReductionTrace, *parts) -> list:
 def verify_trace(
     table: ClassTable, trace: ReductionTrace, budget: Optional[int] = None
 ) -> list:
-    """The violations of the five checks, in one walk of the trace: subject
-    reduction, progress, canonical forms, capsule, immutability."""
-    return _walk(
-        trace,
-        _SubjectReduction(table, budget),
-        _Progress(trace),
-        _StoreChecks(table, "canonical_forms", "capsule", "immutable"),
-    )
+    """The violations of the five checks: subject reduction, progress,
+    canonical forms, capsule, immutability.  Progress reads only the final
+    term; the other four share one walk of the trace."""
+    subject = _SubjectReduction(table, budget)
+    store = _StoreChecks(table, "canonical_forms", "capsule", "immutable")
+    _walk(trace, subject, store)
+    progress = check_progress(table, trace)
+    return subject.outs[0] + progress + [v for out in store.outs for v in out]

@@ -196,7 +196,7 @@ class _Parser:
         if self.at("{"):
             return self.parse_block()
         # outermost braces omitted: parse a declaration/expression sequence
-        return self.parse_block_items(terminator="eof")
+        return self.parse_block_items(terminator=None)
 
     def parse_class(self) -> ClassDef:
         self.expect("class")
@@ -273,8 +273,10 @@ class _Parser:
         self.expect("}")
         return e
 
-    def parse_block_items(self, terminator: str) -> Expr:
-        """Declarations and `e;` statements followed by a final body expression."""
+    def parse_block_items(self, terminator: Optional[str]) -> Expr:
+        """Declarations and `e;` statements followed by a final body
+        expression, which must come before the token `terminator` (None: the
+        end of input)."""
         decls = []
         span = (self.peek().line, self.peek().col)
         while True:

@@ -243,26 +243,19 @@ def field_of(rv: Expr, i: int) -> Expr:
     raise UnboundReference(f"no field projection on {pretty_print(rv)}")
 
 
-def field_lookup(frames: list, v: Expr, i: int) -> Expr:
+def receiver(frames: list, v: Expr) -> tuple:
+    """(class name, right-value) of the receiver value v: a reference is
+    looked up once, to its declared class and its right-value."""
     if isinstance(v, Var):
         _, d = dec_lookup(frames, v.name)
         if d is None:
             raise UnboundReference(f"unbound reference {v.name}")
-        return field_of(d.init, i)
-    return field_of(v, i)
-
-
-def receiver_class(frames: list, v: Expr) -> str:
-    if isinstance(v, Var):
-        _, d = dec_lookup(frames, v.name)
-        if d is None:
-            raise UnboundReference(f"unbound reference {v.name}")
-        t = d.dtype
+        t, rv = d.dtype, d.init
     else:
-        t = typeof_rv(v, frames)
+        t, rv = typeof_rv(v, frames), v
     if not isinstance(t, RefType):
         raise StuckTerm("receiver is not an object")
-    return t.cname
+    return t.cname, rv
 
 
 def copy_value(v: Expr) -> Expr:
@@ -444,19 +437,19 @@ class Reducer:
         return self._rebuilt(frames[0].block, out, frames[0].index) if frames else out
 
     def _field_access(self, frames, redex: FieldAccess):
-        cname = receiver_class(frames, redex.recv)
+        cname, rv = receiver(frames, redex.recv)
         if not self.table.has_field(cname, redex.fname):
             raise StuckTerm(f"no field {redex.fname} in {cname}")
         i = self.table.field_index(cname, redex.fname)
         # the store keeps the field's value, the hole gets a copy
-        v = copy_value(field_lookup(frames, redex.recv, i))
+        v = copy_value(field_of(rv, i))
         return ("field-access", self._plug(frames, self._normal_value(v)))
 
     def _invoke(self, frames, redex):
         if isinstance(redex, StaticCall):
             cname = redex.cname
         else:
-            cname = receiver_class(frames, redex.recv)
+            cname, _ = receiver(frames, redex.recv)
         if not self.table.has_method(cname, redex.mname):
             raise StuckTerm(f"no method {redex.mname} in {cname}")
         sig = self.table.method(cname, redex.mname)

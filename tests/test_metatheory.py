@@ -177,6 +177,12 @@ class TestViolationReporting:
         d = json.loads(v.to_json())
         assert d["theorem"] == "canonical-forms"
         assert "step" in d and "message" in d
+        # the exact line: the fields in their order, default separators
+        v = MetaViolation("progress", 2, None, 'a "b"', "{mut D y = new D(0); y}")
+        assert v.to_json() == (
+            '{"theorem": "progress", "step": 2, "binder": null, '
+            '"message": "a \\"b\\"", "term": "{mut D y = new D(0); y}"}'
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +321,26 @@ def _oracle_imm_closed(rv, env):
     return None
 
 
-def _oracle_snapshot(rv, env, stack):
+def _oracle_snapshot(rv, lookup, stack):
+    """The reachable graph of rv, with an ("open", depth) marker at each
+    reference that is unresolved or not yet evaluated."""
     if isinstance(rv, IntLit):
         return ("int", rv.value)
     if isinstance(rv, Var):
         x = rv.name
         if x in stack:
             return ("back", len(stack) - 1 - stack.index(x))
-        d = env.get(x)
+        d = lookup(x)
         if d is None or not is_evaluated(d):
             return ("open", len(stack))
-        return _oracle_snapshot(d.init, env, stack + (x,))
+        return _oracle_snapshot(d.init, lookup, stack + (x,))
     if isinstance(rv, Block):
-        env2 = dict(env)
-        for d in rv.decls:
-            env2[d.name] = d
-        return _oracle_snapshot(rv.body, env2, stack)
+        local = {d.name: d for d in rv.decls}
+        return _oracle_snapshot(
+            rv.body, lambda x: local[x] if x in local else lookup(x), stack
+        )
     if isinstance(rv, New):
-        return ("new", rv.cname) + tuple(_oracle_snapshot(a, env, stack) for a in rv.args)
+        return ("new", rv.cname) + tuple(_oracle_snapshot(a, lookup, stack) for a in rv.args)
     return ("opaque", pretty_print(rv))
 
 
@@ -367,7 +375,7 @@ def oracle_verify(table, trace):
             out.append(MetaViolation(
                 "immutable", step, d.name,
                 f"imm right-value refers to non-imm {x}", pretty_print(term)))
-        key = _oracle_snapshot(d.init, env, ())
+        key = _oracle_snapshot(d.init, env.get, ())
         if _oracle_has_open(key):
             continue
         prev = first_seen.setdefault(d.name, (step, key))
@@ -608,6 +616,47 @@ class TestAgainstOracle:
             assert_same_as_oracle(p.table, doctored)
             flagged += bool(oracle_verify(p.table, doctored))
         assert flagged >= 20
+
+
+def recording(env, asked):
+    """env.get, adding each name it is asked for to asked."""
+    def lookup(x):
+        asked.add(x)
+        return env.get(x)
+    return lookup
+
+
+def assert_snapshots_agree(trace) -> tuple:
+    """`metatheory._snapshot` against the marker reference on every evaluated
+    imm declaration of every term: the reference's key where it has no open
+    marker, None where it has one, and its lookup asked for the same names;
+    the numbers of settled and unsettled keys."""
+    counts = [0, 0]
+    for _, _, d, env in _oracle_stored(trace):
+        if not _is(d, Qualifier.IMM):
+            continue
+        want_asked, got_asked = set(), set()
+        want = _oracle_snapshot(d.init, recording(env, want_asked), ())
+        got = metatheory._snapshot(d.init, recording(env, got_asked), ())
+        assert got_asked == want_asked
+        assert got == (None if _oracle_has_open(want) else want)
+        counts[got is None] += 1
+    return tuple(counts)
+
+
+class TestSnapshot:
+    def test_corpus_doctored_and_sweep(self):
+        sources = [path.read_text() for path in sorted((CORPUS / "accept").glob("*.caps"))]
+        sources += [
+            gen_source(GenConfig(seed=seed, size=size, reject_rate=0.0))
+            for size, seeds in ((8, 200), (16, 200), (32, 20))
+            for seed in range(seeds)
+        ]
+        traces = [reduce_source(src)[1] for src in sources]
+        traces += [trace for _, trace in doctored_traces()]
+        counts = [assert_snapshots_agree(trace) for trace in traces]
+        # both outcomes are compared
+        assert all(map(sum, zip(*counts)))
 
 
 class TestSubjectReductionCost:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capslang import cli
 from capslang.generator import GenConfig, gen_source
 from capslang.parser import (
     ParseError,
@@ -70,6 +71,19 @@ class TestBasics:
         p = parse("class C { int f; }\nmut C x = new C(0);\nx")
         assert isinstance(p.main, Block)
         assert p.main.body == Var("x")
+
+    @pytest.mark.parametrize(
+        "body",
+        ["int eof = 1;\neof\n", "mut D eof = new D(0);\neof.f = 2;\neof.f\n"],
+    )
+    def test_main_without_braces_may_name_eof(self, body, tmp_path):
+        # a statement or final expression that starts with an identifier
+        # named eof does not end the main: only the end of input does
+        src = "class D { int f; }\n\n" + body
+        assert shown(parse, src) == shown(parse, "class D { int f; }\n{\n" + body + "}\n")
+        f = tmp_path / "eof.caps"
+        f.write_text(src)
+        assert cli.main(["run", "--verify-meta", str(f)]) == 0
 
     def test_statement_sugar(self):
         # a bare `e;` statement becomes a discard declaration
