@@ -1,7 +1,7 @@
 """Congruence on terms: alpha-conversion and reordering of evaluated
 declarations (used for comparison), plus normalization of values to
-well-formed right-values and the well-formedness predicates for right-values
-and stores."""
+well-formed right-values with the node facts of its fixed points, and the
+well-formedness predicates for right-values and stores."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .syntax import (
     RefType,
     StaticCall,
     Var,
+    children,
     free_vars,
     is_evaluated,
     is_objstate,
@@ -182,6 +183,18 @@ def is_normal_value(v: Expr) -> bool:
         )
         and connected_closure(v.decls, free_vars(v.body)) == v.decls
     )
+
+
+@node_cached
+def is_normal_term(e: Expr) -> bool:
+    """`Reducer.normalize_term(e, top=False)` is e: e is a normal value, or
+    no value and no block without declarations (normalization replaces one
+    by its body) and all its children are fixed points."""
+    if is_value(e):
+        return is_normal_value(e)
+    if isinstance(e, Block) and not e.decls:
+        return False
+    return all(map(is_normal_term, children(e)))
 
 
 def _norm(v: Expr, table: ClassTable, supply: NameSupply) -> Expr:

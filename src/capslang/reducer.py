@@ -7,43 +7,42 @@ operation, or a block whose next declaration is evaluated but not well-formed
 store (alias, int literal, capsule, or a block right-value that must be moved
 out).  Exactly one rule applies at the unique decomposition.
 
-Every term of a trace is in normal form: each value position holds a fixed
-point of value congruence (`Reducer.normalize_term`).  A step rebuilds only
-the path from the root to what it changed and shares every other node with
-the previous term.  Value normalization returns a value that is already
-normal as it is, and otherwise rebuilds only the nodes whose children
-changed (`congruence.normalize_value`), so a value a step moves or copies
-keeps its nodes, and with them their facts and the identity-keyed caches
-of `metatheory`.  A field access or a field assignment leaves a value in
-the store and a copy of it in the hole, and the copy gets declarations of
-its own (`copy_value`), so a term holds each `Decl` object once.  What a
-node is on its own is kept on the node (`syntax.node_cached`):
-decomposition steps over the declarations known to be evaluated
-well-formed store
-(`congruence.is_stored`), normalization returns the values known to be
-normal (`congruence.is_normal_value`), and substitution
-(int-elim, alias-elim, capsule-elim) descends only where the eliminated name
-is free (`syntax.free_vars`), as the scope-extrusion and imm-move checks ask
-too.  What depends on the `Reducer` is kept in one identity table, keyed by
-`id(node)` and holding the node so that the id is not reused: `_normal`, the
-fixed points of normalization.  Normalizing the next term keeps a child
-found there without a call, so only the rebuilt path and the new subterms
-are visited.
+Each term of a trace is a reduct after one pass of normalization
+(`Reducer.normalize_term`), which applies value congruence to every value
+position.  One pass need not reach a fixed point: the trace terms of
+`corpus/accept` all are (205 of 205), but 75 of the 1,668 of the verify-n16
+benchmark pool are not, 89 of 4,995 of run-n64 and 143 of 2,337 of fuzz-n8.
+A step rebuilds only the path from the root to what it changed and shares
+every other node with the previous term.  Value normalization returns a
+value that is already normal as it is, and otherwise rebuilds only the nodes
+whose children changed (`congruence.normalize_value`), so a value a step
+moves or copies keeps its nodes, and with them their facts and the
+identity-keyed caches of `metatheory`.  A field access or a field assignment
+leaves a value in the store and a copy of it in the hole, and the copy gets
+declarations of its own (`copy_value`), so a term holds each `Decl` object
+once.  What a node is on its own is kept on the node (`syntax.node_cached`):
+decomposition steps over the declarations known to be evaluated well-formed
+store (`congruence.is_stored`), normalization returns its fixed points as
+they are (`congruence.is_normal_term`), and substitution (int-elim,
+alias-elim, capsule-elim) descends only where the eliminated name is free
+(`syntax.free_vars`), as the scope-extrusion and imm-move checks ask too.
+So normalizing the next term visits only the rebuilt path and the new
+subterms.
 
 The reducer also keeps the decomposition of the store (the root block)
 between steps (refocusing, Danvy & Nielsen 2004): `_store` says up to which
 position the store's declarations are known to be stored, and which
-positions may not hold a known fixed point.  A step rebuilds the blocks on
-its path and reports what it changed in the store (`_rebuilt`), so the
-next `decompose` resumes where the step changed the store and normalization
-looks up only the positions the step wrote or left unsettled.  The inner
+positions may not hold a fixed point.  A step rebuilds the blocks on its
+path and reports what it changed in the store (`_rebuilt`), so the next
+`decompose` resumes where the step changed the store and normalization
+asks only about the positions the step wrote or left unsettled.  The inner
 blocks of a path are scanned from their first declaration: in generated
 programs they hold 1.4 declarations on average, at size 8 as at size 64.
 
 So a step calls `normalize_term` and the substitution walk a number of times
-set by what it changes (about five at every program size), and makes about
-ten storedness probes and fixed-point lookups, not a number set by the
-width of the store.  What still grows with the store is the scan of
+set by what it changes (about three and a half at every program size), and
+asks about five to six storedness and fixed-point facts, not a number set
+by the width of the store.  What still grows with the store is the scan of
 `_subst_out`, one free-variable fact per declaration of the block an
 eliminated binder leaves, the lookup of a receiver's declaration by name,
 and the rebuilt tuples.  The terms are the ones a full re-normalization and
@@ -59,6 +58,7 @@ from .congruence import (
     NameSupply,
     connected_closure,
     is_imm_decl,
+    is_normal_term,
     is_stored,
     normalize_value,
 )
@@ -306,9 +306,6 @@ class Reducer:
     def __init__(self, table: ClassTable, supply: Optional[NameSupply] = None):
         self.table = table
         self.supply = supply or NameSupply()
-        # fixed points of normalize_term(., top=False), id(node) -> node
-        # (see the module docstring)
-        self._normal: dict = {}
         # the store of the current term, (block, first, todo) (see `_rebuilt`)
         self._store: Optional[tuple] = None
 
@@ -317,67 +314,46 @@ class Reducer:
     def normalize_term(self, e: Expr, top: bool = True) -> Expr:
         """Apply value congruence to every value position.  The outermost
         block is the program store: its structure (including unreferenced
-        declarations) is preserved, only its components are normalized.
+        declarations) is preserved, only its components are normalized
+        (`_normalize_store`).
 
-        Unchanged subterms are shared with e.  Known fixed points are
-        returned at once.  A node is recorded as one only when it is an
-        output of `normalize_value`, or when a pass returned it unchanged:
-        normalization is not idempotent in general, since a block that
-        becomes a value in one pass is flattened by the next."""
-        if not top and id(e) in self._normal:
+        Unchanged subterms are shared with e, and a fixed point below the
+        store (`congruence.is_normal_term`) is returned at once.  One pass
+        need not reach a fixed point: a block that becomes a value in one
+        pass is flattened by the next."""
+        if not top and is_normal_term(e):
             return e
-        if isinstance(e, Block) and (top or not is_value(e)):
-            out = self._normalize_block(e, top)
-            if not out.decls:
-                return out.body
+        if top and isinstance(e, Block):
+            out = self._normalize_store(e)
         elif is_value(e):
-            return self._normal_value(e)
+            return normalize_value(e, self.table, self.supply)
         else:
             out = map_children(e, self.normalize_term, False)
-        if out is e and not top:
-            self._normal[id(e)] = e
+        if isinstance(out, Block) and not out.decls:
+            return out.body
         return out
 
-    def _normalize_block(self, e: Block, top: bool = False) -> Block:
-        """`map_children(e, self.normalize_term, False)`, without a call for
-        a child already known to be a fixed point.  It is the one walk here
-        not built on `map_children`, because the root block is the program
-        store and almost every declaration in it is such a child: on the
-        run-n64 benchmark pool, 269,869 of the 286,093 calls that
-        `map_children` made here returned a known fixed point at once.
-
-        In the store, only the positions `_store` has to do are looked up in
-        `_normal`; the result becomes the new store."""
-        normal = self._normal
-        decls = e.decls
-        if top and self._store is not None and self._store[0] is e:
+    def _normalize_store(self, e: Block) -> Block:
+        """The store e with `normalize_term(., False)` applied to its body
+        and to the initializers at the positions `_store` has to do that are
+        not fixed points; every other initializer is one.  The result
+        becomes the store, and the positions whose new initializer is still
+        no fixed point are left to do."""
+        decls = list(e.decls)
+        if self._store is not None and self._store[0] is e:
             _, first, todo = self._store
         else:
             first, todo = 0, range(len(decls))
-        probe = [i for i in todo if id(decls[i].init) not in normal]
+        probe = [i for i in todo if not is_normal_term(decls[i].init)]
         for i in probe:
             d = decls[i]
-            init = self.normalize_term(d.init, False)
-            if init is not d.init:
-                if decls is e.decls:
-                    decls = list(decls)
-                decls[i] = Decl(d.dtype, d.name, init, d.span)
-                first = min(first, i)
-        body = e.body
-        if id(body) not in normal:
-            body = self.normalize_term(body, False)
+            decls[i] = Decl(d.dtype, d.name, self.normalize_term(d.init, False), d.span)
+        body = self.normalize_term(e.body, False)
         out = e
-        if decls is not e.decls or body is not e.body:
+        if probe or body is not e.body:
             out = Block(tuple(decls), body, e.span)
-        if top:
-            todo = tuple(i for i in probe if id(decls[i].init) not in normal)
-            self._store = (out, first, todo)
-        return out
-
-    def _normal_value(self, v: Expr) -> Expr:
-        """`normalize_value`, recording its output as a fixed point."""
-        out = normalize_value(v, self.table, self.supply)
-        self._normal[id(out)] = out
+        todo = tuple(i for i in probe if not is_normal_term(decls[i].init))
+        self._store = (out, min([first, *probe]), todo)
         return out
 
     # -- stepping ------------------------------------------------------------
@@ -442,8 +418,8 @@ class Reducer:
             raise StuckTerm(f"no field {redex.fname} in {cname}")
         i = self.table.field_index(cname, redex.fname)
         # the store keeps the field's value, the hole gets a copy
-        v = copy_value(field_of(rv, i))
-        return ("field-access", self._plug(frames, self._normal_value(v)))
+        v = normalize_value(copy_value(field_of(rv, i)), self.table, self.supply)
+        return ("field-access", self._plug(frames, v))
 
     def _invoke(self, frames, redex):
         if isinstance(redex, StaticCall):

@@ -671,7 +671,7 @@ class Checker:
                 for i in todo:
                     d = decls[i]
                     ctx_d = _premise_context(ctx_body, decls, i)
-                    j = self._try_consume(block, d, env, ctx_d)
+                    j = self._try_consume(block, d, env)
                     if j is None:
                         j = self.check(ctx_d, d.init, env[d.name])
                     premises[i] = fresh[i] = j
@@ -753,7 +753,7 @@ class Checker:
             and (restricted & names, bool(outside), not outside.isdisjoint(mg)),
         )
 
-    def _try_consume(self, block: Block, d: Decl, gamma: dict, ctx: TypeContext):
+    def _try_consume(self, block: Block, d: Decl, gamma: dict):
         """A capsule (or imm) declaration may consume a sibling local together
         with the part of the local store only it refers to.  This is the
         transient shape left behind when a call returning capsule unfolds:
@@ -799,7 +799,7 @@ class Checker:
             *(free_vars(dd.init) for dd in owned)
         ) - frozenset(owned_names)
         for x in ext:
-            t = gamma.get(x) or ctx.lookup(x)
+            t = gamma.get(x)
             if isinstance(t, IntType):
                 continue
             if isinstance(t, RefType) and t.qualifier in (
@@ -984,15 +984,11 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
             raise IllTyped(f"no method {e.mname} in class {e.cname}", _span(e))
         return table.method(e.cname, e.mname).ret
     if isinstance(e, Block):
+        # a discard's type is inferred once, by `resolve_implicit_types`
         g2 = dict(gamma)
-        pending = list(e.decls)
-        # declared types first (forward references), then infer the sugared ones
-        for d in pending:
+        for d in e.decls:
             if d.dtype is not None:
                 g2[d.name] = stored_type(d.dtype)
-        for d in pending:
-            if d.dtype is None:
-                g2[d.name] = discard_type(shape_type(table, g2, d.init))
         return shape_type(table, g2, e.body)
     raise TypeError(f"not an expression: {e!r}")
 

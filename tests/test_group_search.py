@@ -156,7 +156,7 @@ class UnprunedChecker(Checker):
                 for d in decls:
                     own = ctx_body.group_of(d.name)
                     ctx_d = ctx_body.swap(own) if own else ctx_body
-                    j_own = self._try_consume(block, d, gamma, ctx_d)
+                    j_own = self._try_consume(block, d, gamma)
                     premises.append(
                         j_own if j_own is not None
                         else self.check(ctx_d, d.init, gamma[d.name])

@@ -123,6 +123,39 @@ class TestCleanTraces:
         assert "field-assign-move" in [r for r, _ in tr.steps]
         assert verify_trace(p.table, tr) == []
 
+    # an assignment through a receiver that is no reference names the
+    # receiver first; no corpus or generated program makes one
+    @pytest.mark.parametrize(
+        "main",
+        [
+            "mut D a = new D(1); mut D b = new D(2);"
+            " mut D y = (new C(a, a)).f1 = b; y.f",
+            "int y = (new D(1)).f = 2; y",
+        ],
+        ids=["reference", "int"],
+    )
+    def test_field_assign_through_a_new_object(self, main):
+        p, tr = reduce_source(CLS + main)
+        assert "field-assign-prop" in [r for r, _ in tr.steps]
+        assert verify_trace(p.table, tr) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="one normalization pass leaves garbage in a reduct: a "
+        "field-assign that writes a constructor call into an object state "
+        "leaves the named receiver in y's initializer",
+    )
+    def test_field_assign_of_a_new_object_through_a_new_object(self):
+        # field-assign writes the non-reference `new D(2)` into the object
+        # state of the named receiver; the pass that hoists it turns y's
+        # initializer into a value only mid-pass, so the receiver stays as
+        # garbage and canonical forms fails at step 2
+        _, _, vs = verified(
+            CLS
+            + "mut D a = new D(1); mut D y = (new C(a, a)).f1 = new D(2); y.f"
+        )
+        assert vs == []
+
 
 class TestDetection:
     """The checkers must actually flag broken traces, so doctor a good trace

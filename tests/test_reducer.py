@@ -9,7 +9,13 @@ import pytest
 
 from capslang import reducer, syntax
 from capslang.anf import simplify_program
-from capslang.congruence import NameSupply, canonical, is_stored, normalize_value
+from capslang.congruence import (
+    NameSupply,
+    canonical,
+    is_normal_term,
+    is_stored,
+    normalize_value,
+)
 from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse, parse_expr, pretty_print
 from capslang.reducer import (
@@ -337,11 +343,51 @@ class FullRenormReducer(Reducer):
         return e
 
 
+def fresh_subterms(e, seen: set):
+    """The subterms of e, in preorder, skipping every node in seen (by
+    identity) with all it holds; each one yielded joins seen."""
+    if id(e) not in seen:
+        seen.add(id(e))
+        yield e
+        for c in syntax.children(e):
+            yield from fresh_subterms(c, seen)
+
+
+def test_is_normal_term_is_the_fixed_point_of_normalization():
+    # the node fact against the reference's normalization below the store,
+    # on every subterm of every trace term; the reference rebuilds every
+    # node, so its output is compared by equality
+    sources = [path.read_text() for path in sorted((CORPUS / "accept").glob("*.caps"))]
+    sources += [
+        gen_source(GenConfig(seed=seed, size=size, reject_rate=0))
+        for size in (8, 16)
+        for seed in range(100)
+    ]
+    outcomes = Counter()
+    for src in sources:
+        p, tr = reduce_source(src)
+        ref = FullRenormReducer(p.table)
+        seen: set = set()  # the trace keeps every term, so no id is reused
+        for term in [tr.initial] + [t for _, t in tr.steps]:
+            for sub in fresh_subterms(term, seen):
+                fixed = ref.normalize_term(sub, False) == sub
+                assert is_normal_term(sub) == fixed, pretty_print(sub)
+                outcomes[fixed] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+    # a block with no declarations, which neither the parser nor a step
+    # builds, is replaced by its body
+    ref = FullRenormReducer(syntax.ClassTable({}))
+    empty = Block((), FieldAccess(syntax.Var("a"), "f"))
+    for e in (empty, FieldAccess(empty, "g")):
+        assert not is_normal_term(e) and ref.normalize_term(e, False) != e
+
+
 class RefocusChecked(Reducer):
     """The production reducer, checking what it knows about the store
     before each step and each normalization of the store: the declarations
-    before `first` are stored, every position outside `todo` holds a known
-    fixed point, and the decomposition equals the one from the root."""
+    before `first` are stored, every position outside `todo` holds a fixed
+    point of normalization, and the decomposition equals the one from the
+    root."""
 
     refocused = 0  # steps that skipped a known prefix of the store
 
@@ -350,8 +396,8 @@ class RefocusChecked(Reducer):
             return 0
         _, first, todo = self._store
         assert all(walk_is_stored(d) for d in e.decls[:first])
-        unknown = [i for i, d in enumerate(e.decls) if id(d.init) not in self._normal]
-        assert set(unknown) <= set(todo)
+        unsettled = [i for i, d in enumerate(e.decls) if not is_normal_term(d.init)]
+        assert set(unsettled) <= set(todo)
         return first
 
     def step(self, e):
@@ -360,10 +406,9 @@ class RefocusChecked(Reducer):
         assert decompose(e, first) == decompose(e)
         return super().step(e)
 
-    def _normalize_block(self, e, top=False):
-        if top:
-            self.check_store(e)
-        return super()._normalize_block(e, top)
+    def _normalize_store(self, e):
+        self.check_store(e)
+        return super()._normalize_store(e)
 
 
 def assert_same_trace(p):
@@ -482,13 +527,13 @@ class TestIncremental:
     def test_two_pass_block(self):
         # one pass hoists the constructor arguments and so makes the block a
         # value; only the next pass flattens it: the first output is not a
-        # fixed point and must not be recorded as one
+        # fixed point, and is_normal_term must not take it for one
         p = simplify_program(load(TWO_PASS))
         e = parse_expr("{mut C1 u = new C1(new C0(7), new C0(8)); u}")
         red, ref = Reducer(p.table), FullRenormReducer(p.table)
         once = red.normalize_term(e, False)
         twice = red.normalize_term(once, False)
-        assert twice != once
+        assert twice != once and not is_normal_term(once)
         ref_once = ref.normalize_term(e, False)
         assert (once, twice) == (ref_once, ref.normalize_term(ref_once, False))
         assert_same_trace(load(TWO_PASS))
@@ -543,42 +588,33 @@ def test_step_cost_does_not_grow_with_the_store():
     assert calls_per_step(64) <= 1.5 * calls_per_step(8)
 
 
-class CountingTable(dict):
-    """A `Reducer._normal` that counts its lookups."""
-
-    lookups = 0
-
-    def __contains__(self, key):
-        self.lookups += 1
-        return super().__contains__(key)
-
-
 def probes_per_step(size):
-    """Storedness probes of `decompose` plus lookups in the table of fixed
-    points of normalization, per reduction step, over generator seeds 0..19
-    at this size."""
-    stored = []
+    """Storedness probes of `decompose` plus the fixed-point facts the
+    reducer asks for while normalizing, per reduction step, over generator
+    seeds 0..19 at this size; a fact's own recursion into a new node is not
+    counted."""
+    probes = []
 
-    def counting(d):
-        stored.append(d)
-        return is_stored(d)
+    def counting(fact):
+        def probe(node):
+            probes.append(node)
+            return fact(node)
 
-    lookups = steps = 0
+        return probe
+
+    steps = 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reducer, "is_stored", counting)
+        mp.setattr(reducer, "is_stored", counting(is_stored))
+        mp.setattr(reducer, "is_normal_term", counting(is_normal_term))
         for seed in range(20):
             src = gen_source(GenConfig(seed=seed, size=size, reject_rate=0))
-            sp = simplify_program(load(src))
-            red = Reducer(sp.table, NameSupply(100_000))
-            red._normal = CountingTable()
-            steps += red.run(sp.main).fuel_used
-            lookups += red._normal.lookups
-    return (len(stored) + lookups) / steps
+            steps += reduce_source(src)[1].fuel_used
+    return len(probes) / steps
 
 
 def test_step_probes_do_not_grow_with_the_store():
     # decompose resumes where the step changed the store, and normalization
-    # looks up only the positions the step wrote or left unsettled, so the
+    # asks only about the positions the step wrote or left unsettled, so the
     # probes per step stay flat (scanning the store from declaration 0 made
     # 15.8 of them at size 8 and 81.3 at size 64)
     assert probes_per_step(64) <= 1.5 * probes_per_step(8)
