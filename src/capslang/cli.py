@@ -177,18 +177,11 @@ def cmd_dot(args) -> int:
         sp, trace = _reduce(p, args.fuel)
     except OutOfFuel as e:
         trace = e.trace  # draw the store as far as reduction got
-    if args.at_step is None:
-        term = trace.final
-    elif args.at_step == 0:
-        term = trace.initial
-    elif args.at_step <= len(trace.steps):
-        term = trace.steps[args.at_step - 1][1]
-    else:
-        print(
-            f"error: trace has only {len(trace.steps)} steps", file=sys.stderr
-        )
+    k = len(trace.steps) if args.at_step is None else args.at_step
+    if k > len(trace.steps):
+        print(f"error: trace has only {len(trace.steps)} steps", file=sys.stderr)
         return EXIT_PARSE
-    print(store_dot(term))
+    print(store_dot(trace.terms[k]))
     return EXIT_OK
 
 

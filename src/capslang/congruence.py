@@ -116,13 +116,9 @@ def wf_store_decl(d: Decl) -> bool:
             q is Qualifier.IMM
             and wf_rightvalue(d.init)
             and all_mut(d.init.decls)
-            and wf_store(d.init.decls)
+            and all(map(wf_store_decl, d.init.decls))
         )
     return False
-
-
-def wf_store(decls: tuple) -> bool:
-    return all(wf_store_decl(d) for d in decls)
 
 
 @node_cached

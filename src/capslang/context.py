@@ -180,9 +180,6 @@ class TypeContext:
         """Gamma as a dict; shared, so callers copy before extending it."""
         return self.gamma.env
 
-    def lookup(self, x: str):
-        return self.gamma.env.get(x)
-
     def mutable_group(self) -> frozenset:
         mg = self._mutable
         if mg is None:

@@ -498,7 +498,7 @@ def _walk(trace: ReductionTrace, *parts) -> list:
     per check it runs; returns them all, check by check, in the order of
     the parts."""
     scope = RootScope()
-    for step, term in enumerate([trace.initial, *(t for _, t in trace.steps)]):
+    for step, term in enumerate(trace.terms):
         diff = scope.advance(term.decls if isinstance(term, Block) else ())
         for part in parts:
             part(step, term, scope, diff)

@@ -294,8 +294,12 @@ def freshen(e: Expr, supply: NameSupply) -> Expr:
 class ReductionTrace:
     initial: Optional[Expr] = None
     steps: list = field(default_factory=list)  # of (rule name, term)
-    fuel_used: int = 0
     done: bool = False
+
+    @property
+    def terms(self) -> list:
+        """The initial term, then the term after each step."""
+        return [self.initial, *(t for _, t in self.steps)]
 
     @property
     def final(self) -> Expr:
@@ -378,9 +382,7 @@ class Reducer:
             return self._field_assign(frames, redex)
         if isinstance(redex, Plus):
             return self._plus(frames, redex)
-        if isinstance(redex, NonWfDecl):
-            return self._non_wf_decl(frames, redex)
-        raise StuckTerm(f"no rule applies: {redex!r}")
+        return self._non_wf_decl(frames, redex)
 
     def _rebuilt(
         self, old: Block, new: Expr, at: int, n: int = 1, rewritten=()
@@ -538,17 +540,15 @@ class Reducer:
         block, i = redex.block, redex.index
         d = block.decls[i]
         if isinstance(d.dtype, IntType) and isinstance(d.init, IntLit):
-            return ("int-elim", self._plug(frames, self._subst_out(block, i, d.init)))
-        if isinstance(d.init, Var):
-            return ("alias-elim", self._plug(frames, self._subst_out(block, i, d.init)))
-        if (
-            isinstance(d.dtype, RefType)
-            and d.dtype.qualifier is Qualifier.CAPSULE
-        ):
-            return (
-                "capsule-elim",
-                self._plug(frames, self._subst_out(block, i, d.init)),
-            )
+            rule = "int-elim"
+        elif isinstance(d.init, Var):
+            rule = "alias-elim"
+        elif isinstance(d.dtype, RefType) and d.dtype.qualifier is Qualifier.CAPSULE:
+            rule = "capsule-elim"
+        else:
+            rule = None
+        if rule is not None:  # substitute the value, drop the declaration
+            return (rule, self._plug(frames, self._subst_out(block, i, d.init)))
         if isinstance(d.init, Block):
             q = d.dtype.qualifier
             if q in (Qualifier.MUT, Qualifier.LENT, Qualifier.READ):
@@ -610,11 +610,10 @@ class Reducer:
             if r is None:
                 trace.done = True
                 return trace
-            if trace.fuel_used >= fuel:
+            if len(trace.steps) >= fuel:
                 raise OutOfFuel(trace)
             rule, term = r
             term = self.normalize_term(term)
-            trace.fuel_used += 1
             trace.steps.append((rule, term))
 
 

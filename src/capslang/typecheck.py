@@ -384,9 +384,7 @@ class Checker:
         except IllTyped as err:
             first = _Failure(err)
         if goal is None:
-            raise first.error() if first else IllTyped(
-                f"has type that does not fit here", _span(e)
-            )
+            raise first.error()  # with no goal, only a failure leads here
         if isinstance(goal, RefType):
             # capsule promotion: applicable when the goal admits capsule
             if goal.qualifier in (Qualifier.CAPSULE, Qualifier.IMM):
@@ -481,16 +479,14 @@ class Checker:
             return self._field_access(ctx, e)
         if isinstance(e, FieldAssign):
             return self._field_assign(ctx, e)
-        if isinstance(e, MethodCall):
-            return self._meth_call(ctx, e)
-        if isinstance(e, StaticCall):
-            return self._static_call(ctx, e)
+        if isinstance(e, (MethodCall, StaticCall)):
+            return self._call(ctx, e)
         if isinstance(e, Block):
             return self.check_block(ctx, e, goal)
         raise TypeError(f"not an expression: {e!r}")
 
     def _var(self, ctx: TypeContext, e: Var) -> Judgment:
-        t = ctx.lookup(e.name)
+        t = ctx.env.get(e.name)
         if t is None:
             raise IllTyped(f"unknown variable {e.name}", _span(e))
         if e.name in ctx.restricted:
@@ -521,11 +517,7 @@ class Checker:
         jr = self.infer(ctx, e.recv)
         if not isinstance(jr.result, RefType):
             raise IllTyped("field access on a non-object", _span(e))
-        cname = jr.result.cname
-        try:
-            ft = self.table.field_type(cname, e.fname)
-        except KeyError:
-            raise IllTyped(f"no field {e.fname} in class {cname}", _span(e))
+        ft = _field_type(self.table, jr.result.cname, e)
         if isinstance(ft, RefType) and ft.qualifier is Qualifier.MUT:
             result: Type = RefType(jr.result.qualifier, ft.cname)
         else:
@@ -535,49 +527,38 @@ class Checker:
     def _field_assign(self, ctx: TypeContext, e: FieldAssign) -> Judgment:
         cname = self._receiver_class(ctx, e.recv)
         jr = self.check(ctx, e.recv, RefType(Qualifier.MUT, cname))
-        try:
-            ft = self.table.field_type(cname, e.fname)
-        except KeyError:
-            raise IllTyped(f"no field {e.fname} in class {cname}", _span(e))
+        ft = _field_type(self.table, cname, e)
         jv = self.check(ctx, e.value, ft)
         return Judgment(e, ft, "t-field-assign", (jr, jv))
 
-    def _meth_call(self, ctx: TypeContext, e: MethodCall) -> Judgment:
-        cname = self._receiver_class(ctx, e.recv)
+    def _call(self, ctx: TypeContext, e: MethodCall | StaticCall) -> Judgment:
+        """t-meth-call (e a MethodCall) and t-static-call (a StaticCall)."""
+        static = e.__class__ is StaticCall
+        cname = e.cname if static else self._receiver_class(ctx, e.recv)
         if not self.table.has_method(cname, e.mname):
             raise IllTyped(f"no method {e.mname} in class {cname}", _span(e))
         sig = self.table.method(cname, e.mname)
-        if sig.this_qual is None:
+        m = f"{cname}.{e.mname}"
+        if (sig.this_qual is None) is not static:
             raise IllTyped(
-                f"method {cname}.{e.mname} is static; call it as {cname}.{e.mname}(...)",
+                f"method {m} is not static" if static
+                else f"method {m} is static; call it as {m}(...)",
                 _span(e),
             )
         if len(sig.params) != len(e.args):
             raise IllTyped(
-                f"{cname}.{e.mname}: expected {len(sig.params)} arguments, got {len(e.args)}",
+                f"{m}: expected {len(sig.params)} arguments, got {len(e.args)}",
                 _span(e),
             )
-        jr = self.check(ctx, e.recv, RefType(sig.this_qual, cname))
-        premises = (jr,) + tuple(
+        premises = () if static else (
+            self.check(ctx, e.recv, RefType(sig.this_qual, cname)),
+        )
+        premises += tuple(
             self.check(ctx, a, pt) for a, (pt, _) in zip(e.args, sig.params)
         )
-        return Judgment(e, sig.ret, "t-meth-call", premises)
-
-    def _static_call(self, ctx: TypeContext, e: StaticCall) -> Judgment:
-        if not self.table.has_method(e.cname, e.mname):
-            raise IllTyped(f"no method {e.mname} in class {e.cname}", _span(e))
-        sig = self.table.method(e.cname, e.mname)
-        if sig.this_qual is not None:
-            raise IllTyped(f"method {e.cname}.{e.mname} is not static", _span(e))
-        if len(sig.params) != len(e.args):
-            raise IllTyped(
-                f"{e.cname}.{e.mname}: expected {len(sig.params)} arguments, got {len(e.args)}",
-                _span(e),
-            )
-        premises = tuple(
-            self.check(ctx, a, pt) for a, (pt, _) in zip(e.args, sig.params)
+        return Judgment(
+            e, sig.ret, "t-static-call" if static else "t-meth-call", premises
         )
-        return Judgment(e, sig.ret, "t-static-call", premises)
 
     def _receiver_class(self, ctx: TypeContext, recv: Expr) -> str:
         t = shape_type(self.table, ctx.env, recv)
@@ -927,6 +908,15 @@ def _span(e: Expr):
     return getattr(e, "span", None)
 
 
+def _field_type(table: ClassTable, cname: str, e) -> Type:
+    """The declared type of field e.fname of class cname (e a FieldAccess or
+    a FieldAssign)."""
+    try:
+        return table.field_type(cname, e.fname)
+    except KeyError:
+        raise IllTyped(f"no field {e.fname} in class {cname}", _span(e))
+
+
 def _untyped(d: Decl) -> IllTyped:
     return IllTyped(f"declaration {d.name} lacks a type (unresolved sugar)", d.span)
 
@@ -956,10 +946,7 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
         rt = shape_type(table, gamma, e.recv)
         if not isinstance(rt, RefType) or rt.cname not in table:
             raise IllTyped("field access on a non-object", _span(e))
-        try:
-            ft = table.field_type(rt.cname, e.fname)
-        except KeyError:
-            raise IllTyped(f"no field {e.fname} in class {rt.cname}", _span(e))
+        ft = _field_type(table, rt.cname, e)
         if isinstance(ft, RefType) and ft.qualifier is Qualifier.MUT:
             q = rt.qualifier
             if q is Qualifier.CAPSULE:
@@ -970,10 +957,7 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
         rt = shape_type(table, gamma, e.recv)
         if not isinstance(rt, RefType) or rt.cname not in table:
             raise IllTyped("assignment on a non-object", _span(e))
-        try:
-            return table.field_type(rt.cname, e.fname)
-        except KeyError:
-            raise IllTyped(f"no field {e.fname} in class {rt.cname}", _span(e))
+        return _field_type(table, rt.cname, e)
     if isinstance(e, MethodCall):
         rt = shape_type(table, gamma, e.recv)
         if not isinstance(rt, RefType) or not table.has_method(rt.cname, e.mname):
@@ -1049,13 +1033,6 @@ def method_context(table: ClassTable, cname: str, sig) -> TypeContext:
     return TypeContext.make(method_gamma(cname, sig), groups)
 
 
-def typecheck_method(table: ClassTable, cname: str, mname: str, budget=None) -> Judgment:
-    sig = table.method(cname, mname)
-    ctx = method_context(table, cname, sig)
-    checker = Checker(table, budget)
-    return checker.check(ctx, sig.body, sig.ret)
-
-
 def typecheck_program(p: Program, budget=None) -> dict:
     """Judgments for every method body and the main expression.
 
@@ -1064,8 +1041,10 @@ def typecheck_program(p: Program, budget=None) -> dict:
     """
     out = {}
     for cname, cd in p.table.classes.items():
-        for mname in cd.methods:
-            out[f"{cname}.{mname}"] = typecheck_method(p.table, cname, mname, budget)
+        for mname, sig in cd.methods.items():
+            ctx = method_context(p.table, cname, sig)
+            checker = Checker(p.table, budget)
+            out[f"{cname}.{mname}"] = checker.check(ctx, sig.body, sig.ret)
     checker = Checker(p.table, budget)
     out["main"] = checker.infer(TypeContext.make({}), p.main)
     return out

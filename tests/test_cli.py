@@ -21,7 +21,7 @@ from capslang.generator import GenConfig, gen_source
 from capslang.metatheory import MetaViolation
 from capslang.typecheck import TypeCheckError, typecheck_program
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, ROOT, reduce_source
 
 SRC = ROOT / "src"
 
@@ -229,6 +229,26 @@ class TestDot:
     def test_at_step_out_of_range(self, tmp_path, capsys):
         rc = main(["dot", write(tmp_path, self.SRC), "--at-step", "999"])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "name", [None, "cyclic_assign.caps"], ids=["no-steps", "steps"]
+    )
+    def test_at_step_every_step(self, tmp_path, capsys, name):
+        # every k from 0 to the last step draws a store, the last one by
+        # default; one past the last is refused
+        path = str(CORPUS / "accept" / name) if name else write(tmp_path, self.SRC)
+        with open(path) as f:
+            n = len(reduce_source(f.read())[1].steps)
+        for k in range(n + 1):
+            assert main(["dot", path, "--at-step", str(k)]) == EXIT_OK
+            last = capsys.readouterr().out
+            assert last.startswith("digraph store {")
+        assert main(["dot", path]) == EXIT_OK
+        assert capsys.readouterr().out == last
+        assert main(["dot", path, "--at-step", str(n + 1)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_diagnostic(err, f"error: trace has only {n} steps")
 
     @pytest.mark.parametrize(
         "name", ["imm_store.caps", "cyclic_assign.caps"], ids=["no-steps", "steps"]

@@ -189,7 +189,6 @@ class TestDetection:
         bad = ReductionTrace(
             initial=parse_expr("{imm D z = new D(0); z}"),
             steps=[("bogus", parse_expr("{imm D z = new D(1); z}"))],
-            fuel_used=1,
             done=True,
         )
         vs = check_immutable_theorem(p.table, bad)
@@ -468,7 +467,6 @@ def doctored_traces():
     yield p.table, ReductionTrace(
         initial=parse_expr("{imm D z = new D(0); z}"),
         steps=[("bogus", parse_expr("{imm D z = new D(1); z}"))],
-        fuel_used=1,
         done=True,
     )
     for before, after in (
@@ -480,12 +478,12 @@ def doctored_traces():
         first = parse_expr(before)
         (u,) = parse_expr(f"{{{after}; u}}").decls
         step = Block((u,) + first.decls[1:], first.body)  # shares y's Decl
-        yield p.table, ReductionTrace(first, [("bogus", step)], 1, True)
+        yield p.table, ReductionTrace(first, [("bogus", step)], True)
 
     def kept(first, *steps):
         """first, a copy of it that shares its Decl objects, then steps."""
         steps = (Block(first.decls, first.body),) + steps
-        return ReductionTrace(first, [("bogus", t) for t in steps], len(steps), True)
+        return ReductionTrace(first, [("bogus", t) for t in steps], True)
 
     # subject reduction keeps a root premise's judgment from one reduct to
     # the next (the second reduct on): each last term keeps a Decl object
@@ -555,7 +553,7 @@ def doctored_traces():
     # a term that is not a block between two copies of one block: the
     # block's violation is reported at steps 0 and 2
     yield p.table, ReductionTrace(
-        bad, [("bogus", parse_expr("new D(0)")), ("bogus", bad)], 2, True
+        bad, [("bogus", parse_expr("new D(0)")), ("bogus", bad)], True
     )
     # only w, nested in the transient y, reads u: when u is retyped, both
     # of w's fields break canonical forms at step 1
@@ -564,7 +562,7 @@ def doctored_traces():
     )
     (u,) = parse_expr("{mut C u = new C(v, v); u}").decls
     step = Block((u,) + first.decls[1:], first.body)  # shares y's Decl
-    yield p.table, ReductionTrace(first, [("bogus", step)], 1, True)
+    yield p.table, ReductionTrace(first, [("bogus", step)], True)
     # a declaration that lacks a type (unresolved statement sugar) stays for
     # two steps: subject reduction reports it at both
     first = parse_expr("{mut D u = new D(0); mut D w = new D(1); w}")
@@ -645,7 +643,7 @@ class TestAgainstOracle:
                     decls.insert(rnd.randrange(len(decls) + 1), decls.pop(i))
                 bogus = ("bogus", Block(tuple(decls), term.body))
                 steps = steps[:k + 1] + [bogus] + steps[k + 1:]
-            doctored = ReductionTrace(trace.initial, steps, len(steps), True)
+            doctored = ReductionTrace(trace.initial, steps, True)
             assert_same_as_oracle(p.table, doctored)
             flagged += bool(oracle_verify(p.table, doctored))
         assert flagged >= 20

@@ -257,6 +257,19 @@ class TestGoldenTraces:
         with pytest.raises(OutOfFuel):
             reduce_source(src, fuel=50)
 
+    def test_fuel_is_a_step_count(self):
+        # a program that takes s steps completes with fuel s and runs out
+        # after s - 1 steps with fuel s - 1
+        src = (CORPUS / "accept" / "methods.caps").read_text()
+        s = len(reduce_source(src)[1].steps)
+        _, tr = reduce_source(src, fuel=s)
+        assert tr.done and len(tr.steps) == s
+        assert len(tr.terms) == s + 1
+        assert tr.terms[0] is tr.initial and tr.terms[-1] is tr.final
+        with pytest.raises(OutOfFuel) as e:
+            reduce_source(src, fuel=s - 1)
+        assert len(e.value.trace.steps) == s - 1 and not e.value.trace.done
+
 
 class TestFreshness:
     def test_repeated_calls_fresh_binders(self):
@@ -420,7 +433,7 @@ def assert_same_trace(p):
     for cls, out in ((RefocusChecked, got), (FullRenormReducer, want)):
         try:
             tr = cls(sp.table, NameSupply(100_000)).run(sp.main, fuel=2000)
-            out.append((tr.initial, tr.steps, tr.fuel_used, tr.done))
+            out.append((tr.initial, tr.steps, tr.done))
         except OutOfFuel as e:
             out.append(("out of fuel", e.trace.steps))
     assert got == want
@@ -576,7 +589,7 @@ def calls_per_step(size):
         mp.setattr(reducer, "substitute", subst)
         for seed in range(20):
             src = gen_source(GenConfig(seed=seed, size=size, reject_rate=0))
-            steps += reduce_source(src)[1].fuel_used
+            steps += len(reduce_source(src)[1].steps)
     assert calls[syntax.substitute] > 0
     return sum(calls.values()) / steps
 
@@ -608,7 +621,7 @@ def probes_per_step(size):
         mp.setattr(reducer, "is_normal_term", counting(is_normal_term))
         for seed in range(20):
             src = gen_source(GenConfig(seed=seed, size=size, reject_rate=0))
-            steps += reduce_source(src)[1].fuel_used
+            steps += len(reduce_source(src)[1].steps)
     return len(probes) / steps
 
 

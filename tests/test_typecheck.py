@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from capslang import cli
 from capslang.generator import GenConfig, gen_source
 from capslang.parser import parse
 from capslang.syntax import INT, IntLit, Qualifier, RefType, Var, subtype
@@ -234,6 +235,36 @@ class TestFrontend:
 
     def test_int_where_object_expected(self):
         rejects(CLS + "mut D y = 5;\ny")
+
+    CALLS = (
+        "class D { int f; int g(read) { return this.f; }"
+        " mut D mk(static) { return new D(0); } }\n"
+    )
+
+    @pytest.mark.parametrize("main_src, message", [
+        ("mut D d = new D(0); d.mk()",
+         "method D.mk is static; call it as D.mk(...) at 2:23"),
+        ("D.g()", "method D.g is not static at 2:3"),
+        ("mut D d = new D(0); d.g(1)", "D.g: expected 0 arguments, got 1 at 2:23"),
+        ("D.mk(1)", "D.mk: expected 0 arguments, got 1 at 2:3"),
+        ("mut D d = new D(0); d.h()", "no method h in class D at 2:23"),
+        ("D.h()", "no method h in class D at 2:3"),
+        ("mut D d = new D(0); d.q", "no field q in class D at 2:23"),
+        ("mut D d = new D(0); d.q = 1", "no field q in class D at 2:23"),
+        ("mut D d = new D(0); d.q; d", "no field q in class D at 2:23"),
+        ("mut D d = new D(0); d.q = 1; d", "no field q in class D at 2:23"),
+    ], ids=[
+        "static-as-method", "method-as-static", "method-arity", "static-arity",
+        "no-method", "no-static-method", "no-field", "no-field-assign",
+        "no-field-discard", "no-field-assign-discard",
+    ])
+    def test_call_and_field_diagnostics(self, tmp_path, capsys, main_src, message):
+        # the exact text `caps check` prints: golden texts of reject
+        # programs hold these strings
+        path = tmp_path / "prog.caps"
+        path.write_text(self.CALLS + main_src + "\n")
+        assert cli.main(["check", str(path)]) == cli.EXIT_TYPE
+        assert capsys.readouterr() == ("", f"type error: {message}\n")
 
 
 class TestContextsAndSubtyping:
@@ -482,7 +513,7 @@ class TestContextViews:
             and n not in grouped
         )
         for x in NAMES + ("this",):
-            assert ctx.lookup(x) == next((t for n, t in ctx.gamma if n == x), None)
+            assert ctx.env.get(x) == next((t for n, t in ctx.gamma if n == x), None)
             assert ctx.group_of(x) == next((g for g in groups if x in g), None)
         # permuted groups and gamma insertion order: the same key
         shuffled = list(groups)
