@@ -20,6 +20,7 @@ from .syntax import (
     IntLit,
     Program,
     Var,
+    block_gamma,
     is_value,
     map_children,
     map_program,
@@ -60,9 +61,7 @@ class _Translator:
         return map_children(e, self.value, gamma, bs)
 
     def block(self, e: Block, gamma: dict) -> Expr:
-        g2 = dict(gamma)
-        for d in e.decls:
-            g2[d.name] = stored_type(d.dtype)
+        g2 = block_gamma(gamma, e.decls)
         decls: list = []
         for d in e.decls:
             rhs = self.rhs(d.init, g2, decls)

@@ -24,7 +24,7 @@ from .anf import simplify_program
 from .congruence import NameSupply, canonical
 from .generator import GenConfig, gen_source, shrink
 from .metatheory import verify_trace
-from .parser import ParseError, parse, pretty_print
+from .parser import ParseError, _ident_out, parse, pretty_print
 from .reducer import OutOfFuel, Reducer, ReductionError
 from .syntax import (
     Block,
@@ -132,7 +132,7 @@ def store_dot(term) -> str:
         for d in block.decls:
             q = d.dtype.qualifier if isinstance(d.dtype, RefType) else None
             shape = _SHAPES.get(q, "plaintext")
-            label = d.name.replace("#", "_")
+            label = _ident_out(d.name)
             if isinstance(d.init, New):
                 label += f"\\nnew {d.init.cname}"
             lines.append(

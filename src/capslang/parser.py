@@ -4,7 +4,7 @@ Surface grammar:
 
     program  := classdecl* block
     classdecl:= "class" ID "{" fielddecl* methoddecl* "}"
-    fielddecl:= ("mut"|"imm") ID ID ";" | "int" ID ";"
+    fielddecl:= type ID ";"
     methoddecl:= type ID "(" thisqual ("," param)* ")" "{" "return" expr ";" "}"
     thisqual := "mut"|"imm"|"capsule"|"lent"|"read"|"static"
     param    := type ID
@@ -17,7 +17,8 @@ Surface grammar:
 Inside a block, `e; e'` is sugar for a declaration of a fresh discarded
 variable (its declared type is filled in by a later inference pass,
 `typecheck.resolve_implicit_types`).  Comments run from `//` to end of line.
-The outermost braces of the main block are optional.
+The outermost braces of the main block are optional.  A field parses with
+any type; `syntax.validate_classtable` decides which are allowed.
 
 `tokenize` scans a source once: one pattern cuts it into pieces, each
 character in exactly one (`.` takes what no other alternative does), and a
@@ -158,6 +159,19 @@ class _Parser:
         self.pos += 1
         return t
 
+    def at_typed_name(self, then: str) -> bool:
+        """Whether a type, a name that is not a reserved word and the token
+        `then` come next: a field (";") or a declaration ("=")."""
+        t = self.toks[self.pos]
+        if t.text == "int":
+            k = 1
+        elif t.text in QUAL_WORDS and self.toks[self.pos + 1].kind == "id":
+            k = 2
+        else:
+            return False
+        n = self.toks[self.pos + k]
+        return n.kind == "id" and n.text not in RESERVED and self.at(then, k + 1)
+
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
@@ -176,9 +190,9 @@ class _Parser:
     def parse_program(self) -> Program:
         classes = {}
         while self.at("class"):
+            t = self.peek(1)  # the class's name
             cd = self.parse_class()
             if cd.name in classes:
-                t = self.peek()
                 raise ParseError(f"duplicate class {cd.name}", t.line, t.col)
             classes[cd.name] = cd
         self.called = set()
@@ -203,40 +217,22 @@ class _Parser:
         name = self.ident().text
         self.expect("{")
         fields = []
-        # field declarations: (mut|imm) ID ID ; | int ID ;
-        while True:
-            t = self.peek()
-            if t.text == "int" and self.peek(1).kind == "id" and self.at(";", 2):
-                self.pos += 1
-                fname = self.ident().text
-                self.expect(";")
-                fields.append((INT, fname))
-            elif (
-                t.text in ("mut", "imm")
-                and self.peek(1).kind == "id"
-                and self.peek(2).kind == "id"
-                and self.at(";", 3)
-            ):
-                self.pos += 1
-                cname = self.ident().text
-                fname = self.ident().text
-                self.expect(";")
-                fields.append((RefType(QUAL_WORDS[t.text], cname), fname))
-            else:
-                break
+        while self.at_typed_name(";"):
+            fields.append((self.parse_type(), self.ident().text))
+            self.expect(";")
         methods = {}
         while not self.at("}"):
-            m = self.parse_method()
+            t, m = self.parse_method()
             if m.name in methods:
-                t = self.peek()
                 raise ParseError(f"duplicate method {m.name} in {name}", t.line, t.col)
             methods[m.name] = m
         self.expect("}")
         return ClassDef(name, tuple(fields), methods)
 
-    def parse_method(self) -> MethodSig:
+    def parse_method(self) -> tuple:
+        """The method's name token and its signature."""
         ret = self.parse_type()
-        name = self.ident().text
+        nt = self.ident()
         self.expect("(")
         t = self.peek()
         if t.text == "static":
@@ -263,7 +259,7 @@ class _Parser:
         self.receivers[id(body)] = self.called
         self.expect(";")
         self.expect("}")
-        return MethodSig(name, ret, this_qual, tuple(params), body)
+        return nt, MethodSig(nt.text, ret, this_qual, tuple(params), body)
 
     # -- expressions ----------------------------------------------------------
 
@@ -281,24 +277,7 @@ class _Parser:
         span = (self.peek().line, self.peek().col)
         while True:
             t = self.peek()
-            # a type is one token ("int") or two ("mut C"); a declaration is
-            # type ID "="
-            if t.text == "int":
-                is_decl = (
-                    self.peek(1).kind == "id"
-                    and self.peek(1).text not in RESERVED
-                    and self.at("=", 2)
-                )
-            elif t.text in QUAL_WORDS:
-                is_decl = (
-                    self.peek(1).kind == "id"
-                    and self.peek(2).kind == "id"
-                    and self.peek(2).text not in RESERVED
-                    and self.at("=", 3)
-                )
-            else:
-                is_decl = False
-            if is_decl:
+            if self.at_typed_name("="):
                 dtype = self.parse_type()
                 nt = self.ident()
                 self.expect("=")

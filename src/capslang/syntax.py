@@ -1,7 +1,8 @@
 """Core syntax: qualifiers, types (interned, one object per type), AST,
 class table, and term-level helpers: the generic child walk
 (`map_children`), substitution and binder renaming, and the whole-program
-rewriter (`map_program`) with the method parameter environments it passes.
+rewriter (`map_program`) with the method parameter environments it passes,
+and a block's environment (`block_gamma`).
 
 Expressions are immutable; every node carries an optional source span that is
 ignored by equality so that alpha-comparison and golden tests are unaffected
@@ -398,6 +399,17 @@ def method_gamma(cname: str, sig: MethodSig) -> dict:
     return gamma
 
 
+def block_gamma(gamma: dict, decls) -> dict:
+    """The environment of a block's initializers and body: gamma with each
+    typed declaration at its stored type (a discard's type is not yet
+    inferred)."""
+    g2 = dict(gamma)
+    for d in decls:
+        if d.dtype is not None:
+            g2[d.name] = stored_type(d.dtype)
+    return g2
+
+
 def map_program(p: Program, f) -> Program:
     """p with each method body b replaced by f(b, method_gamma(cname, sig))
     and the main expression by f(main, {}), in that order."""
@@ -633,7 +645,8 @@ def validate_wellformedness(p: Program) -> list:
 
 
 def validate_classtable(ct: ClassTable) -> list:
-    """Field declarations may only be `imm C`, `mut C`, or `int`."""
+    """Field declarations may only be `imm C`, `mut C`, or `int`; the parser
+    takes a field of any type, so this is the one judge."""
     out: list = []
     for cd in ct.classes.values():
         seen = set()

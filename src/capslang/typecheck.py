@@ -109,6 +109,7 @@ from .syntax import (
     IntLit,
     IntType,
     MethodCall,
+    MethodSig,
     New,
     Plus,
     Program,
@@ -117,6 +118,7 @@ from .syntax import (
     StaticCall,
     Type,
     Var,
+    block_gamma,
     children,
     free_vars,
     is_evaluated,
@@ -525,7 +527,7 @@ class Checker:
         return Judgment(e, result, "t-field-access", (jr,))
 
     def _field_assign(self, ctx: TypeContext, e: FieldAssign) -> Judgment:
-        cname = self._receiver_class(ctx, e.recv)
+        cname = _receiver_class(self.table, ctx.env, e.recv)
         jr = self.check(ctx, e.recv, RefType(Qualifier.MUT, cname))
         ft = _field_type(self.table, cname, e)
         jv = self.check(ctx, e.value, ft)
@@ -534,10 +536,8 @@ class Checker:
     def _call(self, ctx: TypeContext, e: MethodCall | StaticCall) -> Judgment:
         """t-meth-call (e a MethodCall) and t-static-call (a StaticCall)."""
         static = e.__class__ is StaticCall
-        cname = e.cname if static else self._receiver_class(ctx, e.recv)
-        if not self.table.has_method(cname, e.mname):
-            raise IllTyped(f"no method {e.mname} in class {cname}", _span(e))
-        sig = self.table.method(cname, e.mname)
+        cname = e.cname if static else _receiver_class(self.table, ctx.env, e.recv)
+        sig = _method(self.table, cname, e)
         m = f"{cname}.{e.mname}"
         if (sig.this_qual is None) is not static:
             raise IllTyped(
@@ -559,14 +559,6 @@ class Checker:
         return Judgment(
             e, sig.ret, "t-static-call" if static else "t-meth-call", premises
         )
-
-    def _receiver_class(self, ctx: TypeContext, recv: Expr) -> str:
-        t = shape_type(self.table, ctx.env, recv)
-        if not isinstance(t, RefType):
-            raise IllTyped("receiver is not an object", _span(recv))
-        if t.cname not in self.table:
-            raise IllTyped(f"unknown class {t.cname}", _span(recv))
-        return t.cname
 
     # ------------------------------------------------------------------
     # blocks
@@ -917,6 +909,25 @@ def _field_type(table: ClassTable, cname: str, e) -> Type:
         raise IllTyped(f"no field {e.fname} in class {cname}", _span(e))
 
 
+def _receiver_class(table: ClassTable, gamma: dict, recv: Expr) -> str:
+    """The class of a call's or an assignment's receiver, by its shape."""
+    t = shape_type(table, gamma, recv)
+    if not isinstance(t, RefType):
+        raise IllTyped("receiver is not an object", _span(recv))
+    if t.cname not in table:
+        raise IllTyped(f"unknown class {t.cname}", _span(recv))
+    return t.cname
+
+
+def _method(table: ClassTable, cname: str, e) -> MethodSig:
+    """The signature of method e.mname of class cname (e a MethodCall or a
+    StaticCall)."""
+    try:
+        return table.method(cname, e.mname)
+    except KeyError:
+        raise IllTyped(f"no method {e.mname} in class {cname}", _span(e))
+
+
 def _untyped(d: Decl) -> IllTyped:
     return IllTyped(f"declaration {d.name} lacks a type (unresolved sugar)", d.span)
 
@@ -954,26 +965,14 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
             return RefType(q, ft.cname)
         return ft
     if isinstance(e, FieldAssign):
-        rt = shape_type(table, gamma, e.recv)
-        if not isinstance(rt, RefType) or rt.cname not in table:
-            raise IllTyped("assignment on a non-object", _span(e))
-        return _field_type(table, rt.cname, e)
+        return _field_type(table, _receiver_class(table, gamma, e.recv), e)
     if isinstance(e, MethodCall):
-        rt = shape_type(table, gamma, e.recv)
-        if not isinstance(rt, RefType) or not table.has_method(rt.cname, e.mname):
-            raise IllTyped(f"no method {e.mname} here", _span(e))
-        return table.method(rt.cname, e.mname).ret
+        return _method(table, _receiver_class(table, gamma, e.recv), e).ret
     if isinstance(e, StaticCall):
-        if not table.has_method(e.cname, e.mname):
-            raise IllTyped(f"no method {e.mname} in class {e.cname}", _span(e))
-        return table.method(e.cname, e.mname).ret
+        return _method(table, e.cname, e).ret
     if isinstance(e, Block):
         # a discard's type is inferred once, by `resolve_implicit_types`
-        g2 = dict(gamma)
-        for d in e.decls:
-            if d.dtype is not None:
-                g2[d.name] = stored_type(d.dtype)
-        return shape_type(table, g2, e.body)
+        return shape_type(table, block_gamma(gamma, e.decls), e.body)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -994,10 +993,7 @@ def resolve_implicit_types(p: Program) -> Program:
     def walk(e: Expr, gamma: dict) -> Expr:
         if not isinstance(e, Block):
             return map_children(e, walk, gamma)
-        g2 = dict(gamma)
-        for d in e.decls:
-            if d.dtype is not None:
-                g2[d.name] = stored_type(d.dtype)
+        g2 = block_gamma(gamma, e.decls)
         decls = []
         for d in e.decls:
             init = walk(d.init, g2)

@@ -89,6 +89,17 @@ class TestCheck:
         assert main(["check", path]) == EXIT_PARSE
         assert_diagnostic(capsys.readouterr().err, "error: dup-field: f: duplicate field")
 
+    @pytest.mark.parametrize("q", ["capsule", "lent", "read"])
+    def test_field_qualifier_is_validated(self, tmp_path, capsys, q):
+        # a field of any type parses; validation refuses all but mut, imm
+        # and int
+        path = write(tmp_path, f"class D {{ int n; }}\nclass C {{ {q} D f; }}\nnew D(1)\n")
+        assert main(["check", path]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: bad-field-qualifier: f: field C.f has qualifier {q}; "
+            "only mut/imm/int fields are allowed\n"
+        )
+
     def test_parse_error(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, "class {")]) == EXIT_PARSE
         assert "error" in capsys.readouterr().err

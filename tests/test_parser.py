@@ -169,6 +169,21 @@ class TestErrors:
             parse_expr("new C(x")
         assert "1:" in str(ei.value)
 
+    @pytest.mark.parametrize("src, message", [
+        ("class D { int f; }\nclass E { int g; }\nclass D { int h; }\nnew D(1)",
+         "3:7: duplicate class D"),
+        ("class D { int f; int m(read) { return 1; }\n  int m(read) { return 2; } }\n1",
+         "2:7: duplicate method m in D"),
+        ("class D { int class; }\n1", "1:15: expected identifier, found 'class'"),
+        ("class D { mut D class; }\n1", "1:17: expected identifier, found 'class'"),
+    ], ids=["duplicate-class", "duplicate-method", "int-field", "mut-field"])
+    def test_message(self, src, message):
+        # a duplicate is reported at its name; a reserved word after a
+        # field's type where the name should be
+        with pytest.raises(ParseError) as ei:
+            parse(src)
+        assert str(ei.value) == message
+
 
 # ---------------------------------------------------------------------------
 # Round-trip property: pretty_print . parse_expr == id (modulo parse)

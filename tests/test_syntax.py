@@ -485,17 +485,13 @@ class TestProgramValidation:
         assert validate_wellformedness(p) == []
 
     def test_classtable_field_types(self):
-        # fields may only be imm C, mut C, or int; the grammar cannot even
-        # write a lent field, so build the table directly
-        from capslang.syntax import ClassDef, ClassTable
-
-        ct = ClassTable(
-            {
-                "D": ClassDef("D", ((INT, "n"),), {}),
-                "C": ClassDef("C", ((RefType(Q.LENT, "D"), "f"),), {}),
-            }
-        )
-        assert validate_classtable(ct)
+        # fields may only be imm C, mut C, or int; a field of any type
+        # parses, and validation alone refuses the others
+        for q in ("capsule", "lent", "read"):
+            p = parse(f"class D {{ int n; }}\nclass C {{ {q} D f; }}\nnew D(0)")
+            assert p.table.fields("C") == ((RefType(Q(q), "D"), "f"),)
+            (v,) = validate_classtable(p.table)
+            assert (v.kind, v.var) == ("bad-field-qualifier", "f")
 
     def test_classtable_unknown_class(self):
         p = parse(
