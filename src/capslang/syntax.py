@@ -575,9 +575,14 @@ def _capsule_counts(scope, names: list) -> dict:
     return counts
 
 
-def _check_expr_wf(e: Expr, out: list) -> None:
+def _check_expr_wf(e: Expr, table: ClassTable, out: list) -> None:
     if isinstance(e, Block):
         names = [d.name for d in e.decls]
+        for d in e.decls:
+            if isinstance(d.dtype, RefType) and d.dtype.cname not in table:
+                out.append(
+                    Violation("unknown-class", d.name, d.span, f"local type {d.dtype}")
+                )
         # capsule-typed locals: at most one occurrence in their scope
         caps = [d for d in e.decls if _is_capsule(d.dtype)]
         counts = _capsule_counts(children(e), [d.name for d in caps])
@@ -610,13 +615,13 @@ def _check_expr_wf(e: Expr, out: list) -> None:
                         )
                     )
     for c in children(e):
-        _check_expr_wf(c, out)
+        _check_expr_wf(c, table, out)
 
 
 def validate_wellformedness(p: Program) -> list:
-    """All violations of the syntactic constraints (capsule linearity and the
-    forward-reference restriction), over method bodies and the main
-    expression.
+    """All violations of the syntactic constraints (capsule linearity, the
+    forward-reference restriction and a local's type naming a class of the
+    table), over method bodies and the main expression.
 
     Each block counts the occurrences of all its capsule locals in one walk
     of its scope, and each method those of its capsule parameters in one
@@ -639,16 +644,24 @@ def validate_wellformedness(p: Program) -> list:
                             "occurs more than once",
                         )
                     )
-            _check_expr_wf(m.body, out)
-    _check_expr_wf(p.main, out)
+            _check_expr_wf(m.body, p.table, out)
+    _check_expr_wf(p.main, p.table, out)
     return out
 
 
 def validate_classtable(ct: ClassTable) -> list:
     """Field declarations may only be `imm C`, `mut C`, or `int`; the parser
-    takes a field of any type, so this is the one judge."""
+    takes a field of any type, so this is the one judge.  Every class a
+    field, parameter or return type names must be in the table."""
     out: list = []
     for cd in ct.classes.values():
+        for m in cd.methods.values():
+            typed = [(pt, pn, "parameter") for pt, pn in m.params]
+            for t, x, what in typed + [(m.ret, m.name, "return")]:
+                if isinstance(t, RefType) and t.cname not in ct:
+                    out.append(Violation(
+                        "unknown-class", x, None, f"{what} type {t} in {cd.name}.{m.name}"
+                    ))
         seen = set()
         for (ft, fn) in cd.fields:
             if fn in seen:

@@ -84,12 +84,15 @@ consume a sibling and the body are checked every time.
 A block's lent locals are grouped by search: `check_block` tries candidate
 group assignments in a fixed order, each set partition of the locals once,
 until one types every declaration and the body.  The search is pruned by
-conflict (Prosser, 1993): when a premise fails, its context projected onto
-the names the premise mentions is kept as a nogood for the rest of the
-`check_block` call, and a later candidate with a premise of the same
-projection fails at once.  The projection keeps everything the rules read
-(see `Checker._projection`), so the same candidate succeeds first and the
-same first failure is reported as without pruning.
+conflict (Prosser, 1993): when a premise fails, the group part of its
+context's projection onto the names the premise mentions is kept as a
+nogood for the rest of the `check_block` call, and a later candidate with a
+premise of the same group part fails at once.  Within the call gamma and
+the restricted set are fixed, so the group part is equal exactly when the
+projection is, and the projection keeps everything the rules read (see
+`Checker._projection`): the same candidate succeeds first and the same
+first failure is reported as without pruning.  Candidates are integer
+masks, and a context is built only for one that is checked (`_GroupSearch`).
 """
 
 from __future__ import annotations
@@ -214,22 +217,62 @@ def _growth_strings(n: int, k: int):
     groups numbered k, k+1, ... in order of first use, in lexicographic
     order: each set partition once, as a restricted growth string (Knuth,
     TAOCP 7.2.1.5).  It is the order in which each partition first appears
-    among the tuples of itertools.product(range(k + n), repeat=n)."""
-    a = [0] * n
+    among the tuples of itertools.product(range(k + n), repeat=n).  Each
+    string comes as (i, string), i the first position at which it differs
+    from the string before it (0 for the first)."""
+    # bound[j]: one past the largest label among a[:j] (k - 1 at least),
+    # which a[j] may reach
+    a, bound = [0] * n, [max(k, 1)] * n
+    if n:
+        bound[0] = k
+    i = 0
     while True:
-        yield tuple(a)
-        # a[i] may reach one past the largest label before it (k - 1 at least)
-        top, bound = k - 1, []
-        for x in a:
-            bound.append(top + 1)
-            top = max(top, x)
+        yield i, tuple(a)
         i = n - 1
         while i >= 0 and a[i] == bound[i]:
             i -= 1
         if i < 0:
             return
         a[i] += 1
-        a[i + 1:] = [0] * (n - 1 - i)
+        top = max(bound[i], a[i] + 1)
+        for j in range(i + 1, n):
+            a[j], bound[j] = 0, top
+
+
+def _place(groups: tuple, x: int, c: int) -> tuple:
+    """Groups (masks) with bit x joining group c, or a new group when c is
+    one past the last."""
+    if c == len(groups):
+        return groups + (x,)
+    return groups[:c] + (groups[c] | x,) + groups[c + 1:]
+
+
+class _Bits:
+    """A bit index of names: each name one bit, a set of them one int (a
+    mask).  The frozenset of a mask is built on first use and kept; sets
+    given at the start are kept as they are."""
+
+    __slots__ = ("names", "bit", "_sets")
+
+    def __init__(self, names, sets=()):
+        self.names = tuple(names)
+        self.bit = {x: 1 << i for i, x in enumerate(self.names)}
+        self._sets = {self.mask(g): g for g in sets}
+
+    def mask(self, names) -> int:
+        """The mask of names; a name with no bit is left out."""
+        bit, m = self.bit, 0
+        for x in names:
+            m |= bit.get(x, 0)
+        return m
+
+    def set(self, m: int) -> frozenset:
+        s = self._sets.get(m)
+        if s is None:
+            s = self._sets[m] = frozenset(
+                [x for i, x in enumerate(self.names) if m >> i & 1]
+            )
+        return s
 
 
 _LEAVES = (Var, IntLit)
@@ -516,10 +559,9 @@ class Checker:
         return Judgment(e, RefType(Qualifier.MUT, e.cname), "t-new", premises)
 
     def _field_access(self, ctx: TypeContext, e: FieldAccess) -> Judgment:
+        cname = _receiver_type(self.table, ctx.env, e.recv).cname
         jr = self.infer(ctx, e.recv)
-        if not isinstance(jr.result, RefType):
-            raise IllTyped("field access on a non-object", _span(e))
-        ft = _field_type(self.table, jr.result.cname, e)
+        ft = _field_type(self.table, cname, e)
         if isinstance(ft, RefType) and ft.qualifier is Qualifier.MUT:
             result: Type = RefType(jr.result.qualifier, ft.cname)
         else:
@@ -527,7 +569,7 @@ class Checker:
         return Judgment(e, result, "t-field-access", (jr,))
 
     def _field_assign(self, ctx: TypeContext, e: FieldAssign) -> Judgment:
-        cname = _receiver_class(self.table, ctx.env, e.recv)
+        cname = _receiver_type(self.table, ctx.env, e.recv).cname
         jr = self.check(ctx, e.recv, RefType(Qualifier.MUT, cname))
         ft = _field_type(self.table, cname, e)
         jv = self.check(ctx, e.value, ft)
@@ -536,7 +578,7 @@ class Checker:
     def _call(self, ctx: TypeContext, e: MethodCall | StaticCall) -> Judgment:
         """t-meth-call (e a MethodCall) and t-static-call (a StaticCall)."""
         static = e.__class__ is StaticCall
-        cname = e.cname if static else _receiver_class(self.table, ctx.env, e.recv)
+        cname = e.cname if static else _receiver_type(self.table, ctx.env, e.recv).cname
         sig = _method(self.table, cname, e)
         m = f"{cname}.{e.mname}"
         if (sig.this_qual is None) is not static:
@@ -568,8 +610,9 @@ class Checker:
         self, ctx: TypeContext, block: Block, goal: Optional[Type]
     ) -> Judgment:
         """A block's premises (its initializers, then its body) under the
-        first candidate group assignment that types them all.  The block of
-        the query's root state, in the state's context, keeps premise
+        first candidate group assignment that types them all, in the order
+        `_GroupSearch` gives them, told of each failed premise.  The block
+        of the query's root state, in the state's context, keeps premise
         judgments from the last query's block (`RootState`, see the module
         docstring)."""
         decls = block.decls
@@ -597,43 +640,16 @@ class Checker:
         env = gamma.env
         base_groups = tuple(h for h in (g.difference(dom) for g in ctx.groups) if h)
         restricted = ctx.restricted.difference(dom)
-        # mut locals may join base groups only (see _group_candidates)
-        mut_locals = base_groups and [
-            d.name for d in decls if _qualifier(d.dtype) is Qualifier.MUT
-        ]
         if len(lent_locals) > MAX_LENT_LOCALS:
             raise SearchExhausted(
                 f"block has {len(lent_locals)} lent locals (cap {MAX_LENT_LOCALS})",
                 block.span,
             )
         # premise i < len(decls) checks declaration i, premise len(decls)
-        # the body, each against the same goal for every candidate; a failed
-        # premise is kept as a nogood, its context's projection (see
-        # _projection), computed only once a further candidate comes
-        nogoods: dict = {}  # premise index -> projections of its failed checks
-        failed = None  # (premise index, its context) of the last failure
+        # the body, each against the same goal for every candidate
+        search = _GroupSearch(self, block, gamma, restricted, lent_locals, base_groups)
         first: Optional[_Failure] = None
-        ctx_body = None
-        for groups in self._group_candidates(
-            block, lent_locals, base_groups, mut_locals
-        ):
-            # every candidate shares the block's gamma
-            ctx_body = TypeContext(gamma, groups, restricted)
-            if not wf_context(ctx_body):
-                continue
-            if failed is not None:
-                i, ctx_i = failed
-                nogoods.setdefault(i, set()).add(
-                    self._projection(ctx_i, _premise_term(block, i))
-                )
-                failed = None
-            if nogoods and any(
-                self._projection(
-                    _premise_context(ctx_body, decls, i), _premise_term(block, i)
-                ) in known
-                for i, known in nogoods.items()
-            ):
-                continue  # a premise repeats a failed check
+        for ctx_body in search:
             todo = None if root is None else root.to_check(ctx_body)
             if todo is None:
                 todo, premises = range(len(decls)), [None] * len(decls)
@@ -652,7 +668,7 @@ class Checker:
                 premises.append(self.check(ctx_body, block.body, goal))
             except IllTyped as err:
                 first = first or _Failure(err)
-                failed = (i, _premise_context(ctx_body, decls, i))
+                search.failed(i)
                 continue
             if root is not None:
                 root.keep(ctx_body, decls, fresh)
@@ -684,7 +700,7 @@ class Checker:
           group).
 
         Every rule reads no more of a context than this.  `_var` reads the
-        gamma entry, restriction and grouping of its name; `_receiver_class`
+        gamma entry, restriction and grouping of its name; `_receiver_type`
         and `_try_consume` read gamma at names of e.  Unrestriction applies
         when the restricted set is not empty.  Capsule promotion makes the
         mutable group one more group; its members among the names are the
@@ -784,68 +800,66 @@ class Checker:
         rule = "t-capsule" if d.dtype.qualifier is Qualifier.CAPSULE else "t-imm"
         return Judgment(d.init, d.dtype, rule, (Judgment(d.init, t_y, "t-var"),))
 
-    def _group_candidates(self, block: Block, lent_locals, base_groups, mut_locals):
-        """Group assignments for the block's locals.
+    def _group_candidates(self, block: Block, lent_locals, base_groups, eligible, bits):
+        """Group assignments for the block's locals, each a tuple of groups
+        as masks over bits (`_Bits`): the base groups in order, perhaps
+        extended, then new groups in order of first use.
 
         A seeded candidate (must-share constraints from field assignments,
-        singletons otherwise) is tried first, then every other assignment of
+        singletons otherwise) comes first, then every other assignment of
         lent locals to existing groups or new groups among themselves, each
-        set partition once (`_growth_strings`).  As a last resort mut locals
-        may join groups too: that is a pure weakening (a grouped variable is
-        usable as lent) which some store shapes produced by reduction need.
-        Base groups are disjoint and non-empty, so no candidate repeats.
-        `check_block` skips a candidate when one of its premises repeats a
-        check that failed for an earlier candidate (see `_projection`).
+        set partition once (`_growth_strings`), its masks built on those of
+        the prefix it shares with the string before.  As a last resort the
+        eligible mut locals (`_fallback_locals`) may join base groups too: a
+        pure weakening (a grouped variable is usable as lent) which some
+        store shapes produced by reduction need; one with no bit is not mut
+        in gamma (a later declaration retyped it) and joins none.  Base
+        groups are disjoint and non-empty, so no candidate repeats.  A
+        candidate whose groups overlap (a name declared twice, placed in two
+        groups) is not yielded: masks are disjoint exactly when their sum is
+        their union, which is known before the candidate is built.
         """
-        if not lent_locals and not mut_locals:
-            yield base_groups
-            return
+        base = tuple(map(bits.mask, base_groups))
+        union = bits.mask(lent_locals) | sum(base)
         lent = []  # the lent-local candidates, again for every fallback choice
         if lent_locals:
+            placed = [bits.bit[x] for x in lent_locals]
             seeded = self._seed_assignment(block, lent_locals, base_groups)
-            for a in itertools.chain(
-                (seeded,),
-                (a for a in _growth_strings(len(lent_locals), len(base_groups))
-                 if a != seeded),
-            ):
-                groups = [set(g) for g in base_groups]
-                for x, c in zip(lent_locals, a):
-                    if c == len(groups):
-                        groups.append(set())
-                    groups[c].add(x)
-                lent.append(tuple(map(frozenset, groups)))
-                yield lent[-1]
+            groups = base
+            for x, c in zip(placed, seeded):
+                groups = _place(groups, x, c)
+            lent.append(groups)
+            if sum(groups) == union:
+                yield groups
+            prefix = [base]  # prefix[i]: the groups of the first i locals
+            for i, a in _growth_strings(len(placed), len(base)):
+                del prefix[i + 1:]
+                groups = prefix[i]
+                for x, c in zip(placed[i:], a[i:]):
+                    groups = _place(groups, x, c)
+                    prefix.append(groups)
+                if a != seeded:
+                    lent.append(groups)
+                    if sum(groups) == union:
+                        yield groups
         else:
-            lent.append(base_groups)
-            yield base_groups
-        # fallback: a mut local whose initializer refers into an existing
-        # group may join one of those groups (pure weakening; some store
-        # shapes produced by reduction need it)
-        inits = {d.name: d.init for d in block.decls}
-        eligible = []  # (name, tuple of touched base-group indices)
-        for x in mut_locals:
-            touched = tuple(
-                i
-                for i, g in enumerate(base_groups)
-                if free_vars(inits[x]) & g
-            )
-            if touched:
-                eligible.append((x, touched))
-        if eligible and len(eligible) <= MAX_LENT_LOCALS:
-            for choice in itertools.product(
-                *[(None,) + touched for _, touched in eligible]
-            ):
-                if all(c is None for c in choice):
-                    continue
-                extra: dict = {}
-                for (x, _), c in zip(eligible, choice):
-                    if c is not None:
-                        extra.setdefault(c, set()).add(x)
-                for lent_groups in lent:
-                    yield tuple(
-                        g | extra.get(i, set()) if i < len(base_groups) else g
-                        for i, g in enumerate(lent_groups)
-                    )
+            lent.append(base)
+            yield base
+        k = len(base)
+        for choice in itertools.product(*[
+            (None,) + touched if x in bits.bit else (None,) for x, touched in eligible
+        ]):
+            if all(c is None for c in choice):
+                continue
+            extra, whole = [0] * k, union
+            for (x, _), c in zip(eligible, choice):
+                if c is not None:
+                    extra[c] |= bits.bit[x]
+                    whole |= bits.bit[x]
+            for lent_groups in lent:
+                groups = tuple(map(int.__or__, lent_groups, extra)) + lent_groups[k:]
+                if sum(groups) == whole:
+                    yield groups
 
     def _seed_assignment(self, block: Block, lent_locals, base_groups) -> tuple:
         """Must-share pre-pass: variables appearing together as receiver and
@@ -909,14 +923,15 @@ def _field_type(table: ClassTable, cname: str, e) -> Type:
         raise IllTyped(f"no field {e.fname} in class {cname}", _span(e))
 
 
-def _receiver_class(table: ClassTable, gamma: dict, recv: Expr) -> str:
-    """The class of a call's or an assignment's receiver, by its shape."""
+def _receiver_type(table: ClassTable, gamma: dict, recv: Expr) -> RefType:
+    """The shape of a call's, a field access's or a field assignment's
+    receiver: a reference to a class of the table."""
     t = shape_type(table, gamma, recv)
     if not isinstance(t, RefType):
         raise IllTyped("receiver is not an object", _span(recv))
     if t.cname not in table:
         raise IllTyped(f"unknown class {t.cname}", _span(recv))
-    return t.cname
+    return t
 
 
 def _method(table: ClassTable, cname: str, e) -> MethodSig:
@@ -934,6 +949,132 @@ def _untyped(d: Decl) -> IllTyped:
 
 def _premise_term(block: Block, i: int) -> Expr:
     return block.decls[i].init if i < len(block.decls) else block.body
+
+
+def _fallback_locals(block: Block, base_groups) -> list:
+    """The mut locals that may join base groups as a last resort
+    (`Checker._group_candidates`): each whose initializer refers into a
+    base group, with the indices of those groups; none when there are more
+    than MAX_LENT_LOCALS of them."""
+    inits = {d.name: d.init for d in block.decls}
+    eligible = []  # (name, tuple of touched base-group indices)
+    for d in block.decls:
+        if _qualifier(d.dtype) is Qualifier.MUT:
+            touched = tuple(
+                i for i, g in enumerate(base_groups) if free_vars(inits[d.name]) & g
+            )
+            if touched:
+                eligible.append((d.name, touched))
+    return eligible if len(eligible) <= MAX_LENT_LOCALS else []
+
+
+def _group_part(
+    groups: tuple, own: int, names: int, muts: int, restricted: int
+) -> tuple:
+    """The group part of a premise's projection (`Checker._projection`) on
+    masks, under a candidate's groups.  own is the bit of the premise's
+    local, whose group its premise context swaps with the mutable group
+    (`_premise_context`; 0 for the body); names is the mask of the names
+    the premise mentions, muts that of gamma's mut names and restricted
+    that of the restricted names outside names.  Each group, and the
+    mutable group last, is packed into one int: its members among the
+    names, whether it has others, and whether those include restricted
+    names.  The mutable group's members among the names follow from gamma
+    and the groups'."""
+    mg = muts & ~sum(groups)  # the groups are disjoint: their sum is their union
+    if own:
+        for j, g in enumerate(groups):
+            if g & own:
+                groups = groups[:j] + groups[j + 1:] + ((mg,) if mg else ())
+                mg = g
+                break
+    others = ~names
+    return tuple([
+        (g & names) << 2 | (g & others != 0) << 1 | (g & restricted != 0)
+        for g in groups + (mg,)
+    ])
+
+
+class _GroupSearch:
+    """The candidate contexts of one `Checker.check_block` call, in the
+    order of `Checker._group_candidates`, skipping each with a premise whose
+    group part (`_group_part`) is that of a failed one (see the module
+    docstring); check_block reports each failed premise (`failed`).  A
+    block with no lent locals has one candidate, its base groups, made a
+    context at once; masks (`_Bits`) come only when it fails and mut locals
+    may join groups (`_fallback_locals`).
+
+    Well-formedness is decided once per call.  Within one call gamma, its
+    lent count, the restricted set and the base groups are fixed, and
+    neither the base groups nor the restricted set hold a name the block
+    declares.  Each base-group member and each lent local is in a group of
+    every candidate, and a restricted name is in a group exactly when it
+    is in a base group.  So `wf_context` of a candidate is that of the base
+    groups plus one group of all lent locals, but for two cases of a name
+    declared twice: placed in two groups, which `_group_candidates` tests
+    on masks; or a fallback mut local that a later declaration retyped,
+    which has no bit and joins no group there."""
+
+    __slots__ = ("checker", "block", "gamma", "restricted", "lent_locals",
+                 "base_groups", "_failed")
+
+    def __init__(self, checker, block, gamma, restricted, lent_locals, base_groups):
+        self.checker = checker
+        self.block = block
+        self.gamma = gamma
+        self.restricted = restricted
+        self.lent_locals = lent_locals
+        self.base_groups = base_groups
+        self._failed = None
+
+    def failed(self, i: int) -> None:
+        """Premise i failed under the last candidate."""
+        self._failed = i
+
+    def __iter__(self):
+        gamma, restricted = self.gamma, self.restricted
+        block, lent_locals, base_groups = self.block, self.lent_locals, self.base_groups
+        ctx_body = TypeContext(
+            gamma,
+            base_groups + (frozenset(lent_locals),) if lent_locals else base_groups,
+            restricted,
+        )
+        if not wf_context(ctx_body):
+            return
+        if not lent_locals:
+            yield ctx_body  # the base groups
+        eligible = base_groups and _fallback_locals(block, base_groups)
+        if not lent_locals and not eligible:
+            return
+        bits = _Bits(gamma.muts(), base_groups)
+        muts, rst = (1 << len(bits.names)) - 1, bits.mask(restricted)
+        decls = block.decls
+        premises: dict = {}  # premise index -> its arguments of _group_part
+        nogoods: dict = {}  # premise index -> group parts of its failed checks
+
+        def part(groups, i):
+            p = premises.get(i)
+            if p is None:
+                own = bits.bit.get(decls[i].name, 0) if i < len(decls) else 0
+                names = bits.mask(mentions(_premise_term(block, i)))
+                p = premises[i] = (own, names, muts, rst & ~names)
+            return _group_part(groups, *p)
+
+        candidates = self.checker._group_candidates(
+            block, lent_locals, base_groups, eligible, bits
+        )
+        if not lent_locals:
+            last = next(candidates)  # the base groups, checked above
+        for groups in candidates:
+            i, self._failed = self._failed, None
+            if i is not None:
+                nogoods.setdefault(i, set()).add(part(last, i))
+            for i, known in nogoods.items():
+                if part(groups, i) in known:
+                    break  # a premise repeats a failed check
+            else:
+                last = groups
+                yield TypeContext(gamma, tuple(map(bits.set, groups)), restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -954,9 +1095,7 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
     if isinstance(e, New):
         return RefType(Qualifier.MUT, e.cname)
     if isinstance(e, FieldAccess):
-        rt = shape_type(table, gamma, e.recv)
-        if not isinstance(rt, RefType) or rt.cname not in table:
-            raise IllTyped("field access on a non-object", _span(e))
+        rt = _receiver_type(table, gamma, e.recv)
         ft = _field_type(table, rt.cname, e)
         if isinstance(ft, RefType) and ft.qualifier is Qualifier.MUT:
             q = rt.qualifier
@@ -965,9 +1104,9 @@ def shape_type(table: ClassTable, gamma: dict, e: Expr) -> Type:
             return RefType(q, ft.cname)
         return ft
     if isinstance(e, FieldAssign):
-        return _field_type(table, _receiver_class(table, gamma, e.recv), e)
+        return _field_type(table, _receiver_type(table, gamma, e.recv).cname, e)
     if isinstance(e, MethodCall):
-        return _method(table, _receiver_class(table, gamma, e.recv), e).ret
+        return _method(table, _receiver_type(table, gamma, e.recv).cname, e).ret
     if isinstance(e, StaticCall):
         return _method(table, e.cname, e).ret
     if isinstance(e, Block):

@@ -100,6 +100,20 @@ class TestCheck:
             "only mut/imm/int fields are allowed\n"
         )
 
+    @pytest.mark.parametrize("src, message", [
+        ("class D { int f; int m(read, mut E e) { return 1; } }\nnew D(1)\n",
+         "unknown-class: e: parameter type mut E in D.m"),
+        ("class D { int f; mut E m(read) { return new D(1); } }\nnew D(1)\n",
+         "unknown-class: m: return type mut E in D.m"),
+        ("class D { int f; }\nmut E e = new D(1); 1\n",
+         "2:7: unknown-class: e: local type mut E"),
+    ], ids=["parameter", "return", "local"])
+    def test_unknown_class_is_validated(self, tmp_path, capsys, src, message):
+        # every type a program declares names a class of the table, as a
+        # field's type does
+        assert main(["check", write(tmp_path, src)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_error(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, "class {")]) == EXIT_PARSE
         assert "error" in capsys.readouterr().err

@@ -19,13 +19,14 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from capslang import typecheck
 from capslang.context import Gamma
 from capslang.generator import GenConfig, gen_source
 from capslang.syntax import (
-    Block, IntLit, Qualifier, RefType, children, free_vars, mentions, stored_type,
-    subtype,
+    INT, Block, Decl, FieldAccess, IntLit, New, Plus, Qualifier, RefType, Var,
+    children, free_vars, mentions, stored_type, subtype,
 )
 from capslang.typecheck import (
     MAX_LENT_LOCALS,
@@ -34,7 +35,9 @@ from capslang.typecheck import (
     Judgment,
     TypeCheckError,
     TypeContext,
+    _Bits,
     _Failure,
+    _group_part,
     _growth_strings,
     _weaken,
     method_context,
@@ -416,6 +419,37 @@ def oracle_swaps(sources):
     return goals, mut_swaps
 
 
+class TestNameDeclaredTwice:
+    """No source declares a name twice in one block, but a reduct may.  A
+    candidate of the search on masks is well-formed without a check of
+    its own, so a name declared twice must come out as it did when each
+    candidate was checked (`wf_context`), and as the oracle has it."""
+
+    def test_retyped_mut_local_joins_no_group(self):
+        # m is declared mut and its (last) initializer reads the lent x, so
+        # m may join x's group once the base groups fail; its second
+        # declaration types it int, so no candidate may put it there
+        d = RefType(Qualifier.MUT, "D")
+        block = Block(
+            (
+                Decl(d, "m", New("D", (IntLit(1),))),
+                Decl(INT, "m", FieldAccess(Var("x"), "f")),
+            ),
+            Var("m"),
+        )
+        ctx = TypeContext.make({"x": d}, groups=(frozenset({"x"}),))
+        table = load("class D { int f; }\n0\n").table
+        got, want = [], []
+        for cls, out in ((Checker, got), (UnprunedChecker, want)):
+            c = cls(table)
+            try:
+                c.check(ctx, block, INT)
+                out.append("ok")
+            except IllTyped as err:
+                out.append((str(err), err.span))
+        assert got == want == [("no derivation for goal int", None)]
+
+
 class TestSwapNeverConcludesMut:
     """The lemma behind skipping the swap for a mut goal, in the oracle,
     which still tries it: no judgment the swap concludes answers a mut
@@ -459,6 +493,64 @@ class TestTicks:
         assert verdict == "rejected"
         assert ticks < bound
 
+    # k -> (ticks, memo entries) of main, accepted and rejected: the search
+    # on masks visits the candidates of the search on frozensets, in order,
+    # and checks the same premises
+    LENT_FAMILY = {
+        2: ((31, 18), (42, 28)),
+        3: ((57, 34), (123, 77)),
+        4: ((95, 56), (244, 146)),
+        5: ((145, 84), (405, 235)),
+        6: ((207, 118), (606, 344)),
+    }
+
+    @pytest.mark.parametrize("k", sorted(LENT_FAMILY))
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_lent_family_exact(self, k, leak):
+        p = load(lent_source(k, leak, seed=0))
+        c = Checker(p.table)
+        try:
+            c.infer(TypeContext.make({}), p.main)
+            verdict = "rejected" if leak else "ok"
+        except IllTyped:
+            verdict = "rejected"
+        assert verdict == ("rejected" if leak else "ok")
+        assert (c.ticks, len(c.memo)) == self.LENT_FAMILY[k][leak]
+
+
+class TestSearchCost:
+    """What a candidate costs besides its checks."""
+
+    def test_one_well_formedness_check_per_block(self, monkeypatch):
+        # the k = 5 reject has three blocks and 256 candidates; every
+        # candidate's well-formedness follows from one context's
+        calls = {"wf_context": 0, "check_block": 0}
+
+        def counted(name, f):
+            def g(*args):
+                calls[name] += 1
+                return f(*args)
+            return g
+
+        monkeypatch.setattr(typecheck, "wf_context", counted("wf_context", wf_context))
+        monkeypatch.setattr(
+            Checker, "check_block", counted("check_block", Checker.check_block)
+        )
+        assert main_ticks(lent_source(5, True, seed=0))[0] == "rejected"
+        assert calls == {"wf_context": 3, "check_block": 3}
+
+    def test_no_masks_for_one_candidate(self, monkeypatch):
+        # a block with no lent local whose base groups type it has one
+        # candidate: its context is built at once, with no bit index
+        def refused(*args):
+            raise AssertionError("bit index built")
+
+        monkeypatch.setattr(typecheck, "_Bits", refused)
+        for s in range(40):
+            p = load(gen_source(GenConfig(seed=s, size=8, reject_rate=0.0)))
+            for ctx, body, goal in checked_bodies(p):
+                Checker(p.table).check(ctx, body, goal)
+
 
 @st.composite
 def enumeration_cases(draw):
@@ -491,12 +583,40 @@ class TestEnumeration:
         c = Checker(None)
         c._seed_assignment = lambda block, lent_locals, base_groups: seeded
         block = Block((), IntLit(0))
-        got = list(c._group_candidates(block, names, base, ()))
+        bits = _Bits([x for g in base for x in sorted(g)] + names, base)
+        got = [
+            tuple(map(bits.set, groups))
+            for groups in c._group_candidates(block, names, base, [], bits)
+        ]
         if names:
             want = list(product_candidates(names, base, place(base, names, seeded)))
         else:
             want = [base]
         assert got == want
+
+    @pytest.mark.parametrize(
+        "names", [["l0", "l0"], ["l0", "l1", "l0"], ["l1", "l0", "l0", "l2"]]
+    )
+    @pytest.mark.parametrize("base", [(), (frozenset({"o0"}), frozenset({"o1"}))])
+    def test_a_name_placed_twice_keeps_one_group(self, base, names):
+        """A name declared twice has one bit: a candidate that puts it into
+        two groups is not yielded (the seeded one, all singletons, among
+        them), and the others come in the order of the search on sets."""
+        c = Checker(None)
+        seeded = tuple(range(len(base), len(base) + len(names)))
+        c._seed_assignment = lambda block, lent_locals, base_groups: seeded
+        bits = _Bits(sorted(frozenset().union(*base, names)), base)
+        got = [
+            tuple(map(bits.set, groups))
+            for groups in c._group_candidates(Block((), IntLit(0)), names, base, [], bits)
+        ]
+        want = [
+            groups
+            for groups in product_candidates(names, base, place(base, names, seeded))
+            if sum(map(len, groups)) == len(frozenset().union(*groups))
+        ]
+        assert got == want
+        assert len(got) < len(list(_growth_strings(len(names), len(base))))
 
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("k", range(4))
@@ -512,7 +632,92 @@ class TestEnumeration:
             if rgs not in seen:
                 seen.add(rgs)
                 first.append(rgs)
-        assert list(_growth_strings(n, k)) == first
+        got = list(_growth_strings(n, k))
+        assert [a for _, a in got] == first
+        # each with the first position at which it differs from the last
+        assert [i for i, _ in got] == [0] + [
+            next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+            for a, b in zip(first, first[1:])
+        ]
+
+
+@st.composite
+def premise_pairs(draw):
+    """Two well-formed candidates of one block (one gamma, restricted set
+    and list of base groups) and a premise of it: the names its term
+    mentions and its own local, perhaps none.  Outer names o0..o3 are
+    mut, read or imm; lent locals l0..l2 join base groups or new ones; the
+    mut local m0 joins none."""
+    quals = draw(st.lists(
+        st.sampled_from([Qualifier.MUT, Qualifier.READ, Qualifier.IMM]),
+        min_size=4, max_size=4,
+    ))
+    outer = {f"o{i}": RefType(q, "C") for i, q in enumerate(quals)}
+    muts = [x for x, t in outer.items() if t.qualifier is Qualifier.MUT]
+    owner = draw(st.lists(st.integers(-1, 1), min_size=len(muts), max_size=len(muts)))
+    base = tuple(
+        g for g in (
+            frozenset(x for x, o in zip(muts, owner) if o == i) for i in range(2)
+        ) if g
+    )
+    names = [f"l{i}" for i in range(draw(st.integers(0, 3)))]
+    env = dict(outer, m0=RefType(Qualifier.MUT, "C"))
+    env.update((x, RefType(Qualifier.MUT, "C")) for x in names)
+    may_restrict = sorted(frozenset().union(*base) | {
+        x for x, t in outer.items() if t.qualifier is Qualifier.READ
+    })
+    restricted = frozenset(
+        draw(st.sets(st.sampled_from(may_restrict))) if may_restrict else ()
+    )
+    k = len(base) + len(names)
+    assignment = st.lists(st.integers(0, max(k - 1, 0)), min_size=len(names),
+                          max_size=len(names))
+    candidates = [place(base, names, draw(assignment)) for _ in range(2)]
+    mentioned = draw(st.sets(st.sampled_from(sorted(env) + ["q"])))
+    own = draw(st.sampled_from([None, "m0"] + names))
+    return Gamma(env), base, restricted, candidates, mentioned, own
+
+
+def _mut_c(*xs):
+    return {x: RefType(Qualifier.MUT, "C") for x in xs}
+
+
+class TestGroupPart:
+    @settings(max_examples=400, deadline=None)
+    @given(premise_pairs())
+    # the swapped group has others beyond the names in one candidate only,
+    # and the other groups' parts are equal
+    @example((
+        Gamma(_mut_c("m0", "l0", "l1", "l2")), (), frozenset(),
+        [
+            (frozenset({"l0", "l1"}), frozenset({"l2"})),
+            (frozenset({"l0"}), frozenset({"l1", "l2"})),
+        ],
+        {"l0"}, "l0",
+    ))
+    def test_equal_exactly_when_the_projection_is(self, case):
+        """Within one block the group part of a premise's projection, on
+        masks, tells two candidates apart exactly when the projection of
+        the premise's context does."""
+        gamma, base, restricted, candidates, mentioned, own = case
+        term = IntLit(0)
+        for x in sorted(mentioned):
+            term = Plus(term, Var(x))
+        bits = _Bits(gamma.muts(), base)
+        names = bits.mask(mentioned)
+        args = (
+            bits.bit.get(own, 0), names, (1 << len(bits.names)) - 1,
+            bits.mask(restricted) & ~names,
+        )
+        projections, parts = [], []
+        for groups in candidates:
+            ctx = TypeContext(gamma, groups, restricted)
+            assert wf_context(ctx)
+            g = ctx.group_of(own) if own else None
+            premise_ctx = ctx.swap(g) if g else ctx
+            projections.append(Checker(None)._projection(premise_ctx, term))
+            parts.append(_group_part(tuple(map(bits.mask, groups)), *args))
+        assert (projections[0] == projections[1]) == (parts[0] == parts[1])
 
 
 def verdict(checker, ctx, e, goal):

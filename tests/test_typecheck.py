@@ -256,11 +256,14 @@ class TestFrontend:
         ("mut D d = new D(0); d.h(); d", "no method h in class D at 2:23"),
         ("int n = 1; n.f = 2; n", "receiver is not an object at 2:12"),
         ("int n = 1; n.f = 2", "receiver is not an object at 2:12"),
+        ("int n = 1; n.f", "receiver is not an object at 2:12"),
+        ("int n = 1; {n.f; 1}", "receiver is not an object at 2:13"),
     ], ids=[
         "static-as-method", "method-as-static", "method-arity", "static-arity",
         "no-method", "no-static-method", "no-field", "no-field-assign",
         "no-field-discard", "no-field-assign-discard", "no-method-discard",
-        "non-object-assign-discard", "non-object-assign",
+        "non-object-assign-discard", "non-object-assign", "non-object-access",
+        "non-object-access-discard",
     ])
     def test_call_and_field_diagnostics(self, tmp_path, capsys, main_src, message):
         # the exact text `caps check` prints: golden texts of reject
