@@ -53,13 +53,15 @@ _NON_NEGATIVE = ("fuel", "budget", "count", "size", "at-step")
 
 
 def _load(text: str):
-    p = resolve_implicit_types(parse(text))
+    # validated before a discard's type is inferred, which may name a
+    # missing class
+    p = parse(text)
     issues = validate_wellformedness(p) + validate_classtable(p.table)
     if issues:
         # at the first violation's span; class-table violations and capsule
         # parameters have none
         raise ParseError("; ".join(str(v) for v in issues), *(issues[0].span or ()))
-    return p
+    return resolve_implicit_types(p)
 
 
 def _read(path: str) -> str:

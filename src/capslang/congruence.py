@@ -72,13 +72,7 @@ def connected_closure(decls: tuple, names: frozenset) -> tuple:
 def wf_rightvalue(rv: Expr) -> bool:
     if is_objstate(rv):
         return True
-    if isinstance(rv, Block):
-        if not rv.decls:
-            return False
-        if not (isinstance(rv.body, Var) or is_objstate(rv.body)):
-            return False
-        if not all(is_evaluated(d) for d in rv.decls):
-            return False
+    if isinstance(rv, Block) and rv.decls and is_rightvalue(rv):
         # no garbage: every local is (transitively) connected to the body
         if connected_closure(rv.decls, free_vars(rv.body)) != rv.decls:
             return False

@@ -352,8 +352,9 @@ class _StoreChecks:
     """Canonical forms, capsule encapsulation and immutability (the checks
     named), declaration by declaration, one term at a time.
 
-    Facts of a declaration alone (is it well-formed store, does its
-    initializer hold a block) are kept on the node (`syntax.node_cached`);
+    Facts of a declaration alone (is it evaluated, is it well-formed store,
+    does its initializer hold a block, is a right-value an object state) are
+    kept on the node (`syntax.node_cached`);
     what the checks compute of a declaration in its scope is computed
     afresh each time it is handed.  The only memory across terms is the
     root diff: the reducer shares unchanged declarations between

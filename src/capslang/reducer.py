@@ -22,7 +22,8 @@ leaves a value in the store and a copy of it in the hole, and the copy gets
 declarations of its own (`copy_value`), so a term holds each `Decl` object
 once.  What a node is on its own is kept on the node (`syntax.node_cached`):
 decomposition steps over the declarations known to be evaluated well-formed
-store (`congruence.is_stored`), normalization returns its fixed points as
+store (`congruence.is_stored`) and asks the value predicates (`is_value`,
+`is_evaluated`, ...) once per node, normalization returns its fixed points as
 they are (`congruence.is_normal_term`), and substitution (int-elim,
 alias-elim, capsule-elim) descends only where the eliminated name is free
 (`syntax.free_vars`), as the scope-extrusion and imm-move checks ask too.
@@ -108,7 +109,7 @@ class OutOfFuel(ReductionError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Frame:
     """One block frame of an evaluation context: the hole is inside the
     initializer of `block.decls[index]`."""
@@ -129,7 +130,7 @@ class Frame:
         return self.block.decls[self.index + 1 :]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NonWfDecl:
     """Pre-redex: a block whose next declaration is evaluated but not
     well-formed store (alias, int literal, capsule, or block right-value)."""

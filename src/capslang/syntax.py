@@ -4,11 +4,18 @@ class table, and term-level helpers: the generic child walk
 rewriter (`map_program`) with the method parameter environments it passes,
 and a block's environment (`block_gamma`).
 
-Expressions are immutable; every node carries an optional source span that is
-ignored by equality so that alpha-comparison and golden tests are unaffected
-by formatting.  Facts that depend on a node alone (its free variables, the
-names it mentions, ...) are computed once and kept on the node
-(`node_cached`), so terms that share a subterm share its facts.
+Expressions are immutable by contract: no code assigns a node's field after
+construction, and `node_cached` writes only fact attributes
+(`tests/test_syntax.py::test_no_pass_mutates_a_node` holds it).  The nodes
+are plain dataclasses, not frozen ones: a frozen `__init__` pays one
+`object.__setattr__` per field (a `Decl` cost 780 ns against 240 ns, Python
+3.11), and every reduction step rebuilds the blocks and declarations on its
+path.  Every node carries an optional source span that is ignored by
+equality so that alpha-comparison and golden tests are unaffected by
+formatting.  Facts that depend on a node alone (its free variables, the
+names it mentions, the value predicates `is_value`, `is_objstate`,
+`is_rightvalue` and `is_evaluated`, ...) are computed once and kept on the
+node (`node_cached`), so terms that share a subterm share its facts.
 """
 
 from __future__ import annotations
@@ -153,33 +160,32 @@ def node_cached(fn):
     attr = f"_{fn.__name__}_fact"
     assert not hasattr(_Node, attr), f"two node facts named {fn.__name__}"
     setattr(_Node, attr, None)
-    setattr_ = object.__setattr__
 
     @functools.wraps(fn)
     def cached(node):
         fact = getattr(node, attr)
         if fact is None:
             fact = fn(node)
-            setattr_(node, attr, fact)
+            setattr(node, attr, fact)
         return fact
 
     return cached
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var(_Node):
     name: str
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldAccess(_Node):
     recv: "Expr"
     fname: str
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MethodCall(_Node):
     recv: "Expr"
     mname: str
@@ -187,7 +193,7 @@ class MethodCall(_Node):
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StaticCall(_Node):
     cname: str
     mname: str
@@ -195,7 +201,7 @@ class StaticCall(_Node):
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldAssign(_Node):
     recv: "Expr"
     fname: str
@@ -203,27 +209,27 @@ class FieldAssign(_Node):
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class New(_Node):
     cname: str
     args: tuple
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntLit(_Node):
     value: int
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Plus(_Node):
     left: "Expr"
     right: "Expr"
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Decl(_Node):
     dtype: Type
     name: str
@@ -231,7 +237,7 @@ class Decl(_Node):
     span: Span = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Block(_Node):
     decls: tuple  # of Decl, pairwise distinct names
     body: "Expr"
@@ -497,6 +503,7 @@ def rename(e: Expr, ren: dict, namer, order=None) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+@node_cached
 def is_value(e: Expr) -> bool:
     if isinstance(e, (Var, IntLit)):
         return True
@@ -507,11 +514,13 @@ def is_value(e: Expr) -> bool:
     return False
 
 
+@node_cached
 def is_objstate(e: Expr) -> bool:
     """Constructor invocation whose arguments are references (or int literals)."""
     return isinstance(e, New) and all(isinstance(a, (Var, IntLit)) for a in e.args)
 
 
+@node_cached
 def is_rightvalue(e: Expr) -> bool:
     if is_objstate(e):
         return True
@@ -523,6 +532,7 @@ def is_rightvalue(e: Expr) -> bool:
     return False
 
 
+@node_cached
 def is_evaluated(d: Decl) -> bool:
     """Int declarations are evaluated once their right side is a literal."""
     if isinstance(d.dtype, IntType):

@@ -107,10 +107,13 @@ class TestCheck:
          "unknown-class: m: return type mut E in D.m"),
         ("class D { int f; }\nmut E e = new D(1); 1\n",
          "2:7: unknown-class: e: local type mut E"),
-    ], ids=["parameter", "return", "local"])
+        ("class D { int f; }\nmut E e = new D(1);\ne.f;\n1\n",
+         "2:7: unknown-class: e: local type mut E"),
+    ], ids=["parameter", "return", "local", "local-read-by-discard"])
     def test_unknown_class_is_validated(self, tmp_path, capsys, src, message):
         # every type a program declares names a class of the table, as a
-        # field's type does
+        # field's type does; validation runs before a discard that reads
+        # the local has its type inferred
         assert main(["check", write(tmp_path, src)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -48,7 +48,10 @@ from test_syntax import (
     rebuild_substitute,
     subterms,
     walk_free_vars,
+    walk_is_evaluated,
+    walk_is_objstate,
     walk_is_stored,
+    walk_is_value,
 )
 
 
@@ -293,14 +296,18 @@ class TestFreshness:
 class FullRenormReducer(Reducer):
     """The reference: re-normalizes the whole term after every step,
     re-checks every stored declaration from the root, and substitutes by a
-    walk that rebuilds the whole scope, with no tables; storedness and free
-    variables are decided by walks, not read from node facts."""
+    walk that rebuilds the whole scope, with no tables; storedness, free
+    variables and the value predicates are decided by walks, not read from
+    node facts."""
 
     def step(self, e):
         self._store = None  # decompose from the root, knowing nothing
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reducer, "is_stored", walk_is_stored)
             mp.setattr(reducer, "free_vars", walk_free_vars)
+            mp.setattr(reducer, "is_value", walk_is_value)
+            mp.setattr(reducer, "is_evaluated", walk_is_evaluated)
+            mp.setattr(reducer, "is_objstate", walk_is_objstate)
             return super().step(e)
 
     def _subst_out(self, block, index, v):
@@ -309,7 +316,7 @@ class FullRenormReducer(Reducer):
         return rebuild_substitute(out, v, block.decls[index].name)
 
     def normalize_term(self, e, top=True):
-        if isinstance(e, Block) and (top or not is_value(e)):
+        if isinstance(e, Block) and (top or not walk_is_value(e)):
             decls = tuple(
                 Decl(d.dtype, d.name, self.normalize_term(d.init, False), d.span)
                 for d in e.decls
@@ -318,7 +325,7 @@ class FullRenormReducer(Reducer):
             if not decls:
                 return body
             return Block(decls, body, e.span)
-        if is_value(e):
+        if walk_is_value(e):
             return normalize_value(e, self.table, self.supply)
         if isinstance(e, FieldAccess):
             return FieldAccess(self.normalize_term(e.recv, False), e.fname, e.span)

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capslang import syntax
-from capslang.congruence import canonical, is_stored, wf_store_decl
+from capslang.anf import simplify_program
+from capslang.congruence import NameSupply, canonical, is_stored, wf_store_decl
 from capslang.generator import GenConfig, gen_source
+from capslang.metatheory import verify_trace
 from capslang.parser import ParseError, parse, parse_expr, pretty_print
+from capslang.reducer import Reducer
 from capslang.syntax import (
     INT,
     Block,
@@ -47,8 +50,9 @@ from capslang.syntax import (
     validate_classtable,
     validate_wellformedness,
 )
+from capslang.typecheck import typecheck_program
 
-from conftest import CORPUS
+from conftest import CORPUS, load
 
 Q = Qualifier
 
@@ -303,9 +307,38 @@ def walk_mentions(e):
     return frozenset(names)
 
 
+def walk_is_value(e):
+    """`is_value` by a walk that keeps nothing, as are the three below."""
+    if isinstance(e, (Var, IntLit)):
+        return True
+    if isinstance(e, New):
+        return all(walk_is_value(a) for a in e.args)
+    if isinstance(e, Block):
+        return all(map(walk_is_evaluated, e.decls)) and walk_is_value(e.body)
+    return False
+
+
+def walk_is_objstate(e):
+    return isinstance(e, New) and all(isinstance(a, (Var, IntLit)) for a in e.args)
+
+
+def walk_is_rightvalue(e):
+    if isinstance(e, Block):
+        return all(map(walk_is_evaluated, e.decls)) and (
+            isinstance(e.body, Var) or walk_is_objstate(e.body)
+        )
+    return walk_is_objstate(e)
+
+
+def walk_is_evaluated(d):
+    if isinstance(d.dtype, IntType):
+        return isinstance(d.init, IntLit)
+    return walk_is_rightvalue(d.init)
+
+
 def walk_is_stored(d):
     """`is_stored` without the fact."""
-    return is_evaluated(d) and wf_store_decl(d)
+    return walk_is_evaluated(d) and wf_store_decl(d)
 
 
 def subterms(e):
@@ -329,8 +362,12 @@ def assert_facts_equal_walks(e):
     for sub in subterms(e):
         assert free_vars(sub) == walk_free_vars(sub)
         assert mentions(sub) == walk_mentions(sub)
+        assert is_value(sub) == walk_is_value(sub)
+        assert is_objstate(sub) == walk_is_objstate(sub)
+        assert is_rightvalue(sub) == walk_is_rightvalue(sub)
     for d in decls_of(e):
         assert is_stored(d) == walk_is_stored(d)
+        assert is_evaluated(d) == walk_is_evaluated(d)
 
 
 @given(EXPRS)
@@ -350,6 +387,20 @@ def test_node_facts_equal_uncached_walks(e):
     assert free_vars(e) is kept[0][1]
 
 
+def test_value_predicates_are_node_facts():
+    # each predicate returns what is kept on the node, right or wrong, and a
+    # new parent reads its children's facts
+    e = parse_expr("{mut C x = new C(x); x}")
+    d = e.decls[0]
+    for fn, node in [
+        (is_value, e), (is_objstate, d.init), (is_rightvalue, e), (is_evaluated, d)
+    ]:
+        right = fn(node)
+        plant_fact(fn, node, not right)
+        assert fn(node) is (not right)
+    assert not is_value(Block(e.decls, e.body))
+
+
 @given(EXPRS)
 @settings(max_examples=100, deadline=None)
 def test_node_facts_are_invisible(e):
@@ -359,6 +410,30 @@ def test_node_facts_are_invisible(e):
     assert e == twin and twin == e
     assert (repr(e), hash(e), pretty_print(e)) == seen
     assert canonical(e) == canonical(twin)
+
+
+def test_no_pass_mutates_a_node():
+    # nodes are plain dataclasses: this holds the contract a frozen one would
+    # enforce, that no pass assigns a node's field, only `node_cached` facts
+    sources = [path.read_text() for path in sorted((CORPUS / "accept").glob("*.caps"))]
+    sources += [
+        gen_source(GenConfig(seed=seed, size=16, reject_rate=0)) for seed in range(20)
+    ]
+    for src in sources:
+        p = load(src)
+        sp = simplify_program(p)
+        kept = [
+            (parts, repr(parts), copy.deepcopy(parts))
+            for parts in ((q.main, q.table.classes) for q in (p, sp))
+        ]
+        typecheck_program(p)
+        trace = Reducer(sp.table, NameSupply(100_000)).run(sp.main)
+        verify_trace(sp.table, trace)
+        pretty_print(canonical(trace.final))
+        for parts, text, twin in kept:
+            assert parts == twin and repr(parts) == text
+        for term in trace.terms:
+            assert_facts_equal_walks(term)
 
 
 class TestMapProgram:
