@@ -18,8 +18,9 @@ at one position, as the reducer leaves it.  `metatheory.verify_trace`
 moves one scope on once per trace term, and both subject reduction and the
 store checks spend only on that diff.  A `RootState` is what subject
 reduction (`Checker.check_block`) keeps of the root block on that shared
-scope: the block's gamma, moved on by every diff, and the judgments of its
-premises.
+scope, and all it carries from one term to the next: the block's gamma,
+moved on by every diff, and the judgments of its premises, its body's
+included.
 """
 
 from __future__ import annotations
@@ -311,32 +312,39 @@ def _may_consume(d: Decl) -> bool:
     )
 
 
+_BODY = None  # the key of the body's record; a premise's is id(d) of its Decl
+
+
 class RootState:
     """What `typecheck.Checker.check_block` keeps of the root block of
     consecutive queries: the queries' context, the root scope they share
     with their caller, the block, its gamma, lent and untyped declarations,
     and the groups, restricted set and name totals of its last derivation
-    with the judgments of its premises.
+    with the judgments of its premises, the body's included, and the goal
+    the body was checked against.
 
-    A premise's record keeps its judgment with the names its initializer
-    mentions and its own name, and how many of those are mut or read in
-    gamma and how many are in the mutable group.  Its projection has "mut
-    or read names outside the names" and "mutable group members beyond the
-    names" exactly when a count is below its total; a kept record's count
-    is at most the total before and after a move, so a part flips exactly
-    when the total moves and the lower one is the count.  Records are
-    indexed by name and by count, so a move finds the premises to check
-    again from its diff alone.  Grouped declarations and those that may
-    consume a sibling get no record: they are checked every time.  The
-    records are dropped when a move follows a block whose derivation they
-    do not hold (its query failed, or none was asked with this state): a
-    premise may read a name that moved before.
+    A premise's record keeps its judgment with the names its term mentions
+    (for a declaration, its initializer's and its own name), and how many
+    of those are mut or read in gamma and how many are in the mutable
+    group.  Its projection has "mut or read names outside the names" and
+    "mutable group members beyond the names" exactly when a count is below
+    its total; a kept record's count is at most the total before and after
+    a move, so a part flips exactly when the total moves and the lower one
+    is the count.  Records are indexed by name and by count, so a move
+    finds the premises to check again from its diff alone.  The body's
+    record holds only while the body is the same node and the goal the
+    same object; a block body that is reduced last is so checked once, not
+    at every reduct.  Grouped declarations and those that may consume a
+    sibling get no record: they are checked every time.  The records are
+    dropped when a move follows a block whose derivation they do not hold
+    (its query failed, or none was asked with this state): a premise may
+    read a name that moved before.
 
     Records and judgments are kept per Decl object, which the block holds
-    at one position."""
+    at one position, and the body's under `_BODY`."""
 
     __slots__ = ("ctx", "scope", "block", "gamma", "changed", "lent", "untyped",
-                 "groups", "restricted", "totals", "judgments", "_records",
+                 "groups", "restricted", "totals", "goal", "judgments", "_records",
                  "_readers", "_counted", "_unrecorded", "_kept")
 
     def __init__(self, ctx: TypeContext, scope: RootScope):
@@ -347,11 +355,11 @@ class RootState:
         self.changed: dict = {}  # name -> its new type, or None, in the last move
         self.lent: dict = {}  # id(d) -> d, the block's lent declarations
         self.untyped: dict = {}  # id(d) -> d, those that lack a type
-        self.groups = self.restricted = self.totals = None
-        self.judgments: dict = {}  # id(d) -> the judgment of d's premise
-        self._records: dict = {}  # id(d) -> (its names, its two counts)
-        self._readers: dict = {}  # name -> ids of the records naming it
-        self._counted: dict = {}  # (0 or 1, count) -> ids of the records
+        self.groups = self.restricted = self.totals = self.goal = None
+        self.judgments: dict = {}  # id(d), or _BODY -> the judgment of the premise
+        self._records: dict = {}  # id(d), or _BODY -> (its names, its two counts)
+        self._readers: dict = {}  # name -> keys of the records naming it
+        self._counted: dict = {}  # (0 or 1, count) -> keys of the records
         self._unrecorded: set = set()  # ids of the block's other declarations
         self._kept = False  # the records hold the block's derivation
 
@@ -389,11 +397,11 @@ class RootState:
     def _totals(self, ctx_body: TypeContext) -> tuple:
         return len(self.gamma.mut_or_read()), len(ctx_body.mutable_group())
 
-    def to_check(self, ctx_body: TypeContext) -> Optional[list]:
-        """The indices of the declarations whose premises must be checked
-        under candidate context ctx_body, in block order; every other one
-        keeps its judgment.  None when ctx_body's groups or restricted set
-        are not those of the records."""
+    def to_check(self, ctx_body: TypeContext, goal) -> Optional[list]:
+        """The indices of the premises that must be checked under candidate
+        context ctx_body against goal, in block order, the body's last
+        (index len(decls)); every other one keeps its judgment.  None when
+        ctx_body's groups or restricted set are not those of the records."""
         if self.groups != ctx_body.groups or self.restricted != ctx_body.restricted:
             return None
         out = set(self._unrecorded)
@@ -402,32 +410,47 @@ class RootState:
         for k, (t0, t1) in enumerate(zip(self.totals, self._totals(ctx_body))):
             if t0 != t1:
                 out.update(self._counted.get((k, min(t0, t1)), ()))
-        return self.scope.at(out)
+        todo = self.scope.at(out)
+        if (_BODY in out or self.goal is not goal
+                or self.judgments[_BODY].expr is not self.block.body):
+            todo.append(len(self.scope.decls))
+        return todo
 
-    def keep(self, ctx_body: TypeContext, decls: tuple, fresh: dict) -> None:
+    def premises(self) -> list:
+        """The kept judgments of the block's premises, its declarations' in
+        order and then its body's, None for each that has none."""
+        return list(map(self.judgments.get, [*map(id, self.scope.decls), _BODY]))
+
+    def keep(self, ctx_body: TypeContext, goal, fresh: dict) -> None:
         """Record the judgments of the premises checked afresh (index ->
-        judgment) under ctx_body, the context of the block's derivation;
-        the other records were kept under it."""
+        judgment, the body's at len(decls)) under ctx_body, the context of
+        the block's derivation, and goal; the other records were kept under
+        them."""
         if self.groups != ctx_body.groups or self.restricted != ctx_body.restricted:
             self._drop()
             self.groups, self.restricted = ctx_body.groups, ctx_body.restricted
         self._kept = True
         self.totals = self._totals(ctx_body)
         mutreads, mg = self.gamma.mut_or_read(), ctx_body.mutable_group()
+        decls = self.scope.decls
         for i, j in fresh.items():
-            d = decls[i]
-            k = id(d)
-            self._forget(k)
-            if ctx_body.group_of(d.name) is not None or _may_consume(d):
-                self._unrecorded.add(k)
-                continue
-            self._unrecorded.discard(k)
-            names = mentions(d.init)
+            if i < len(decls):
+                d = decls[i]
+                k, names = id(d), mentions(d.init)
+                self._forget(k)
+                if ctx_body.group_of(d.name) is not None or _may_consume(d):
+                    self._unrecorded.add(k)
+                    continue
+                self._unrecorded.discard(k)
+                readers = names | {d.name}
+            else:
+                k, names = _BODY, mentions(self.block.body)
+                self._forget(k)
+                readers, self.goal = names, goal
             counts = (len(names & mutreads), len(names & mg))
-            names = names | {d.name}
             self.judgments[k] = j
-            self._records[k] = (names, counts)
-            for x in names:
+            self._records[k] = (readers, counts)
+            for x in readers:
                 self._readers.setdefault(x, set()).add(k)
             for key in enumerate(counts):
                 self._counted.setdefault(key, set()).add(k)

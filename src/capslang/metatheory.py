@@ -25,11 +25,12 @@ term with that diff to each check that reads every term, which spends only
 on the diff.  Progress reads only the final term (`check_progress`), so it
 takes no part in the walk.
 
-* Subject reduction uses one `Checker` for the whole trace, so a reduct's
-  subterms find the verdicts earlier terms computed.  Its root state
-  (`context.RootState`) is moved on by every diff, and a root premise whose
-  Decl and projected context are the last ones keeps its judgment with no
-  projection and no memo probe (see the `typecheck` module).
+* Subject reduction asks each term of one `Checker` as a query with a
+  memo of its own.  What carries over from one term to the next is its
+  root state (`context.RootState`), moved on by every diff: a root
+  premise, the body included, whose Decl (the body: node and goal) and
+  projected context are the last ones keeps its judgment with no search
+  (see the `typecheck` module).
 * Canonical forms, capsule encapsulation and immutability are checked
   together (`_StoreChecks`).  A root declaration is handed to them,
   with the declarations nested in its initializer, only when it is new,
@@ -146,12 +147,12 @@ def check_subject_reduction(
 
 class _SubjectReduction:
     """Subject reduction, one term at a time: each term is a query of its
-    own, with the whole budget, of one Checker for the whole trace, so a
-    reduct's subterms find the verdicts earlier terms computed.  The trace
-    keeps every term alive, as the Checker's id-keyed memo needs.  The root
-    state (`context.RootState`) is built on the walk's scope and moved on
-    by each diff, and every query gets it, the initial term's (whose goal
-    is None) included.  A SearchExhausted outcome is reported distinctly
+    own, with the whole budget and an empty memo, of one Checker for the
+    whole trace.  The root state (`context.RootState`) is built on the
+    walk's scope and moved on by each diff, and every query gets it, the
+    initial term's (whose goal is None) included: it keeps the judgments
+    of the root block's premises, the body's included, from one term to
+    the next.  A SearchExhausted outcome is reported distinctly
     (inconclusive, not a counterexample); after a failed initial term
     nothing more is checked."""
 

@@ -662,10 +662,19 @@ def validate_wellformedness(p: Program) -> list:
 def validate_classtable(ct: ClassTable) -> list:
     """Field declarations may only be `imm C`, `mut C`, or `int`; the parser
     takes a field of any type, so this is the one judge.  Every class a
-    field, parameter or return type names must be in the table."""
+    field, parameter or return type names must be in the table.  A class
+    declares each field once, and a method each parameter once."""
     out: list = []
     for cd in ct.classes.values():
         for m in cd.methods.values():
+            seen = set()
+            for _, pn in m.params:
+                if pn in seen:
+                    out.append(Violation(
+                        "dup-param", pn, None,
+                        f"duplicate parameter in {cd.name}.{m.name}",
+                    ))
+                seen.add(pn)
             typed = [(pt, pn, "parameter") for pt, pn in m.params]
             for t, x, what in typed + [(m.ret, m.name, "return")]:
                 if isinstance(t, RefType) and t.cname not in ct:

@@ -29,57 +29,72 @@ contexts it has built.  Failures are memoized as message and span and
 re-raised fresh.  A configurable budget bounds the search (exhausting it
 raises SearchExhausted, which is distinct from a typing failure).
 
-A judgment is a function of its term, the projection of its context (see
-`Checker._projection`) and its goal, notes included.  The promotions, and
-a consumption (`Checker._try_consume`), have no note: a certifier
-recomputes a promotion's premise context from the conclusion's
-(`TypeContext.grouped`).  A swap's note lists the swapped group's members
-that its term mentions, sorted.  Groups are disjoint, so only an empty
-note leaves the group open; every group the swap may take has no
-restricted member, so the premise contexts of two groups the term
+A judgment is a function of its term, the projection of its context and
+its goal, notes included.  The projection of a context onto a term is
+what a check of the term can read of it, for the names the term mentions
+(free or bound):
+
+* gamma restricted to the names;
+* whether gamma has mut or read names outside them;
+* for each group in order, its members among the names, whether it has
+  others, and whether those include restricted names;
+* whether the mutable group has members beyond the names;
+* when the restricted set is not empty: the restricted names among the
+  names, whether there are restricted names outside them, and whether one
+  of those is in the mutable group (a mut name in no group).
+
+Every rule reads no more of a context than this.  `_var` reads the gamma
+entry, restriction and grouping of its name; `_receiver_type` and
+`_try_consume` read gamma at names of the term.  Unrestriction applies
+when the restricted set is not empty.  Capsule promotion makes the mutable
+group one more group; its members among the names are the mut names there
+that no group holds.  Immutability promotion restricts every mut and read
+name: among the names gamma tells which, outside them the second part
+tells whether any exist, and the other members of the groups and of the
+mutable group are mut, so restricted there exactly when they exist.  The
+swap loop takes the groups in order and skips those with restricted
+members; a swap keeps every other group's parts and makes the swapped
+group the mutable one.  A nested block has its binders among the names;
+it drops emptied groups (`g - dom`) and seeds and extends its candidates
+by the names alone.  `wf_context` of its candidates asks whether a
+restricted name outside the names is a mut name in no group (the last
+part); its other conditions hold outside the names in every context
+derived from a well-formed one.  So two contexts with the same projection
+give the term the same search step for step.  The tests keep the
+projection as code, the reference for `_group_part`.
+
+The promotions, and a consumption (`Checker._try_consume`), have no note:
+a certifier recomputes a promotion's premise context from the
+conclusion's (`TypeContext.grouped`).  A swap's note lists the swapped
+group's members that its term mentions, sorted.  Groups are disjoint, so
+only an empty note leaves the group open; every group the swap may take
+has no restricted member, so the premise contexts of two groups the term
 mentions nothing of differ only in which of the two is a lent group and
 which the mutable group, and the projection reads each of them alike:
 members beyond the term's names, none of them restricted.  A block's note
 lists each group of its body context cut to the names the block mentions,
 in order.
 
-A Checker may answer several top-level queries (`Checker.query`), each with
-a budget of its own (subject reduction asks one per reduct of a trace, see
-`metatheory._SubjectReduction`).  A failure is tainted when its search met
-a check still in progress ("cyclic search") or a tainted failure: it holds
-for the stack of the query that computed it, not for its key alone, like an
-incomplete answer in tabled resolution (Chen & Warren, JACM 1996).  Within
-its query a tainted failure is used as any other, so a query's search,
-ticks and memo do not depend on whether more queries follow.  Each query
-starts with an empty memo, which evicts the tainted failures.  Every other
-entry lives on under its key's projection (`Checker._projection`: the
-context cut down to what a check of the term can read of it), and from the
-second query on a miss of the full key is looked up there.  A reduct shares
-most subterms with the term before it, but its store, and so every context
-beneath it, is new: the projection lets those subterms find their verdicts
-again.  Projections are computed only once a second query starts, and an
-entry of the first query only once its term is asked about again, so a
-one-query Checker (`typecheck_program`) never pays for them.  A judgment
-holds no context (a premise's follows from the root context and the rules
-and notes above it), so reuse keeps whole derivations: a success found
-under a projected key, or kept by the root state, is the judgment an
-earlier query built, with the terms, results and rules a fresh Checker
-builds.  A variable or literal whose structural rule meets its goal is
-judged at once, in every query, with no memo probe and no projection.
-
-The root block of a reduct (the store) differs from the last one in a few
-declarations.  A query may come with a root state for its block
-(`context.RootState`), which the caller moves on from one query's block to
-the next by the diff of their declarations by Decl identity
-(`context.RootScope`): the block's gamma, updated from that diff alone, and
-the judgment of each premise of its last derivation, which `check_block`
-keeps there.  A premise is checked again only when its Decl is new, a name
-it mentions (its own included) changed type, the candidate's groups or
-restricted set differ from the last, or its projection's "mut or read names
-outside" or "mutable group beyond" part flipped; otherwise its projection,
-and so its verdict, is the last one, and it keeps its judgment with no
-projection and no memo probe.  Grouped declarations, declarations that may
-consume a sibling and the body are checked every time.
+A Checker may answer several top-level queries (`Checker.query`), each
+with a budget and a memo of its own (subject reduction asks one per reduct
+of a trace, see `metatheory._SubjectReduction`).  The root block of a
+reduct (the store) differs from the last one in a few declarations, and
+the root state of a query's block (`context.RootState`) is all a query
+carries over from the last: the caller moves it on from one query's block
+to the next by the diff of their declarations by Decl identity
+(`context.RootScope`).  It holds the block's gamma, updated from that diff
+alone, and the judgment of each premise of its last derivation, the
+body's included, which `check_block` keeps there.  A premise is checked
+again only when its Decl is new, a name it mentions (its own included)
+changed type, the candidate's groups or restricted set differ from the
+last, or its projection's "mut or read names outside" or "mutable group
+beyond" part flipped; the body also when it is another node or the goal
+another object.  Otherwise its projection, and so its judgment, is the
+last one, and it keeps it with no search.  Grouped declarations and
+declarations that may consume a sibling are checked every time.  A
+judgment holds no context (a premise's follows from the root context and
+the rules and notes above it), so a kept judgment is the one a fresh
+Checker builds, with the same terms, results and rules.
 
 A block's lent locals are grouped by search: `check_block` tries candidate
 group assignments in a fixed order, each set partition of the locals once,
@@ -90,9 +105,9 @@ nogood for the rest of the `check_block` call, and a later candidate with a
 premise of the same group part fails at once.  Within the call gamma and
 the restricted set are fixed, so the group part is equal exactly when the
 projection is, and the projection keeps everything the rules read (see
-`Checker._projection`): the same candidate succeeds first and the same
-first failure is reported as without pruning.  Candidates are integer
-masks, and a context is built only for one that is checked (`_GroupSearch`).
+above): the same candidate succeeds first and the same first failure is
+reported as without pruning.  Candidates are integer masks, and a context
+is built only for one that is checked (`_GroupSearch`).
 """
 
 from __future__ import annotations
@@ -166,17 +181,13 @@ class SearchExhausted(TypeCheckError):
 class _Failure:
     """A memoized IllTyped: message and span only.  Keeping the exception
     itself would keep its traceback, and through it the search frames and
-    the Checker, alive in a reference cycle.  A memo entry also keeps the
-    term that failed, whose id keys the entry until it is filed under its
-    projection, and whether the failure is tainted (see `Checker.check`)."""
+    the Checker, alive in a reference cycle."""
 
-    __slots__ = ("message", "span", "expr", "tainted")
+    __slots__ = ("message", "span")
 
-    def __init__(self, err: IllTyped, expr=None, tainted=False):
+    def __init__(self, err: IllTyped):
         self.message = str(err)
         self.span = err.span
-        self.expr = expr
-        self.tainted = tainted
 
     def error(self) -> IllTyped:
         return IllTyped(self.message, self.span)
@@ -195,14 +206,6 @@ class Judgment:
         for p in self.premises:
             out.extend(p.rule_path())
         return out
-
-
-def _kept(entry):
-    """What a later query may use of a completed memo entry: a judgment,
-    whole, and an untainted failure; nothing of a tainted one.  A judgment
-    holds no context, so keeping it keeps no context of an earlier query
-    alive."""
-    return None if entry.__class__ is _Failure and entry.tainted else entry
 
 
 def _weaken(t: Type) -> Type:
@@ -290,15 +293,10 @@ class Checker:
         self.table = table
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.ticks = 0
-        self._cyclic = 0  # in-progress and tainted-failure hits so far
-        # the memo and the tables below key a term in a context or a query;
-        # what a term is on its own (the names it mentions, its free
-        # variables) is kept on the term (`syntax.node_cached`)
+        # the memo keys a term in a context; what a term is on its own (the
+        # names it mentions, its free variables) is kept on the term
+        # (`syntax.node_cached`)
         self.memo: dict = {}
-        # (id(e), projection, goal) -> what _kept keeps of a completed memo
-        # entry, from the second top-level query on
-        self._reuse = None
-        self._pending: dict = {}  # id(e) -> the first query's entries for e
         # the root state the current query was asked with (see check_block)
         self._query: Optional[RootState] = None
 
@@ -310,56 +308,34 @@ class Checker:
         self, ctx: TypeContext, e: Expr, goal: Optional[Type],
         root: Optional[RootState] = None,
     ) -> Judgment:
-        """Start a top-level query, with the whole budget, and answer it:
-        check e in ctx against goal.  root, when given, is the root state
-        of the block e in ctx (`RootState`, moved on to e by its caller):
-        `check_block` keeps premise judgments in it for the next query.
-
-        The query starts with an empty memo, which evicts the last query's
-        tainted failures; the other entries live on under their projected
-        keys, filed as they completed or, for the first query's memo, once
-        their term is asked about again.  Its own term is one not asked
-        about before (a reduct), so it is neither looked up nor filed under
-        its projection (`top`).  A `check` on a fresh Checker answers its
-        first query as this does."""
+        """Start a top-level query, with the whole budget and an empty memo,
+        and answer it: check e in ctx against goal.  root, when given, is
+        the root state of the block e in ctx (`RootState`, moved on to e by
+        its caller): `check_block` keeps premise judgments in it for the
+        next query, and it is all a query carries over from the last one.
+        A `check` on a fresh Checker answers its first query as this
+        does."""
         self.ticks = 0
-        memo = self.memo
-        if memo and self._reuse is None:
-            self._reuse = {}
-            for (i, c, g), entry in memo.items():
-                self._pending.setdefault(i, []).append((c, g, entry))
-        memo.clear()
+        self.memo.clear()
         self._query = root
-        return self.check(ctx, e, goal, top=True)
+        return self.check(ctx, e, goal)
 
-    def check(
-        self, ctx: TypeContext, e: Expr, goal: Optional[Type], top: bool = False
-    ) -> Judgment:
+    def check(self, ctx: TypeContext, e: Expr, goal: Optional[Type]) -> Judgment:
         """Derive a judgment for e whose result is <= goal (or the structural
-        minimum when goal is None), within the current query (see `query`;
-        top marks the query's own call).
+        minimum when goal is None), within the current query (see `query`).
 
-        A failure is tainted when its search met an
-        in-progress entry ("cyclic search") or a tainted failure: it is a
-        verdict about this query's stack, not about its key.  Within the
-        query it is memoized as any failure is; the next query starts with
-        an empty memo.  Every other entry is a verdict about its key alone,
-        so from the second query on each completed untainted entry is
-        filed under its key's projection (`_projection`) too, and a miss
-        of the full key is looked up there.  Every term asked about must
-        stay alive while the Checker is in use: entries are keyed by
-        id(e).  A success found under its projection is the earlier
-        query's judgment, premises included: contexts with one projection
-        give e the same search step for step.
+        Every term asked about must stay alive for the rest of the query:
+        memo entries are keyed by id(e).  A hit on a check still in
+        progress fails as "cyclic search"; a failure that met one is
+        memoized like any other, for the rest of its query only.
 
         A variable or literal whose structural rule meets the goal is
-        judged at once, in every query, with no memo probe and no
-        projection: t-var reads only the variable's gamma entry, group
-        and restriction, so the judgment is the one `_check` would
-        return, for the one tick a memo hit costs.  It gets no memo
-        entry; no search can meet it in progress, since its rule asks
-        nothing further.  A leaf whose rule fails, or misses the goal, is
-        checked as any term."""
+        judged at once, with no memo probe: t-var reads only the variable's
+        gamma entry, group and restriction, so the judgment is the one
+        `_check` would return, for the one tick a memo hit costs.  It gets
+        no memo entry; no search can meet it in progress, since its rule
+        asks nothing further.  A leaf whose rule fails, or misses the goal,
+        is checked as any term."""
         self._tick()
         if e.__class__ in _LEAVES:
             # a leaf whose structural rule meets the goal has the judgment
@@ -371,44 +347,25 @@ class Checker:
             else:
                 if goal is None or subtype(j.result, goal):
                     return self._sub(j, goal)
-        reuse = None if top else self._reuse
         key = (id(e), ctx, goal)
         memo = self.memo
         hit = memo.get(key)
-        if hit is None and reuse is not None:
-            for c, g, entry in self._pending.pop(key[0], ()):
-                reuse[(key[0], self._projection(c, e), g)] = _kept(entry)
-            pkey = (key[0], self._projection(ctx, e), goal)
-            hit = reuse.get(pkey)
-            if hit is not None:
-                memo[key] = hit
         if hit is not None:
             if hit.__class__ is Judgment:
                 return hit
             if hit is _IN_PROGRESS:
-                self._cyclic += 1
                 raise IllTyped("cyclic search", _span(e))
-            if hit.tainted:
-                self._cyclic += 1
             raise hit.error()
         memo[key] = _IN_PROGRESS
-        cyclic = self._cyclic
         try:
             j = self._check(ctx, e, goal)
         except IllTyped as err:
-            memo[key] = failure = _Failure(err, e, self._cyclic != cyclic)
-            if reuse is not None:
-                reuse[pkey] = _kept(failure)
+            memo[key] = _Failure(err)
             raise
         except BaseException:
             del memo[key]  # a search cut short (SearchExhausted) leaves nothing
             raise
-        # a success stands whatever its search met: what made it taint
-        # nothing reaches the caller
-        self._cyclic = cyclic
         memo[key] = j
-        if reuse is not None:
-            reuse[pkey] = j
         return j
 
     def infer(self, ctx: TypeContext, e: Expr) -> Judgment:
@@ -612,9 +569,9 @@ class Checker:
         """A block's premises (its initializers, then its body) under the
         first candidate group assignment that types them all, in the order
         `_GroupSearch` gives them, told of each failed premise.  The block
-        of the query's root state, in the state's context, keeps premise
-        judgments from the last query's block (`RootState`, see the module
-        docstring)."""
+        of the query's root state, in the state's context, keeps the
+        judgments of its premises, the body's included, from the last
+        query's block (`RootState`, see the module docstring)."""
         decls = block.decls
         if not decls:
             j = self.check(ctx, block.body, goal)
@@ -648,30 +605,32 @@ class Checker:
         # premise i < len(decls) checks declaration i, premise len(decls)
         # the body, each against the same goal for every candidate
         search = _GroupSearch(self, block, gamma, restricted, lent_locals, base_groups)
+        n = len(decls)
         first: Optional[_Failure] = None
         for ctx_body in search:
-            todo = None if root is None else root.to_check(ctx_body)
+            todo = None if root is None else root.to_check(ctx_body, goal)
             if todo is None:
-                todo, premises = range(len(decls)), [None] * len(decls)
+                todo, premises = range(n + 1), [None] * (n + 1)
             else:  # the judgments the root state keeps, the others to come
-                premises = list(map(root.judgments.get, map(id, decls)))
+                premises = root.premises()
             fresh = {}  # index -> judgment of the premises checked here
             try:
                 for i in todo:
-                    d = decls[i]
-                    ctx_d = _premise_context(ctx_body, decls, i)
-                    j = self._try_consume(block, d, env)
-                    if j is None:
-                        j = self.check(ctx_d, d.init, env[d.name])
+                    if i == n:
+                        j = self.check(ctx_body, block.body, goal)
+                    else:
+                        d = decls[i]
+                        ctx_d = _premise_context(ctx_body, decls, i)
+                        j = self._try_consume(block, d, env)
+                        if j is None:
+                            j = self.check(ctx_d, d.init, env[d.name])
                     premises[i] = fresh[i] = j
-                i = len(decls)
-                premises.append(self.check(ctx_body, block.body, goal))
             except IllTyped as err:
                 first = first or _Failure(err)
                 search.failed(i)
                 continue
             if root is not None:
-                root.keep(ctx_body, decls, fresh)
+                root.keep(ctx_body, goal, fresh)
             # each group cut to the names the block mentions, in order;
             # mentions(block) is asked only when there is a group to cut (a
             # reduct's root block is a new node, and most have no group)
@@ -683,63 +642,6 @@ class Checker:
             )
         raise first.error() if first else IllTyped(
             "no lent-group assignment typechecks", block.span
-        )
-
-    def _projection(self, ctx: TypeContext, e: Expr) -> tuple:
-        """What a check of e can read of ctx, for the names e mentions (free
-        or bound):
-
-        * gamma restricted to the names;
-        * whether gamma has mut or read names outside them;
-        * for each group in order, its members among the names, whether it
-          has others, and whether those include restricted names;
-        * whether the mutable group has members beyond the names;
-        * when the restricted set is not empty: the restricted names among
-          the names, whether there are restricted names outside them, and
-          whether one of those is in the mutable group (a mut name in no
-          group).
-
-        Every rule reads no more of a context than this.  `_var` reads the
-        gamma entry, restriction and grouping of its name; `_receiver_type`
-        and `_try_consume` read gamma at names of e.  Unrestriction applies
-        when the restricted set is not empty.  Capsule promotion makes the
-        mutable group one more group; its members among the names are the
-        mut names there that no group holds.  Immutability promotion
-        restricts every mut and read name: among the names gamma tells
-        which, outside them the second part tells whether any exist, and
-        the other members of the groups and of the mutable group are mut,
-        so restricted there exactly when they exist.  The swap loop takes
-        the groups in order and skips those with restricted members; a swap
-        keeps every other group's parts and makes the swapped group the
-        mutable one.  A nested block has its binders among the names; it
-        drops emptied groups (`g - dom`) and seeds and extends its
-        candidates by the names alone.  `wf_context` of its candidates
-        asks whether a restricted name outside the names is a mut name in
-        no group (the last part); its other conditions hold outside the
-        names in every context derived from a well-formed one.  So two
-        contexts with the same projection give e the same search step for
-        step, and a verdict reached without a cyclic hit (see `check`)
-        holds for both.  Every premise context of one
-        `check_block` call has the same gamma and restricted set, so there
-        the group parts alone decide.
-        """
-        names = mentions(e)
-        env = ctx.env
-        restricted = ctx.restricted
-        mg = ctx.mutable_group()
-        outside = restricted - names
-        return (
-            # a frozenset keeps its hash: each probe of a key hashes the
-            # types in it only once
-            frozenset([(n, env[n]) for n in names if n in env]),
-            not ctx.mut_or_read_names() <= names,
-            tuple([
-                (g & names, not g <= names, not restricted.isdisjoint(g - names))
-                for g in ctx.groups
-            ]),
-            not mg <= names,
-            restricted
-            and (restricted & names, bool(outside), not outside.isdisjoint(mg)),
         )
 
     def _try_consume(self, block: Block, d: Decl, gamma: dict):
@@ -971,7 +873,7 @@ def _fallback_locals(block: Block, base_groups) -> list:
 def _group_part(
     groups: tuple, own: int, names: int, muts: int, restricted: int
 ) -> tuple:
-    """The group part of a premise's projection (`Checker._projection`) on
+    """The group part of a premise's projection (see the module docstring) on
     masks, under a candidate's groups.  own is the bit of the premise's
     local, whose group its premise context swaps with the mutable group
     (`_premise_context`; 0 for the body); names is the mask of the names

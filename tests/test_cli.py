@@ -89,6 +89,20 @@ class TestCheck:
         assert main(["check", path]) == EXIT_PARSE
         assert_diagnostic(capsys.readouterr().err, "error: dup-field: f: duplicate field")
 
+    @pytest.mark.parametrize(
+        "params, args", [("mut D a, int a", "d, 2"), ("int a, mut D a", "2, d")]
+    )
+    @pytest.mark.parametrize("cmd", ["check", "run"])
+    def test_duplicate_parameter_is_refused(self, tmp_path, capsys, cmd, params, args):
+        # a method that declares a parameter name twice is refused before
+        # typing, in either order of the two parameters
+        src = (
+            f"class D {{ int f; int m(read, {params}) {{ return a; }} }}\n"
+            f"{{mut D d = new D(1); d.m({args})}}\n"
+        )
+        assert main([cmd, write(tmp_path, src)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: dup-param: a: duplicate parameter in D.m\n"
+
     @pytest.mark.parametrize("q", ["capsule", "lent", "read"])
     def test_field_qualifier_is_validated(self, tmp_path, capsys, q):
         # a field of any type parses; validation refuses all but mut, imm
@@ -171,12 +185,12 @@ class TestRun:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "budget, code, found", [(75, EXIT_RESOURCE, 5), (200, EXIT_OK, 0)]
+        "budget, code, found", [(75, EXIT_RESOURCE, 16), (200, EXIT_OK, 0)]
     )
     def test_verify_meta_inconclusive(self, capsys, budget, code, found):
-        # at budget 75, subject reduction runs out of budget at steps 10, 11,
-        # 14, 18 and 19 and finds no violation: resource exhaustion, not a
-        # counterexample
+        # a reduct needs at most 145 ticks here; at budget 75, subject
+        # reduction runs out of budget at 16 steps and finds no violation:
+        # resource exhaustion, not a counterexample
         path = str(CORPUS / "accept" / "nested_mix_clone.caps")
         args = ["run", path, "--verify-meta", "--budget", str(budget)]
         assert main(args) == code

@@ -542,7 +542,7 @@ class TestContextViews:
 
 
 # ---------------------------------------------------------------------------
-# Verdicts reused across queries
+# Queries of one Checker
 # ---------------------------------------------------------------------------
 
 REUSE_SOURCE = """
@@ -574,10 +574,10 @@ def verdict(checker, ctx, e, goal):
 
 
 class TestProjectedReuse:
-    """From its second query on, a Checker looks a missed key up again
-    under its projection (`Checker._projection`).  Asking the same term
-    under one context and then under another must give the result, or the
-    error, a fresh Checker gives for the second."""
+    """Asking one Checker the same term under one context and then under
+    another, whose projection may be the same, must give the result, or
+    the error, a fresh Checker gives for the second: each query starts
+    with an empty memo."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
