@@ -290,11 +290,11 @@ def main(argv=None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except SearchExhausted as e:
-        print(f"search exhausted: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
     except TypeCheckError as e:
         at = f" at {e.span[0]}:{e.span[1]}" if e.span else ""
+        if isinstance(e, SearchExhausted):
+            print(f"search exhausted: {e}{at}", file=sys.stderr)
+            return EXIT_RESOURCE
         print(f"type error: {e}{at}", file=sys.stderr)
         return EXIT_TYPE
     except OutOfFuel as e:

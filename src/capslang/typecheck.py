@@ -55,13 +55,13 @@ mutable group are mut, so restricted there exactly when they exist.  The
 swap loop takes the groups in order and skips those with restricted
 members; a swap keeps every other group's parts and makes the swapped
 group the mutable one.  A nested block has its binders among the names;
-it drops emptied groups (`g - dom`) and seeds and extends its candidates
-by the names alone.  `wf_context` of its candidates asks whether a
-restricted name outside the names is a mut name in no group (the last
-part); its other conditions hold outside the names in every context
-derived from a well-formed one.  So two contexts with the same projection
-give the term the same search step for step.  The tests keep the
-projection as code, the reference for `_group_part`.
+it drops emptied groups (`g - dom`) and builds its candidates from the
+names alone.  `wf_context` of its candidates asks whether a restricted
+name outside the names is a mut name in no group (the last part); its
+other conditions hold outside the names in every context derived from a
+well-formed one.  So two contexts with the same projection give the term
+the same search step for step.  The tests keep the projection as code,
+the reference for `_group_part`.
 
 The promotions, and a consumption (`Checker._try_consume`), have no note:
 a certifier recomputes a promotion's premise context from the
@@ -97,9 +97,12 @@ the rules and notes above it), so a kept judgment is the one a fresh
 Checker builds, with the same terms, results and rules.
 
 A block's lent locals are grouped by search: `check_block` tries candidate
-group assignments in a fixed order, each set partition of the locals once,
-until one types every declaration and the body.  The search is pruned by
-conflict (Prosser, 1993): when a premise fails, the group part of its
+group assignments until one types every declaration and the body.  They
+come in one fixed order (`_group_candidates`), with no guessed candidate
+first: each set partition of the locals once, in the order in which it
+first appears among the tuples of itertools.product (`_partitions`), then
+the same again with mut locals joining base groups.  The search is pruned
+by conflict (Prosser, 1993): when a premise fails, the group part of its
 context's projection onto the names the premise mentions is kept as a
 nogood for the rest of the `check_block` call, and a later candidate with a
 premise of the same group part fails at once.  Within the call gamma and
@@ -137,7 +140,6 @@ from .syntax import (
     Type,
     Var,
     block_gamma,
-    children,
     free_vars,
     is_evaluated,
     map_children,
@@ -215,39 +217,62 @@ def _weaken(t: Type) -> Type:
     return t
 
 
-def _growth_strings(n: int, k: int):
-    """Every assignment of n locals to k base groups (0..k-1) or to new
-    groups numbered k, k+1, ... in order of first use, in lexicographic
-    order: each set partition once, as a restricted growth string (Knuth,
-    TAOCP 7.2.1.5).  It is the order in which each partition first appears
-    among the tuples of itertools.product(range(k + n), repeat=n).  Each
-    string comes as (i, string), i the first position at which it differs
-    from the string before it (0 for the first)."""
-    # bound[j]: one past the largest label among a[:j] (k - 1 at least),
-    # which a[j] may reach
-    a, bound = [0] * n, [max(k, 1)] * n
-    if n:
-        bound[0] = k
-    i = 0
-    while True:
-        yield i, tuple(a)
-        i = n - 1
-        while i >= 0 and a[i] == bound[i]:
-            i -= 1
-        if i < 0:
-            return
-        a[i] += 1
-        top = max(bound[i], a[i] + 1)
-        for j in range(i + 1, n):
-            a[j], bound[j] = 0, top
+def _partitions(groups: tuple, bits: list):
+    """The groups (masks) with each of bits, in order, joining one of them
+    or a new group after them: the first bit each group in turn, then a new
+    one, and so on for the rest.  Each set partition comes once, in the
+    order in which it first appears among the tuples of
+    itertools.product(range(len(groups) + len(bits)), repeat=len(bits)),
+    tuple position i naming the group of bits[i] and new groups numbered in
+    order of first use."""
+    if not bits:
+        yield groups
+        return
+    x, rest = bits[0], bits[1:]
+    for j in range(len(groups)):
+        yield from _partitions(groups[:j] + (groups[j] | x,) + groups[j + 1:], rest)
+    yield from _partitions(groups + (x,), rest)
 
 
-def _place(groups: tuple, x: int, c: int) -> tuple:
-    """Groups (masks) with bit x joining group c, or a new group when c is
-    one past the last."""
-    if c == len(groups):
-        return groups + (x,)
-    return groups[:c] + (groups[c] | x,) + groups[c + 1:]
+def _group_candidates(lent_locals, base_groups, eligible, bits):
+    """Group assignments for a block's locals, each a tuple of groups as
+    masks over bits (`_Bits`): the base groups in order, perhaps extended,
+    then new groups in order of first use.
+
+    First every assignment of the lent locals to base groups or to new
+    groups among themselves, each set partition once (`_partitions`); with
+    no lent locals, the base groups alone.  As a last resort the eligible
+    mut locals (`_fallback_locals`) may join base groups too: a pure
+    weakening (a grouped variable is usable as lent) which some store
+    shapes produced by reduction need; one with no bit is not mut in gamma
+    (a later declaration retyped it) and joins none.  Base groups are
+    disjoint and non-empty, so no candidate repeats.  A candidate whose
+    groups overlap (a name declared twice, placed in two groups) is not
+    yielded: masks are disjoint exactly when their sum is their union,
+    which is known before the candidate is built.
+    """
+    base = tuple(map(bits.mask, base_groups))
+    union = bits.mask(lent_locals) | sum(base)
+    lent = []  # the lent-local candidates, again for every fallback choice
+    for groups in _partitions(base, [bits.bit[x] for x in lent_locals]):
+        if sum(groups) == union:
+            lent.append(groups)
+            yield groups
+    k = len(base)
+    for choice in itertools.product(*[
+        (None,) + touched if x in bits.bit else (None,) for x, touched in eligible
+    ]):
+        if all(c is None for c in choice):
+            continue
+        extra, whole = [0] * k, union
+        for (x, _), c in zip(eligible, choice):
+            if c is not None:
+                extra[c] |= bits.bit[x]
+                whole |= bits.bit[x]
+        for lent_groups in lent:
+            groups = tuple(map(int.__or__, lent_groups, extra)) + lent_groups[k:]
+            if sum(groups) == whole:
+                yield groups
 
 
 class _Bits:
@@ -604,7 +629,7 @@ class Checker:
             )
         # premise i < len(decls) checks declaration i, premise len(decls)
         # the body, each against the same goal for every candidate
-        search = _GroupSearch(self, block, gamma, restricted, lent_locals, base_groups)
+        search = _GroupSearch(block, gamma, restricted, lent_locals, base_groups)
         n = len(decls)
         first: Optional[_Failure] = None
         for ctx_body in search:
@@ -702,110 +727,6 @@ class Checker:
         rule = "t-capsule" if d.dtype.qualifier is Qualifier.CAPSULE else "t-imm"
         return Judgment(d.init, d.dtype, rule, (Judgment(d.init, t_y, "t-var"),))
 
-    def _group_candidates(self, block: Block, lent_locals, base_groups, eligible, bits):
-        """Group assignments for the block's locals, each a tuple of groups
-        as masks over bits (`_Bits`): the base groups in order, perhaps
-        extended, then new groups in order of first use.
-
-        A seeded candidate (must-share constraints from field assignments,
-        singletons otherwise) comes first, then every other assignment of
-        lent locals to existing groups or new groups among themselves, each
-        set partition once (`_growth_strings`), its masks built on those of
-        the prefix it shares with the string before.  As a last resort the
-        eligible mut locals (`_fallback_locals`) may join base groups too: a
-        pure weakening (a grouped variable is usable as lent) which some
-        store shapes produced by reduction need; one with no bit is not mut
-        in gamma (a later declaration retyped it) and joins none.  Base
-        groups are disjoint and non-empty, so no candidate repeats.  A
-        candidate whose groups overlap (a name declared twice, placed in two
-        groups) is not yielded: masks are disjoint exactly when their sum is
-        their union, which is known before the candidate is built.
-        """
-        base = tuple(map(bits.mask, base_groups))
-        union = bits.mask(lent_locals) | sum(base)
-        lent = []  # the lent-local candidates, again for every fallback choice
-        if lent_locals:
-            placed = [bits.bit[x] for x in lent_locals]
-            seeded = self._seed_assignment(block, lent_locals, base_groups)
-            groups = base
-            for x, c in zip(placed, seeded):
-                groups = _place(groups, x, c)
-            lent.append(groups)
-            if sum(groups) == union:
-                yield groups
-            prefix = [base]  # prefix[i]: the groups of the first i locals
-            for i, a in _growth_strings(len(placed), len(base)):
-                del prefix[i + 1:]
-                groups = prefix[i]
-                for x, c in zip(placed[i:], a[i:]):
-                    groups = _place(groups, x, c)
-                    prefix.append(groups)
-                if a != seeded:
-                    lent.append(groups)
-                    if sum(groups) == union:
-                        yield groups
-        else:
-            lent.append(base)
-            yield base
-        k = len(base)
-        for choice in itertools.product(*[
-            (None,) + touched if x in bits.bit else (None,) for x, touched in eligible
-        ]):
-            if all(c is None for c in choice):
-                continue
-            extra, whole = [0] * k, union
-            for (x, _), c in zip(eligible, choice):
-                if c is not None:
-                    extra[c] |= bits.bit[x]
-                    whole |= bits.bit[x]
-            for lent_groups in lent:
-                groups = tuple(map(int.__or__, lent_groups, extra)) + lent_groups[k:]
-                if sum(groups) == whole:
-                    yield groups
-
-    def _seed_assignment(self, block: Block, lent_locals, base_groups) -> tuple:
-        """Must-share pre-pass: variables appearing together as receiver and
-        RHS of a field assignment must end up in the same group (both need to
-        be mut under the same swap).  Remaining lent locals get singleton
-        groups.  The result is an assignment as `_growth_strings` gives
-        them: base group indices, new groups numbered in order of first
-        use."""
-        parent = {x: x for x in lent_locals}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        pairs = []
-        stack = [block]  # preorder, as a recursive walk would visit
-        while stack:
-            e = stack.pop()
-            if isinstance(e, FieldAssign) and isinstance(e.recv, Var) and isinstance(
-                e.value, Var
-            ):
-                pairs.append((e.recv.name, e.value.name))
-            stack.extend(reversed(tuple(children(e))))
-        join: dict = {}  # union-find root -> group index
-        for (a, b) in pairs:
-            if a in parent and b in parent:
-                parent[find(a)] = find(b)
-        for (a, b) in pairs:
-            for local, other in ((a, b), (b, a)):
-                if local in parent:
-                    for i, g in enumerate(base_groups):
-                        if other in g:
-                            join[find(local)] = i
-        fresh = len(base_groups)
-        out = []
-        for x in lent_locals:
-            root = find(x)
-            if root not in join:
-                join[root], fresh = fresh, fresh + 1
-            out.append(join[root])
-        return tuple(out)
-
     def _tick(self):
         self.ticks += 1
         if self.ticks > self.budget:
@@ -855,7 +776,7 @@ def _premise_term(block: Block, i: int) -> Expr:
 
 def _fallback_locals(block: Block, base_groups) -> list:
     """The mut locals that may join base groups as a last resort
-    (`Checker._group_candidates`): each whose initializer refers into a
+    (`_group_candidates`): each whose initializer refers into a
     base group, with the indices of those groups; none when there are more
     than MAX_LENT_LOCALS of them."""
     inits = {d.name: d.init for d in block.decls}
@@ -899,7 +820,7 @@ def _group_part(
 
 class _GroupSearch:
     """The candidate contexts of one `Checker.check_block` call, in the
-    order of `Checker._group_candidates`, skipping each with a premise whose
+    order of `_group_candidates`, skipping each with a premise whose
     group part (`_group_part`) is that of a failed one (see the module
     docstring); check_block reports each failed premise (`failed`).  A
     block with no lent locals has one candidate, its base groups, made a
@@ -917,11 +838,10 @@ class _GroupSearch:
     on masks; or a fallback mut local that a later declaration retyped,
     which has no bit and joins no group there."""
 
-    __slots__ = ("checker", "block", "gamma", "restricted", "lent_locals",
-                 "base_groups", "_failed")
+    __slots__ = ("block", "gamma", "restricted", "lent_locals", "base_groups",
+                 "_failed")
 
-    def __init__(self, checker, block, gamma, restricted, lent_locals, base_groups):
-        self.checker = checker
+    def __init__(self, block, gamma, restricted, lent_locals, base_groups):
         self.block = block
         self.gamma = gamma
         self.restricted = restricted
@@ -962,9 +882,7 @@ class _GroupSearch:
                 p = premises[i] = (own, names, muts, rst & ~names)
             return _group_part(groups, *p)
 
-        candidates = self.checker._group_candidates(
-            block, lent_locals, base_groups, eligible, bits
-        )
+        candidates = _group_candidates(lent_locals, base_groups, eligible, bits)
         if not lent_locals:
             last = next(candidates)  # the base groups, checked above
         for groups in candidates:

@@ -168,6 +168,22 @@ class TestCheck:
         assert main(["check", write(tmp_path, plus_chain(2000))]) == EXIT_RESOURCE
         assert_diagnostic(capsys.readouterr().err, "resource exhausted: ")
 
+    def test_lent_cap_names_the_block(self, tmp_path, capsys):
+        # a block with one lent local more than the search admits: the
+        # diagnostic gives the block's location (where its first declaration
+        # starts), as a type error does; a spent budget has no location
+        lent = " ".join(f"lent D z{i} = new D({i});" for i in range(1, 8))
+        src = f"class D {{ int f; }}\ncapsule D y = {{ {lent} new D(0) }};\ny\n"
+        path = write(tmp_path, src)
+        assert main(["check", path]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "search exhausted: block has 7 lent locals (cap 6) at 2:17\n"
+        )
+        assert main(["check", path, "--budget", "0"]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "search exhausted: search budget of 0 nodes exhausted\n"
+        )
+
 
 class TestRun:
     def test_final_term(self, tmp_path, capsys):

@@ -1,9 +1,9 @@
 """The lent-group search against an unpruned oracle.
 
-`Checker.check_block` enumerates each group assignment once, as a
-restricted growth string, and skips a candidate when one of its premises
-repeats a check that already failed under the same projection of its
-context.  `Checker._check` does not try the group swap for a mut goal,
+`Checker.check_block` enumerates each set partition of a block's lent
+locals once (`typecheck._partitions`), and skips a candidate when one of
+its premises repeats a check that already failed under the same projection
+of its context.  `Checker._check` does not try the group swap for a mut goal,
 which it can never conclude.  `UnprunedChecker` is the search as it was
 before: every tuple of `itertools.product` with duplicates dropped after
 sorting, every candidate checked in full, and the swap tried for every
@@ -38,8 +38,9 @@ from capslang.typecheck import (
     _Bits,
     _Failure,
     _IN_PROGRESS,
+    _group_candidates,
     _group_part,
-    _growth_strings,
+    _partitions,
     _weaken,
     method_context,
     wf_context,
@@ -67,12 +68,11 @@ def place(base_groups, names, assignment):
     )
 
 
-def product_candidates(names, base_groups, seeded):
-    """The seeded candidate, then every assignment of names to base groups
-    or new slots in itertools.product order, dropping a candidate whose
-    sorted form was seen before."""
-    emitted = {_norm(seeded)}
-    yield seeded
+def product_candidates(names, base_groups):
+    """Every assignment of names to base groups or new slots in
+    itertools.product order, dropping a candidate whose sorted form was seen
+    before: the reference order of the checker's candidates."""
+    emitted = set()
     k, n = len(base_groups), len(names)
     for choice in itertools.product(range(k + n), repeat=n):
         out = place(base_groups, names, choice)
@@ -177,17 +177,7 @@ class UnprunedChecker(Checker):
         )
 
     def _group_candidates(self, block, lent_locals, base_groups, mut_locals=()):
-        if not lent_locals and not mut_locals:
-            yield base_groups
-            return
-        if lent_locals:
-            seeded = place(
-                base_groups, lent_locals,
-                self._seed_assignment(block, lent_locals, base_groups),
-            )
-            lent = list(product_candidates(lent_locals, base_groups, seeded))
-        else:
-            lent = [base_groups]
+        lent = list(product_candidates(lent_locals, base_groups))
         yield from lent
         emitted = {_norm(g) for g in lent}
         inits = {d.name: d.init for d in block.decls}
@@ -366,6 +356,16 @@ def lent_block_source(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# lent_block_source seeds (of 0..1499) whose first failure depends on the
+# candidate order: tried after a must-share guess, the same candidates fail
+# first at another goal.  The oracle must report the plain order's failure.
+MOVED_FIRST_FAILURES = (
+    90, 161, 194, 195, 203, 220, 237, 260, 280, 302, 314, 359, 406, 430, 471,
+    493, 857, 863, 892, 971, 1103, 1143, 1152, 1158, 1162, 1181, 1260, 1285,
+    1460,
+)
+
+
 def main_ticks(src: str) -> tuple:
     p = load(src)
     c = Checker(p.table)
@@ -398,9 +398,10 @@ class TestAgainstOracle:
             for s in range(200)
         )
 
-
     def test_random_lent_blocks(self):
-        assert_same_as_oracle(lent_block_source(seed) for seed in range(60))
+        assert_same_as_oracle(
+            lent_block_source(seed) for seed in [*range(60), *MOVED_FIRST_FAILURES]
+        )
 
 
 def oracle_swaps(sources):
@@ -498,11 +499,11 @@ class TestTicks:
     # on masks visits the candidates of the search on frozensets, in order,
     # and checks the same premises
     LENT_FAMILY = {
-        2: ((31, 18), (42, 28)),
-        3: ((57, 34), (123, 77)),
-        4: ((95, 56), (244, 146)),
-        5: ((145, 84), (405, 235)),
-        6: ((207, 118), (606, 344)),
+        2: ((27, 15), (42, 28)),
+        3: ((51, 30), (123, 77)),
+        4: ((87, 51), (244, 146)),
+        5: ((135, 78), (405, 235)),
+        6: ((195, 111), (606, 344)),
     }
 
     @pytest.mark.parametrize("k", sorted(LENT_FAMILY))
@@ -555,8 +556,7 @@ class TestSearchCost:
 
 @st.composite
 def enumeration_cases(draw):
-    """Disjoint non-empty base groups (0-3), lent locals (0-5) and a seeded
-    assignment of the locals in growth-string form."""
+    """Disjoint non-empty base groups (0-3) and lent locals (0-5)."""
     n_base = draw(st.integers(0, 3))
     outer = [f"o{i}" for i in range(6)]
     owner = draw(st.lists(st.integers(0, n_base), min_size=6, max_size=6))
@@ -564,36 +564,20 @@ def enumeration_cases(draw):
         frozenset(x for x, o in zip(outer, owner) if o == i) for i in range(n_base)
     )
     base = tuple(g for g in base if g)
-    names = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
-    choice = draw(st.lists(
-        st.integers(0, len(base) + len(names)), min_size=len(names), max_size=len(names)
-    ))
-    relabel: dict = {}
-    seeded = tuple(
-        c if c < len(base) else relabel.setdefault(c, len(base) + len(relabel))
-        for c in choice
-    )
-    return base, names, seeded
+    return base, [f"l{i}" for i in range(draw(st.integers(0, 5)))]
 
 
 class TestEnumeration:
     @settings(max_examples=120, deadline=None)
     @given(enumeration_cases())
     def test_same_sequence_as_product_with_dedup(self, case):
-        base, names, seeded = case
-        c = Checker(None)
-        c._seed_assignment = lambda block, lent_locals, base_groups: seeded
-        block = Block((), IntLit(0))
+        base, names = case
         bits = _Bits([x for g in base for x in sorted(g)] + names, base)
         got = [
             tuple(map(bits.set, groups))
-            for groups in c._group_candidates(block, names, base, [], bits)
+            for groups in _group_candidates(names, base, [], bits)
         ]
-        if names:
-            want = list(product_candidates(names, base, place(base, names, seeded)))
-        else:
-            want = [base]
-        assert got == want
+        assert got == list(product_candidates(names, base))
 
     @pytest.mark.parametrize(
         "names", [["l0", "l0"], ["l0", "l1", "l0"], ["l1", "l0", "l0", "l2"]]
@@ -601,45 +585,59 @@ class TestEnumeration:
     @pytest.mark.parametrize("base", [(), (frozenset({"o0"}), frozenset({"o1"}))])
     def test_a_name_placed_twice_keeps_one_group(self, base, names):
         """A name declared twice has one bit: a candidate that puts it into
-        two groups is not yielded (the seeded one, all singletons, among
-        them), and the others come in the order of the search on sets."""
-        c = Checker(None)
-        seeded = tuple(range(len(base), len(base) + len(names)))
-        c._seed_assignment = lambda block, lent_locals, base_groups: seeded
+        two groups (all singletons among them) is not yielded, and the
+        others come in the order of the search on sets."""
         bits = _Bits(sorted(frozenset().union(*base, names)), base)
         got = [
             tuple(map(bits.set, groups))
-            for groups in c._group_candidates(Block((), IntLit(0)), names, base, [], bits)
+            for groups in _group_candidates(names, base, [], bits)
         ]
         want = [
             groups
-            for groups in product_candidates(names, base, place(base, names, seeded))
+            for groups in product_candidates(names, base)
             if sum(map(len, groups)) == len(frozenset().union(*groups))
         ]
         assert got == want
-        assert len(got) < len(list(_growth_strings(len(names), len(base))))
+        masks = tuple(map(bits.mask, base))
+        assert len(got) < len(list(_partitions(masks, [bits.bit[x] for x in names])))
 
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("k", range(4))
     def test_growth_strings_are_first_labellings(self, n, k):
-        """Each growth string is the first product tuple of its partition,
-        and they come in product order."""
-        seen, first = set(), []
-        for choice in itertools.product(range(k + n), repeat=n):
-            relabel: dict = {}
-            rgs = tuple(
-                c if c < k else relabel.setdefault(c, k + len(relabel)) for c in choice
-            )
-            if rgs not in seen:
-                seen.add(rgs)
-                first.append(rgs)
-        got = list(_growth_strings(n, k))
-        assert [a for _, a in got] == first
-        # each with the first position at which it differs from the last
-        assert [i for i, _ in got] == [0] + [
-            next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-            for a, b in zip(first, first[1:])
-        ]
+        """`_partitions` gives each set partition of n bits over k base
+        groups once, as the first product tuple that labels it (a
+        restricted growth string, Knuth, TAOCP 7.2.1.5), in product order;
+        and in the same order when the last bit repeats the first (a name
+        declared twice has one bit, placed twice)."""
+        base, bits = tuple(1 << i for i in range(k)), [1 << (k + i) for i in range(n)]
+        got = list(_partitions(base, bits))
+        assert got == first_labellings(base, bits)
+        assert len(set(got)) == len(got)
+        if n >= 2:
+            bits[-1] = bits[0]
+            assert list(_partitions(base, bits)) == first_labellings(base, bits)
+
+
+def first_labellings(base, bits):
+    """The groups (masks) of each assignment of bits to base groups or new
+    ones that first labels its set partition among the tuples of
+    itertools.product, in product order."""
+    k, seen, out = len(base), set(), []
+    for choice in itertools.product(range(k + len(bits)), repeat=len(bits)):
+        relabel: dict = {}
+        rgs = tuple(
+            c if c < k else relabel.setdefault(c, k + len(relabel)) for c in choice
+        )
+        if rgs not in seen:
+            seen.add(rgs)
+            groups = list(base)
+            for x, c in zip(bits, rgs):
+                if c == len(groups):
+                    groups.append(x)
+                else:
+                    groups[c] |= x
+            out.append(tuple(groups))
+    return out
 
 
 @st.composite
