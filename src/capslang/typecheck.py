@@ -104,8 +104,8 @@ first: each set partition of the locals once, in the order in which it
 first appears among the tuples of itertools.product (`_partitions`), then
 the same again with mut locals joining base groups.  The search is pruned
 by conflict (Prosser, 1993): when a premise fails, its nogood key
-(`_group_part`) is kept for the rest of the `check_block` call, and a later
-candidate with a premise of the same key fails at once.  Within the call
+(`_group_part`) is kept for the rest of the `check_block` call, and no
+later candidate with a premise of the same key is checked.  Within the call
 gamma and the restricted set are fixed, and the key holds what the
 premise's verdict can depend on: the parts of the groups that meet the
 names it mentions, in order, and of the mutable group, as its projection
@@ -129,8 +129,15 @@ a premise the same verdict, though not the same search step for step;
 a candidate skipped would have failed, so the same candidate succeeds
 first and the same first failure is reported as without pruning.  A
 spent budget is no verdict: the pruned search may answer where the
-unpruned one runs out.  Candidates are integer masks, and a context is
-built only for one that is checked (`_GroupSearch`).
+unpruned one runs out.
+
+Such candidates are not generated: the lent phase drops each prefix of
+`_partitions` whose completions all repeat a kept key (`_GroupSearch`), as
+CDCL solvers do (GRASP, Marques-Silva & Sakallah, 1999).  Keys are added
+only while the search waits on a candidate, so a dropped candidate is one
+the test of its keys would skip, and the candidates checked are the same.
+Candidates are integer masks, and a context is built only for one that is
+checked.
 """
 
 from __future__ import annotations
@@ -237,24 +244,37 @@ def _weaken(t: Type) -> Type:
     return t
 
 
-def _partitions(groups: tuple, bits: list):
+def _partitions(groups: tuple, bits: list, dead=None):
     """The groups (masks) with each of bits, in order, joining one of them
     or a new group after them: the first bit each group in turn, then a new
     one, and so on for the rest.  Each set partition comes once, in the
     order in which it first appears among the tuples of
     itertools.product(range(len(groups) + len(bits)), repeat=len(bits)),
     tuple position i naming the group of bits[i] and new groups numbered in
-    order of first use."""
+    order of first use.
+
+    dead(groups, free), when given, is asked of each prefix as it is built,
+    free the mask of the bits still to place; a prefix it calls dead is
+    dropped with its completions."""
     if not bits:
         yield groups
         return
     x, rest = bits[0], bits[1:]
-    for j in range(len(groups)):
-        yield from _partitions(groups[:j] + (groups[j] | x,) + groups[j + 1:], rest)
-    yield from _partitions(groups + (x,), rest)
+    free = 0
+    for y in rest:
+        free |= y
+    for j in range(len(groups) + 1):
+        g = groups[:j] + (groups[j] | x,) + groups[j + 1:] if j < len(groups) else (
+            groups + (x,)
+        )
+        if dead is None or not dead(g, free):
+            if rest:
+                yield from _partitions(g, rest, dead)
+            else:
+                yield g
 
 
-def _group_candidates(lent_locals, base_groups, eligible, bits):
+def _group_candidates(lent_locals, base_groups, eligible, bits, dead=None):
     """Group assignments for a block's locals, each a tuple of groups as
     masks over bits (`_Bits`): the base groups in order, perhaps extended,
     then new groups in order of first use.
@@ -270,14 +290,21 @@ def _group_candidates(lent_locals, base_groups, eligible, bits):
     groups overlap (a name declared twice, placed in two groups) is not
     yielded: masks are disjoint exactly when their sum is their union,
     which is known before the candidate is built.
+
+    dead, when given, prunes the prefixes of the first phase, and is asked
+    of each whole candidate of the last: mut locals that join base groups
+    leave the mutable group, which a prefix then does not fix.
     """
     base = tuple(map(bits.mask, base_groups))
     union = bits.mask(lent_locals) | sum(base)
-    lent = []  # the lent-local candidates, again for every fallback choice
-    for groups in _partitions(base, [bits.bit[x] for x in lent_locals]):
+    lent_bits = [bits.bit[x] for x in lent_locals]
+    for groups in _partitions(base, lent_bits, dead):
         if sum(groups) == union:
-            lent.append(groups)
             yield groups
+    if not eligible:
+        return
+    # the lent-local candidates, again for every fallback choice
+    lent = [g for g in _partitions(base, lent_bits) if sum(g) == union]
     k = len(base)
     for choice in itertools.product(*[
         (None,) + touched if x in bits.bit else (None,) for x, touched in eligible
@@ -291,7 +318,7 @@ def _group_candidates(lent_locals, base_groups, eligible, bits):
                 whole |= bits.bit[x]
         for lent_groups in lent:
             groups = tuple(map(int.__or__, lent_groups, extra)) + lent_groups[k:]
-            if sum(groups) == whole:
+            if sum(groups) == whole and (dead is None or not dead(groups, 0)):
                 yield groups
 
 
@@ -834,29 +861,81 @@ def _group_part(
                 groups = groups[:j] + groups[j + 1:] + ((mg,) if mg else ())
                 mg = g
                 break
-    others, key, kinds = ~names, [], 0
+    key, kinds = [], 0
     for g in groups:
-        if g & names:
-            key.append(
-                (g & names) << 2 | (g & others != 0) << 1 | (g & restricted != 0)
-            )
+        n = g & names
+        if n:
+            key.append(n << 2 | (g != n) << 1 | (g & restricted != 0))
         else:  # non-empty, so its part would be 0b10 or 0b11
-            kinds |= 1 << (g & restricted != 0)
-    key.append((mg & names) << 2 | (mg & others != 0) << 1 | (mg & restricted != 0))
+            kinds |= 2 if g & restricted else 1
+    n = mg & names
+    key.append(n << 2 | (mg != n) << 1 | (mg & restricted != 0))
     key.append(kinds)
     return tuple(key)
 
 
+def _completions(groups: tuple, free: int, owns: int, names: list, restricted: int):
+    """Completions of a prefix of the lent phase, groups with the lent bits
+    of free still to place, such that any completion gives the premises
+    asked the nogood keys that one of these gives them (names: the mask of
+    the names each mentions, none in free; owns: their locals' bits).
+    Lent locals are never restricted and the mutable group is fixed, so a
+    free bit other than an own only turns key bits on: "has others" in a
+    group that meets a premise's names and holds nothing else (a target),
+    and, as a new group, the swappable kind, unless a group that meets no
+    names and holds no restricted name and no own has it already.  So the
+    owns are placed in every way, and the other bits go one to each of
+    every set of targets, the rest to its first; for the empty set, all to
+    a group where they turn nothing on."""
+    spare, placed = [], []  # the free bits, one by one
+    while free:
+        b = free & -free
+        (placed if b & owns else spare).append(b)
+        free ^= b
+    seen = 0
+    for m in names:
+        seen |= m
+    r = len(spare)
+    for gs in _partitions(groups, placed):
+        if not r:
+            yield gs
+            continue
+        n = len(gs)
+        targets, sinks, fresh = [], [], False
+        for j, g in enumerate(gs):
+            for m in names:
+                if g & m and not g & ~m:
+                    targets.append(j)
+                    break
+            else:
+                sinks.append(j)
+                fresh = fresh or not g & (seen | restricted | owns)
+        (sinks if fresh else targets).append(n)  # a new group
+        for t in range(min(r, len(targets)) + 1):
+            for hit in itertools.combinations(targets, t):
+                if not hit:
+                    if not sinks:
+                        continue  # every bit turns a bit on
+                    hit = sinks[:1]
+                out = [*gs, 0]
+                for i, b in enumerate(spare):
+                    out[hit[i] if i < t else hit[0]] |= b
+                yield tuple(out) if out[n] else tuple(out[:n])
+
+
 class _GroupSearch:
     """The candidate contexts of one `Checker.check_block` call, in the
-    order of `_group_candidates`, skipping each with a premise whose
-    nogood key (`_group_part`) is that of a failed one; check_block
-    reports each failed premise (`failed`).  The key leaves out how the
-    groups that meet none of the premise's names are split, so the
-    candidates that differ only there are skipped together (see the
-    module docstring).  A block with no lent locals has one candidate, its
-    base groups, made a context at once; masks (`_Bits`) come only when it
-    fails and mut locals may join groups (`_fallback_locals`).
+    order of `_group_candidates`, but for each with a premise whose nogood
+    key (`_group_part`) is that of a failed one; check_block reports each
+    failed premise (`failed`).  The key leaves out how the groups that
+    meet none of the premise's names are split, so the candidates that
+    differ only there go together (see the module docstring).  A prefix
+    of the lent phase is dropped when the premises whose names are placed
+    repeat a failed check under each of `_completions`; one with a single
+    local left is not asked, its completions are.  A block with no lent
+    locals has one candidate, its base groups, made a context at once;
+    masks (`_Bits`) come only when it fails and mut locals may join groups
+    (`_fallback_locals`).
 
     Well-formedness is decided once per call.  Within one call gamma, its
     lent count, the restricted set and the base groups are fixed, and
@@ -902,30 +981,54 @@ class _GroupSearch:
         bits = _Bits(gamma.muts(), base_groups)
         muts, rst = (1 << len(bits.names)) - 1, bits.mask(restricted)
         decls = block.decls
-        premises: dict = {}  # premise index -> its arguments of _group_part
-        nogoods: dict = {}  # premise index -> nogood keys of its failed checks
+        # premise index -> its arguments of _group_part, and the nogood keys
+        # of its failed checks
+        nogoods: dict = {}
 
-        def part(groups, i):
-            p = premises.get(i)
+        def record(groups):  # the premise that failed under groups
+            i, self._failed = self._failed, None
+            if i is None:
+                return
+            p = nogoods.get(i)
             if p is None:
                 own = bits.bit.get(decls[i].name, 0) if i < len(decls) else 0
                 names = bits.mask(mentions(_premise_term(block, i)))
-                p = premises[i] = (own, names, muts, rst & ~names)
-            return _group_part(groups, *p)
+                p = nogoods[i] = ((own, names, muts, rst & ~names), set())
+            p[1].add(_group_part(groups, *p[0]))
 
-        candidates = _group_candidates(lent_locals, base_groups, eligible, bits)
+        def dead(groups, free):  # every completion repeats a failed check
+            if not nogoods:
+                return False
+            if free:
+                free &= ~sum(groups)  # a name declared twice rejoins its group
+            if not free:  # a candidate, or its one completion
+                for p, known in nogoods.values():
+                    if _group_part(groups, *p) in known:
+                        return True
+                return False
+            if not free & (free - 1):
+                return False  # its completions are asked one by one
+            asked = [(p, known) for p, known in nogoods.values() if not p[1] & free]
+            if not asked:
+                return False
+            owns = 0
+            for p, _ in asked:
+                owns |= p[0]
+            names = [p[1] for p, _ in asked]
+            for out in _completions(groups, free, owns, names, rst):
+                for p, known in asked:
+                    if _group_part(out, *p) in known:
+                        break
+                else:
+                    return False
+            return True
+
+        candidates = _group_candidates(lent_locals, base_groups, eligible, bits, dead)
         if not lent_locals:
-            last = next(candidates)  # the base groups, checked above
+            record(next(candidates))  # the base groups, checked above
         for groups in candidates:
-            i, self._failed = self._failed, None
-            if i is not None:
-                nogoods.setdefault(i, set()).add(part(last, i))
-            for i, known in nogoods.items():
-                if part(groups, i) in known:
-                    break  # a premise repeats a failed check
-            else:
-                last = groups
-                yield TypeContext(gamma, tuple(map(bits.set, groups)), restricted)
+            yield TypeContext(gamma, tuple(map(bits.set, groups)), restricted)
+            record(groups)
 
 
 # ---------------------------------------------------------------------------

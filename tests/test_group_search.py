@@ -4,13 +4,17 @@
 locals once (`typecheck._partitions`), and skips a candidate when one of
 its premises repeats a check that already failed under the same nogood key
 (`typecheck._group_part`: the groups the premise mentions, the mutable
-group, and which kinds of other group occur).  `Checker._check` does not
-try the group swap for a mut goal, which it can never conclude.
+group, and which kinds of other group occur); it drops a prefix of the
+enumeration once every completion would be skipped.  `FlatFilterSearch`
+tests every candidate's keys instead, and must yield the same contexts.
+`Checker._check` does not try the group swap for a mut goal, which it can
+never conclude.
 `UnprunedChecker` is the search as it was before: every tuple of
 `itertools.product` with duplicates dropped after sorting, every candidate
 checked in full, and the swap tried for every goal.  Both must reach the
 same verdict, message, span, derivation (rules and notes included), and
-the pruned search may not spend more ticks.  The oracle cuts its notes
+the pruned search may not spend more ticks; an oracle that spends its
+budget is asked again with a larger one.  The oracle cuts its notes
 from its own groups as the checker does: a swap's to the swapped group's
 members the term mentions, a block's to each group's members the block
 mentions.
@@ -32,6 +36,7 @@ from capslang.syntax import (
     children, free_vars, mentions, stored_type, subtype,
 )
 from capslang.typecheck import (
+    DEFAULT_BUDGET,
     MAX_LENT_LOCALS,
     Checker,
     IllTyped,
@@ -41,9 +46,11 @@ from capslang.typecheck import (
     _Bits,
     _Failure,
     _IN_PROGRESS,
+    _fallback_locals,
     _group_candidates,
     _group_part,
     _partitions,
+    _premise_term,
     _weaken,
     method_context,
     wf_context,
@@ -83,6 +90,57 @@ def product_candidates(names, base_groups):
         if key not in emitted:
             emitted.add(key)
             yield out
+
+
+class FlatFilterSearch(typecheck._GroupSearch):
+    """The reference of `_GroupSearch`: every candidate of
+    `_group_candidates` enumerated in full, then skipped when one of its
+    premises has the nogood key of a failed check.  The checker's search
+    prunes the prefixes of `_partitions` instead, and must yield the same
+    contexts in the same order."""
+
+    def __iter__(self):
+        gamma, restricted = self.gamma, self.restricted
+        block, lent_locals, base_groups = self.block, self.lent_locals, self.base_groups
+        ctx_body = TypeContext(
+            gamma,
+            base_groups + (frozenset(lent_locals),) if lent_locals else base_groups,
+            restricted,
+        )
+        if not wf_context(ctx_body):
+            return
+        if not lent_locals:
+            yield ctx_body
+        eligible = base_groups and _fallback_locals(block, base_groups)
+        if not lent_locals and not eligible:
+            return
+        bits = _Bits(gamma.muts(), base_groups)
+        muts, rst = (1 << len(bits.names)) - 1, bits.mask(restricted)
+        decls = block.decls
+        premises: dict = {}
+        nogoods: dict = {}
+
+        def part(groups, i):
+            p = premises.get(i)
+            if p is None:
+                own = bits.bit.get(decls[i].name, 0) if i < len(decls) else 0
+                names = bits.mask(mentions(_premise_term(block, i)))
+                p = premises[i] = (own, names, muts, rst & ~names)
+            return _group_part(groups, *p)
+
+        candidates = _group_candidates(lent_locals, base_groups, eligible, bits)
+        if not lent_locals:
+            last = next(candidates)
+        for groups in candidates:
+            i, self._failed = self._failed, None
+            if i is not None:
+                nogoods.setdefault(i, set()).add(part(last, i))
+            for i, known in nogoods.items():
+                if part(groups, i) in known:
+                    break
+            else:
+                last = groups
+                yield TypeContext(gamma, tuple(map(bits.set, groups)), restricted)
 
 
 class UnprunedChecker(Checker):
@@ -231,31 +289,46 @@ def checked_bodies(p):
     return goals
 
 
+def outcome(c, ctx, body, goal) -> tuple:
+    """(verdict, ticks) of checker c on one body."""
+    try:
+        j = c.check(ctx, body, goal)
+        verdict = ("ok", tuple(j.rule_path()), derivation(j))
+    except TypeCheckError as err:
+        verdict = (err.kind, str(err), err.span)
+    return verdict, c.ticks
+
+
 def outcomes(p, checker_cls):
     """(verdict, ticks) for every method body and main, each with a fresh
     checker."""
-    out = []
-    for ctx, body, goal in checked_bodies(p):
-        c = checker_cls(p.table)
-        try:
-            j = c.check(ctx, body, goal)
-            verdict = ("ok", tuple(j.rule_path()), derivation(j))
-        except TypeCheckError as err:
-            verdict = (err.kind, str(err), err.span)
-        out.append((verdict, c.ticks))
-    return out
+    return [
+        outcome(checker_cls(p.table), ctx, body, goal)
+        for ctx, body, goal in checked_bodies(p)
+    ]
+
+
+# the budget of the oracle asked again where it spent the default one
+ORACLE_BUDGET = 1_000_000
 
 
 def assert_same_as_oracle(sources):
-    """Same outcome and no more ticks, except where the oracle runs out of
-    budget: the pruned search may then still reach a verdict."""
+    """Same outcome and no more ticks.  Where the oracle spends its default
+    budget, it is asked again with ORACLE_BUDGET ticks, and must reach a
+    verdict: the largest searches are compared too."""
     for src in sources:
         p = load(src)
         pruned, oracle = outcomes(p, Checker), outcomes(p, UnprunedChecker)
-        for (verdict, ticks), (want, oracle_ticks) in zip(pruned, oracle):
-            if want[0] != "SearchExhausted":
-                assert verdict == want, src
-                assert ticks <= oracle_ticks, src
+        for (ctx, body, goal), (verdict, ticks), (want, oracle_ticks) in zip(
+            checked_bodies(p), pruned, oracle
+        ):
+            if oracle_ticks > DEFAULT_BUDGET:
+                want, oracle_ticks = outcome(
+                    UnprunedChecker(p.table, ORACLE_BUDGET), ctx, body, goal
+                )
+                assert want[0] != "SearchExhausted", src
+            assert verdict == want, src
+            assert ticks <= oracle_ticks, src
 
 
 def lent_source(k: int, leak: bool, seed: int) -> str:
@@ -548,8 +621,8 @@ class TestSearchCost:
     """What a candidate costs besides its checks."""
 
     def test_one_well_formedness_check_per_block(self, monkeypatch):
-        # the k = 5 reject has three blocks and 256 candidates; every
-        # candidate's well-formedness follows from one context's
+        # the k = 5 reject has three blocks; every candidate's
+        # well-formedness follows from one context's
         calls = {"wf_context": 0, "check_block": 0}
 
         def counted(name, f):
@@ -564,6 +637,41 @@ class TestSearchCost:
         )
         assert main_ticks(lent_source(5, True, seed=0))[0] == "rejected"
         assert calls == {"wf_context": 3, "check_block": 3}
+
+    # leak -> (candidates built, _group_part calls) of main for k = 4, 5, 6:
+    # a prefix is dropped once every completion repeats a nogood, so the
+    # candidates built stay flat, and the keys asked of prefixes grow by
+    # about one level of them per lent local (testing every candidate built
+    # 16, 53, 204 and 67, 255, 1,080 of them, with 20, 57, 208 and 92, 317,
+    # 1,293 keys)
+    LENT_COST = {False: ([16] * 3, [22, 39, 56]), True: ([30] * 3, [73, 115, 157])}
+
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_candidates_built_stay_flat(self, leak, monkeypatch):
+        counts = {"built": 0, "keys": 0}
+        candidates, group_part = typecheck._group_candidates, typecheck._group_part
+
+        def counted_candidates(lent, base, eligible, bits, dead):
+            def counted(groups, free):
+                counts["built"] += not free  # a complete partition
+                return dead(groups, free)
+            return candidates(lent, base, eligible, bits, counted)
+
+        def counted_part(*args):
+            counts["keys"] += 1
+            return group_part(*args)
+
+        monkeypatch.setattr(typecheck, "_group_candidates", counted_candidates)
+        monkeypatch.setattr(typecheck, "_group_part", counted_part)
+        built, keys = [], []
+        for k in (4, 5, 6):
+            counts.update(built=0, keys=0)
+            assert main_ticks(lent_source(k, leak, seed=0))[0] == (
+                "rejected" if leak else "ok"
+            )
+            built.append(counts["built"])
+            keys.append(counts["keys"])
+        assert (built, keys) == self.LENT_COST[leak]
 
     def test_no_masks_for_one_candidate(self, monkeypatch):
         # a block with no lent local whose base groups type it has one
@@ -640,6 +748,77 @@ class TestEnumeration:
         if n >= 2:
             bits[-1] = bits[0]
             assert list(_partitions(base, bits)) == first_labellings(base, bits)
+
+
+@st.composite
+def search_cases(draw):
+    """The inputs of one block's group search, and the premise that fails
+    after each candidate: outer names o0..o3, mut or read; disjoint base
+    groups (0-3) of the mut ones; a restricted set of grouped mut and read
+    names; lent locals l0..l4 (0-5 of them, one perhaps declared twice) and
+    mut locals m0, m1 (0-2), in any order, each initializer and the body
+    mentioning some of the names."""
+    quals = draw(st.lists(
+        st.sampled_from([Qualifier.MUT, Qualifier.READ]), min_size=4, max_size=4,
+    ))
+    outer = {f"o{i}": RefType(q, "C") for i, q in enumerate(quals)}
+    muts = [x for x, t in outer.items() if t.qualifier is Qualifier.MUT]
+    owner = draw(st.lists(st.integers(-1, 2), min_size=len(muts), max_size=len(muts)))
+    base = tuple(
+        g for g in (
+            frozenset(x for x, o in zip(muts, owner) if o == i) for i in range(3)
+        ) if g
+    )
+    may_restrict = sorted(frozenset().union(*base)) + [
+        x for x, t in outer.items() if t.qualifier is Qualifier.READ
+    ]
+    restricted = frozenset(
+        draw(st.sets(st.sampled_from(may_restrict))) if may_restrict else ()
+    )
+    lent = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
+    if len(lent) >= 2 and draw(st.booleans()):
+        lent[-1] = lent[0]  # a name declared twice
+    mut = [f"m{i}" for i in range(draw(st.integers(0, 2)))]
+    local = draw(st.permutations(
+        [(x, Qualifier.LENT) for x in lent] + [(x, Qualifier.MUT) for x in mut]
+    ))
+    scope = sorted(outer) + sorted(frozenset(lent + mut))
+
+    def term():
+        e = IntLit(0)
+        for x in sorted(draw(st.sets(st.sampled_from(scope), max_size=3))):
+            e = Plus(e, Var(x))
+        return e
+
+    decls = tuple(Decl(RefType(q, "C"), x, term()) for x, q in local)
+    block = Block(decls, term())
+    gamma = Gamma(dict(outer, **{d.name: stored_type(d.dtype) for d in decls}))
+    fails = draw(st.lists(st.integers(0, len(decls)), min_size=1, max_size=20))
+    lent_locals = [x for x, q in local if q is Qualifier.LENT]
+    return (block, gamma, restricted, lent_locals, base), fails
+
+
+def searched(search_cls, args, fails):
+    """The groups of every context the search yields, premise fails[k] (in
+    turn) failing under the k-th."""
+    search, out = search_cls(*args), []
+    for ctx in search:
+        search.failed(fails[len(out) % len(fails)])
+        out.append(ctx.groups)
+    return out
+
+
+class TestPrunedSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(search_cases())
+    def test_same_sequence_as_the_flat_filter(self, case):
+        """Pruning the prefixes whose completions all repeat a nogood
+        yields what enumerating every candidate and testing its keys
+        yields, for any sequence of failed premises."""
+        args, fails = case
+        assert searched(typecheck._GroupSearch, args, fails) == searched(
+            FlatFilterSearch, args, fails
+        )
 
 
 def first_labellings(base, bits):
