@@ -60,9 +60,7 @@ names alone.  `wf_context` of its candidates asks whether a restricted
 name outside the names is a mut name in no group (the last part); its
 other conditions hold outside the names in every context derived from a
 well-formed one.  So two contexts with the same projection give the term
-the same search step for step.  The tests keep the projection as code:
-contexts with the same projection give a premise the same nogood key
-(`_group_part`, below).
+the same search step for step.
 
 The promotions, and a consumption (`Checker._try_consume`), have no note:
 a certifier recomputes a promotion's premise context from the
@@ -97,52 +95,37 @@ judgment holds no context (a premise's follows from the root context and
 the rules and notes above it), so a kept judgment is the one a fresh
 Checker builds, with the same terms, results and rules.
 
-A block's lent locals are grouped by search: `check_block` tries candidate
-group assignments until one types every declaration and the body.  They
-come in one fixed order (`_group_candidates`), with no guessed candidate
-first: each set partition of the locals once, in the order in which it
-first appears among the tuples of itertools.product (`_partitions`), then
-the same again with mut locals joining base groups.  The search is pruned
-by conflict (Prosser, 1993): when a premise fails, its nogood key
-(`_group_part`) is kept for the rest of the `check_block` call, and no
-later candidate with a premise of the same key is checked.  Within the call
-gamma and the restricted set are fixed, and the key holds what the
-premise's verdict can depend on: the parts of the groups that meet the
-names it mentions, in order, and of the mutable group, as its projection
-has them; of the other groups only which kinds occur, swappable (no
-restricted member) or holding a restricted member.
+A block's lent locals are grouped by one sharing pass, not by search
+(`_Sharing`, a union-find as in Steensgaard, POPL 1996; sharing as in
+Bianchini et al., OOPSLA 2022).  It walks each initializer and the body
+once and links names that a rule forces into one group: the members of
+each base group, which the block's context fixes; a mut local, lent ones
+included, with the names its initializer's result may be, since the
+premise is checked against mut, a lent local's with only its own group
+mutable (`_premise_context`), and a swap weakens its result to lent; and
+the names at the mut positions of one term (the receiver and value of a
+mut-field assignment, the mut-field arguments of a `new`, a call's mut
+receiver and arguments), since each needs its names in the mutable group
+and a swap makes one group mutable.  A result may be a name through mut
+fields (a mut-field read, a `new`, a call with a mut result); an int, imm,
+capsule or read result links nothing, and a nested block's local stands
+for its initializer's names.
 
-No rule reads a member of a group the term does not mention (`_var` and
-`_receiver_type` read named ones), so such a group enters the term's
-search only as a swap target, or as a base group that a nested lent local
-may join, and any group of the same kind serves.  A swap makes it the
-mutable group, with no named member, members beyond the names and none
-restricted, whichever group it is, and turns the old mutable group into
-a lent group alike; a swap of a second such group inside leads to a
-context of the same key again, and only weakens the result.  A nested
-lent local that joins such a group may as well form a group of its own,
-also a candidate: the two differ only in members beyond the nested
-premises' names, and in the restricted kind also in being closed to
-swaps, which only takes search options away.  The promotions and
-unrestriction change the kind of every group alike.  So equal keys give
-a premise the same verdict, though not the same search step for step;
-a candidate skipped would have failed, so the same candidate succeeds
-first and the same first failure is reported as without pruning.  A
-spent budget is no verdict: the pruned search may answer where the
-unpruned one runs out.
-
-Such candidates are not generated: the lent phase drops each prefix of
-`_partitions` whose completions all repeat a kept key (`_GroupSearch`), as
-CDCL solvers do (GRASP, Marques-Silva & Sakallah, 1999).  Keys are added
-only while the search waits on a candidate, so a dropped candidate is one
-the test of its keys would skip, and the candidates checked are the same.
-Candidates are integer masks, and a context is built only for one that is
-checked.
+The first candidate is the base groups in order, each with the lent locals
+of the classes whose first swappable base group (no restricted member) it
+is, then one new group for the lent locals of each other class, in order
+of its first local.  So a class that meets two base groups goes into the
+first, and no local joins a group its premise could not swap, so every
+premise context is well-formed.  A block with no lent locals gets its base
+groups alone, with no pass.  When the first candidate fails and mut locals
+may join base groups (`_fallback_locals`), the second joins them, a pure
+weakening (`_Sharing.groups`).  So check_block checks at most two
+candidates.  The links over-approximate what a derivation needs, so the
+tests compare verdicts with an oracle that checks every set partition.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -167,6 +150,7 @@ from .syntax import (
     Type,
     Var,
     block_gamma,
+    children,
     free_vars,
     is_evaluated,
     map_children,
@@ -188,7 +172,6 @@ from .context import (
 )
 
 DEFAULT_BUDGET = 100_000
-MAX_LENT_LOCALS = 6
 
 
 class TypeCheckError(Exception):
@@ -242,112 +225,6 @@ def _weaken(t: Type) -> Type:
     if isinstance(t, RefType) and t.qualifier is Qualifier.MUT:
         return RefType(Qualifier.LENT, t.cname)
     return t
-
-
-def _partitions(groups: tuple, bits: list, dead=None):
-    """The groups (masks) with each of bits, in order, joining one of them
-    or a new group after them: the first bit each group in turn, then a new
-    one, and so on for the rest.  Each set partition comes once, in the
-    order in which it first appears among the tuples of
-    itertools.product(range(len(groups) + len(bits)), repeat=len(bits)),
-    tuple position i naming the group of bits[i] and new groups numbered in
-    order of first use.
-
-    dead(groups, free), when given, is asked of each prefix as it is built,
-    free the mask of the bits still to place; a prefix it calls dead is
-    dropped with its completions."""
-    if not bits:
-        yield groups
-        return
-    x, rest = bits[0], bits[1:]
-    free = 0
-    for y in rest:
-        free |= y
-    for j in range(len(groups) + 1):
-        g = groups[:j] + (groups[j] | x,) + groups[j + 1:] if j < len(groups) else (
-            groups + (x,)
-        )
-        if dead is None or not dead(g, free):
-            if rest:
-                yield from _partitions(g, rest, dead)
-            else:
-                yield g
-
-
-def _group_candidates(lent_locals, base_groups, eligible, bits, dead=None):
-    """Group assignments for a block's locals, each a tuple of groups as
-    masks over bits (`_Bits`): the base groups in order, perhaps extended,
-    then new groups in order of first use.
-
-    First every assignment of the lent locals to base groups or to new
-    groups among themselves, each set partition once (`_partitions`); with
-    no lent locals, the base groups alone.  As a last resort the eligible
-    mut locals (`_fallback_locals`) may join base groups too: a pure
-    weakening (a grouped variable is usable as lent) which some store
-    shapes produced by reduction need; one with no bit is not mut in gamma
-    (a later declaration retyped it) and joins none.  Base groups are
-    disjoint and non-empty, so no candidate repeats.  A candidate whose
-    groups overlap (a name declared twice, placed in two groups) is not
-    yielded: masks are disjoint exactly when their sum is their union,
-    which is known before the candidate is built.
-
-    dead, when given, prunes the prefixes of the first phase, and is asked
-    of each whole candidate of the last: mut locals that join base groups
-    leave the mutable group, which a prefix then does not fix.
-    """
-    base = tuple(map(bits.mask, base_groups))
-    union = bits.mask(lent_locals) | sum(base)
-    lent_bits = [bits.bit[x] for x in lent_locals]
-    for groups in _partitions(base, lent_bits, dead):
-        if sum(groups) == union:
-            yield groups
-    if not eligible:
-        return
-    # the lent-local candidates, again for every fallback choice
-    lent = [g for g in _partitions(base, lent_bits) if sum(g) == union]
-    k = len(base)
-    for choice in itertools.product(*[
-        (None,) + touched if x in bits.bit else (None,) for x, touched in eligible
-    ]):
-        if all(c is None for c in choice):
-            continue
-        extra, whole = [0] * k, union
-        for (x, _), c in zip(eligible, choice):
-            if c is not None:
-                extra[c] |= bits.bit[x]
-                whole |= bits.bit[x]
-        for lent_groups in lent:
-            groups = tuple(map(int.__or__, lent_groups, extra)) + lent_groups[k:]
-            if sum(groups) == whole and (dead is None or not dead(groups, 0)):
-                yield groups
-
-
-class _Bits:
-    """A bit index of names: each name one bit, a set of them one int (a
-    mask).  The frozenset of a mask is built on first use and kept; sets
-    given at the start are kept as they are."""
-
-    __slots__ = ("names", "bit", "_sets")
-
-    def __init__(self, names, sets=()):
-        self.names = tuple(names)
-        self.bit = {x: 1 << i for i, x in enumerate(self.names)}
-        self._sets = {self.mask(g): g for g in sets}
-
-    def mask(self, names) -> int:
-        """The mask of names; a name with no bit is left out."""
-        bit, m = self.bit, 0
-        for x in names:
-            m |= bit.get(x, 0)
-        return m
-
-    def set(self, m: int) -> frozenset:
-        s = self._sets.get(m)
-        if s is None:
-            s = self._sets[m] = frozenset(
-                [x for i, x in enumerate(self.names) if m >> i & 1]
-            )
-        return s
 
 
 _LEAVES = (Var, IntLit)
@@ -639,8 +516,8 @@ class Checker:
         self, ctx: TypeContext, block: Block, goal: Optional[Type]
     ) -> Judgment:
         """A block's premises (its initializers, then its body) under the
-        first candidate group assignment that types them all, in the order
-        `_GroupSearch` gives them, told of each failed premise.  The block
+        first of its candidate group assignments (`_candidates`) that types
+        them all; the first candidate's failure when none does.  The block
         of the query's root state, in the state's context, keeps the
         judgments of its premises, the body's included, from the last
         query's block (`RootState`, see the module docstring)."""
@@ -658,28 +535,20 @@ class Checker:
                     raise _untyped(d)
                 dom[d.name] = stored_type(d.dtype)
             gamma = ctx.gamma.updated(dom)
-            lent_locals = [
-                d.name for d in decls if _qualifier(d.dtype) is Qualifier.LENT
-            ]
+            lent = [d.name for d in decls if _qualifier(d.dtype) is Qualifier.LENT]
         else:
             if root.untyped:
                 raise _untyped(root.scope.held(root.untyped)[0])
             dom, gamma = root.scope.env, root.gamma
-            lent_locals = [d.name for d in root.scope.held(root.lent)]
+            lent = [d.name for d in root.scope.held(root.lent)]
         env = gamma.env
         base_groups = tuple(h for h in (g.difference(dom) for g in ctx.groups) if h)
         restricted = ctx.restricted.difference(dom)
-        if len(lent_locals) > MAX_LENT_LOCALS:
-            raise SearchExhausted(
-                f"block has {len(lent_locals)} lent locals (cap {MAX_LENT_LOCALS})",
-                block.span,
-            )
         # premise i < len(decls) checks declaration i, premise len(decls)
         # the body, each against the same goal for every candidate
-        search = _GroupSearch(block, gamma, restricted, lent_locals, base_groups)
         n = len(decls)
         first: Optional[_Failure] = None
-        for ctx_body in search:
+        for ctx_body in self._candidates(block, gamma, restricted, lent, base_groups):
             todo = None if root is None else root.to_check(ctx_body, goal)
             if todo is None:
                 todo, premises = range(n + 1), [None] * (n + 1)
@@ -699,7 +568,6 @@ class Checker:
                     premises[i] = fresh[i] = j
             except IllTyped as err:
                 first = first or _Failure(err)
-                search.failed(i)
                 continue
             if root is not None:
                 root.keep(ctx_body, goal, fresh)
@@ -715,6 +583,24 @@ class Checker:
         raise first.error() if first else IllTyped(
             "no lent-group assignment typechecks", block.span
         )
+
+    def _candidates(self, block, gamma, restricted, lent, base):
+        """The contexts check_block tries for a block, at most two (see the
+        module docstring).  None when the first is not well-formed; the
+        second is when the first is: it places each lent local in one group,
+        and adds names mut in gamma and in no group to swappable groups."""
+        sharing = _Sharing(self.table, block, gamma, base) if lent else None
+        groups = sharing.groups(base, lent, restricted) if sharing else base
+        ctx_body = TypeContext(gamma, groups, restricted)
+        if not wf_context(ctx_body):
+            return
+        yield ctx_body
+        eligible = base and _fallback_locals(block, base)
+        if eligible:
+            sharing = sharing or _Sharing(self.table, block, gamma, base)
+            joined = sharing.groups(base, lent, restricted, eligible, gamma.muts())
+            if joined != groups:
+                yield TypeContext(gamma, joined, restricted)
 
     def _try_consume(self, block: Block, d: Decl, gamma: dict):
         """A capsule (or imm) declaration may consume a sibling local together
@@ -817,218 +703,132 @@ def _untyped(d: Decl) -> IllTyped:
     return IllTyped(f"declaration {d.name} lacks a type (unresolved sugar)", d.span)
 
 
-def _premise_term(block: Block, i: int) -> Expr:
-    return block.decls[i].init if i < len(block.decls) else block.body
-
-
 def _fallback_locals(block: Block, base_groups) -> list:
-    """The mut locals that may join base groups as a last resort
-    (`_group_candidates`): each whose initializer refers into a
-    base group, with the indices of those groups; none when there are more
-    than MAX_LENT_LOCALS of them."""
-    inits = {d.name: d.init for d in block.decls}
-    eligible = []  # (name, tuple of touched base-group indices)
-    for d in block.decls:
-        if _qualifier(d.dtype) is Qualifier.MUT:
-            touched = tuple(
-                i for i, g in enumerate(base_groups) if free_vars(inits[d.name]) & g
-            )
-            if touched:
-                eligible.append((d.name, touched))
-    return eligible if len(eligible) <= MAX_LENT_LOCALS else []
+    """The mut locals that may join base groups when the first candidate
+    fails: each whose (last) initializer refers into base groups, with
+    the indices of those groups."""
+    fv = {d.name: free_vars(d.init) for d in block.decls}
+    touched = [
+        (d.name, tuple(i for i, g in enumerate(base_groups) if fv[d.name] & g))
+        for d in block.decls if _qualifier(d.dtype) is Qualifier.MUT
+    ]
+    return [(x, t) for x, t in touched if t]
 
 
-def _group_part(
-    groups: tuple, own: int, names: int, muts: int, restricted: int
-) -> tuple:
-    """The nogood key of a premise under a candidate's groups, on masks
-    (see the module docstring).  own is the bit of the premise's local,
-    whose group its premise context swaps with the mutable group
-    (`_premise_context`; 0 for the body); names is the mask of the names
-    the premise mentions, muts that of gamma's mut names and restricted
-    that of the restricted names outside names.  The key is the part of
-    each group that meets the names, in order, then the mutable group's,
-    each packed into one int: its members among the names, whether it has
-    others, and whether those include restricted names.  The mutable
-    group's members among the names follow from gamma and the groups'.
-    Last comes one int of which kinds occur among the groups that meet
-    none of the names: bit 0 for a swappable one (no restricted member),
-    bit 1 for one holding a restricted name."""
-    mg = muts & ~sum(groups)  # the groups are disjoint: their sum is their union
-    if own:
-        for j, g in enumerate(groups):
-            if g & own:
-                groups = groups[:j] + groups[j + 1:] + ((mg,) if mg else ())
-                mg = g
-                break
-    key, kinds = [], 0
-    for g in groups:
-        n = g & names
-        if n:
-            key.append(n << 2 | (g != n) << 1 | (g & restricted != 0))
-        else:  # non-empty, so its part would be 0b10 or 0b11
-            kinds |= 2 if g & restricted else 1
-    n = mg & names
-    key.append(n << 2 | (mg != n) << 1 | (mg & restricted != 0))
-    key.append(kinds)
-    return tuple(key)
+class _Sharing:
+    """The sharing classes of one block's names, a union-find built in one
+    walk of its initializers and body (see the module docstring)."""
 
+    def __init__(self, table: ClassTable, block: Block, gamma, base_groups):
+        self.table = table
+        self.parent: dict = {}  # name -> its parent in its class's tree
+        for g in base_groups:
+            self._link(g)
+        for d in block.decls:
+            names = self._names(d.init, gamma.env, {})
+            self._link(names | {d.name} if d.name in gamma.muts() else ())
+        self._names(block.body, gamma.env, {})
 
-def _completions(groups: tuple, free: int, owns: int, names: list, restricted: int):
-    """Completions of a prefix of the lent phase, groups with the lent bits
-    of free still to place, such that any completion gives the premises
-    asked the nogood keys that one of these gives them (names: the mask of
-    the names each mentions, none in free; owns: their locals' bits).
-    Lent locals are never restricted and the mutable group is fixed, so a
-    free bit other than an own only turns key bits on: "has others" in a
-    group that meets a premise's names and holds nothing else (a target),
-    and, as a new group, the swappable kind, unless a group that meets no
-    names and holds no restricted name and no own has it already.  So the
-    owns are placed in every way, and the other bits go one to each of
-    every set of targets, the rest to its first; for the empty set, all to
-    a group where they turn nothing on."""
-    spare, placed = [], []  # the free bits, one by one
-    while free:
-        b = free & -free
-        (placed if b & owns else spare).append(b)
-        free ^= b
-    seen = 0
-    for m in names:
-        seen |= m
-    r = len(spare)
-    for gs in _partitions(groups, placed):
-        if not r:
-            yield gs
-            continue
-        n = len(gs)
-        targets, sinks, fresh = [], [], False
-        for j, g in enumerate(gs):
-            for m in names:
-                if g & m and not g & ~m:
-                    targets.append(j)
-                    break
+    def find(self, x: str) -> str:
+        parent = self.parent
+        while parent.get(x, x) != x:  # halving the path on the way
+            parent[x] = x = parent.get(parent[x], parent[x])
+        return x
+
+    def _link(self, names) -> None:
+        roots = [self.find(x) for x in names]
+        for c in roots[1:]:
+            self.parent[c] = roots[0]
+
+    def groups(self, base, lent, restricted, joining=(), muts=()) -> tuple:
+        """A candidate's groups (see the module docstring).  joining, the
+        eligible locals of `_fallback_locals`, puts each that is mut in
+        gamma (muts) and no lent local into its class's base group, if its
+        initializer names it.  A class with none but with a lent local takes
+        the first swappable one its first eligible local names: the lent
+        locals must share a group with it, and it joins no new group."""
+        first: dict = {}  # class -> the index of its base group
+        for i, g in enumerate(base):
+            if restricted.isdisjoint(g):
+                first.setdefault(self.find(next(iter(g))), i)
+        lent_classes = {self.find(x) for x in lent}
+        extra: dict = {}  # base-group index -> the locals that join it
+        for x, touched in joining:
+            if x in muts and x not in lent:
+                c = self.find(x)
+                swappable = [i for i in touched if restricted.isdisjoint(base[i])]
+                if c not in first and c in lent_classes and swappable:
+                    first[c] = swappable[0]
+                if first.get(c) in touched:
+                    extra.setdefault(first[c], set()).add(x)
+        new: dict = {}  # class -> its lent locals, in order of its first
+        for x in lent:
+            c = self.find(x)
+            if c in first:
+                extra.setdefault(first[c], set()).add(x)
             else:
-                sinks.append(j)
-                fresh = fresh or not g & (seen | restricted | owns)
-        (sinks if fresh else targets).append(n)  # a new group
-        for t in range(min(r, len(targets)) + 1):
-            for hit in itertools.combinations(targets, t):
-                if not hit:
-                    if not sinks:
-                        continue  # every bit turns a bit on
-                    hit = sinks[:1]
-                out = [*gs, 0]
-                for i, b in enumerate(spare):
-                    out[hit[i] if i < t else hit[0]] |= b
-                yield tuple(out) if out[n] else tuple(out[:n])
+                new.setdefault(c, set()).add(x)
+        return tuple(
+            g.union(extra[i]) if i in extra else g for i, g in enumerate(base)
+        ) + tuple(map(frozenset, new.values()))
+
+    def _names(self, e: Expr, env: dict, sub: dict) -> frozenset:
+        """The mut names e's result may be, through mut fields, in gamma env
+        with each nested block's local standing for its initializer's names
+        (sub); the names at each mut position of e are linked on the way."""
+        cls, table = e.__class__, self.table
+        if cls is Var:
+            own = frozenset((e.name,)) if _is_mut(env.get(e.name)) else frozenset()
+            return sub.get(e.name, own)
+        if cls is Block:
+            env, sub = block_gamma(env, e.decls), dict(sub)
+            for d in e.decls:
+                names = self._names(d.init, env, sub)
+                sub[d.name] = names if _is_mut(env.get(d.name)) else frozenset()
+            return self._names(e.body, env, sub)
+        if cls is FieldAccess or cls is FieldAssign:
+            names = self._names(e.recv, env, sub)
+            mut = _is_mut(self._lookup(env, e, lambda c: _field_type(table, c, e)))
+            if cls is FieldAssign:
+                names = names | self._names(e.value, env, sub)
+                if mut:
+                    self._link(names)
+            return names if mut else frozenset()
+        # each subterm, and whether it sits at a mut position
+        if cls is New:
+            args, ret = e.args, RefType(Qualifier.MUT, e.cname)
+            fields = table.fields(e.cname) if e.cname in table else ()
+            muts = [_is_mut(ft) for ft, _ in fields]
+        elif cls is MethodCall or cls is StaticCall:
+            static = cls is StaticCall
+            args, muts, ret = e.args if static else (e.recv, *e.args), [], None
+            sig = self._lookup(env, e, lambda c: _method(table, c, e))
+            if sig is not None:
+                muts = [] if static else [sig.this_qual is Qualifier.MUT]
+                muts += [_is_mut(pt) for pt, _ in sig.params]
+                ret = sig.ret
+        else:  # an int literal or a sum
+            args, muts, ret = children(e), [], None
+        out = set()
+        for k, a in enumerate(args):
+            names = self._names(a, env, sub)
+            if k < len(muts) and muts[k]:
+                out |= names
+        self._link(out)
+        return frozenset(out) if _is_mut(ret) else frozenset()
+
+    def _lookup(self, env: dict, e: Expr, f):
+        """f of e's class (a static call's, or its receiver's), or None."""
+        try:
+            if e.__class__ is StaticCall:
+                return f(e.cname)
+            return f(_receiver_type(self.table, env, e.recv).cname)
+        except IllTyped:
+            return None
 
 
-class _GroupSearch:
-    """The candidate contexts of one `Checker.check_block` call, in the
-    order of `_group_candidates`, but for each with a premise whose nogood
-    key (`_group_part`) is that of a failed one; check_block reports each
-    failed premise (`failed`).  The key leaves out how the groups that
-    meet none of the premise's names are split, so the candidates that
-    differ only there go together (see the module docstring).  A prefix
-    of the lent phase is dropped when the premises whose names are placed
-    repeat a failed check under each of `_completions`; one with a single
-    local left is not asked, its completions are.  A block with no lent
-    locals has one candidate, its base groups, made a context at once;
-    masks (`_Bits`) come only when it fails and mut locals may join groups
-    (`_fallback_locals`).
-
-    Well-formedness is decided once per call.  Within one call gamma, its
-    lent count, the restricted set and the base groups are fixed, and
-    neither the base groups nor the restricted set hold a name the block
-    declares.  Each base-group member and each lent local is in a group of
-    every candidate, and a restricted name is in a group exactly when it
-    is in a base group.  So `wf_context` of a candidate is that of the base
-    groups plus one group of all lent locals, but for two cases of a name
-    declared twice: placed in two groups, which `_group_candidates` tests
-    on masks; or a fallback mut local that a later declaration retyped,
-    which has no bit and joins no group there."""
-
-    __slots__ = ("block", "gamma", "restricted", "lent_locals", "base_groups",
-                 "_failed")
-
-    def __init__(self, block, gamma, restricted, lent_locals, base_groups):
-        self.block = block
-        self.gamma = gamma
-        self.restricted = restricted
-        self.lent_locals = lent_locals
-        self.base_groups = base_groups
-        self._failed = None
-
-    def failed(self, i: int) -> None:
-        """Premise i failed under the last candidate."""
-        self._failed = i
-
-    def __iter__(self):
-        gamma, restricted = self.gamma, self.restricted
-        block, lent_locals, base_groups = self.block, self.lent_locals, self.base_groups
-        ctx_body = TypeContext(
-            gamma,
-            base_groups + (frozenset(lent_locals),) if lent_locals else base_groups,
-            restricted,
-        )
-        if not wf_context(ctx_body):
-            return
-        if not lent_locals:
-            yield ctx_body  # the base groups
-        eligible = base_groups and _fallback_locals(block, base_groups)
-        if not lent_locals and not eligible:
-            return
-        bits = _Bits(gamma.muts(), base_groups)
-        muts, rst = (1 << len(bits.names)) - 1, bits.mask(restricted)
-        decls = block.decls
-        # premise index -> its arguments of _group_part, and the nogood keys
-        # of its failed checks
-        nogoods: dict = {}
-
-        def record(groups):  # the premise that failed under groups
-            i, self._failed = self._failed, None
-            if i is None:
-                return
-            p = nogoods.get(i)
-            if p is None:
-                own = bits.bit.get(decls[i].name, 0) if i < len(decls) else 0
-                names = bits.mask(mentions(_premise_term(block, i)))
-                p = nogoods[i] = ((own, names, muts, rst & ~names), set())
-            p[1].add(_group_part(groups, *p[0]))
-
-        def dead(groups, free):  # every completion repeats a failed check
-            if not nogoods:
-                return False
-            if free:
-                free &= ~sum(groups)  # a name declared twice rejoins its group
-            if not free:  # a candidate, or its one completion
-                for p, known in nogoods.values():
-                    if _group_part(groups, *p) in known:
-                        return True
-                return False
-            if not free & (free - 1):
-                return False  # its completions are asked one by one
-            asked = [(p, known) for p, known in nogoods.values() if not p[1] & free]
-            if not asked:
-                return False
-            owns = 0
-            for p, _ in asked:
-                owns |= p[0]
-            names = [p[1] for p, _ in asked]
-            for out in _completions(groups, free, owns, names, rst):
-                for p, known in asked:
-                    if _group_part(out, *p) in known:
-                        break
-                else:
-                    return False
-            return True
-
-        candidates = _group_candidates(lent_locals, base_groups, eligible, bits, dead)
-        if not lent_locals:
-            record(next(candidates))  # the base groups, checked above
-        for groups in candidates:
-            yield TypeContext(gamma, tuple(map(bits.set, groups)), restricted)
-            record(groups)
+def _is_mut(t) -> bool:
+    return _qualifier(t) is Qualifier.MUT
 
 
 # ---------------------------------------------------------------------------

@@ -168,21 +168,32 @@ class TestCheck:
         assert main(["check", write(tmp_path, plus_chain(2000))]) == EXIT_RESOURCE
         assert_diagnostic(capsys.readouterr().err, "resource exhausted: ")
 
-    def test_lent_cap_names_the_block(self, tmp_path, capsys):
-        # a block with one lent local more than the search admits: the
-        # diagnostic gives the block's location (where its first declaration
-        # starts), as a type error does; a spent budget has no location
-        lent = " ".join(f"lent D z{i} = new D({i});" for i in range(1, 8))
-        src = f"class D {{ int f; }}\ncapsule D y = {{ {lent} new D(0) }};\ny\n"
-        path = write(tmp_path, src)
-        assert main(["check", path]) == EXIT_RESOURCE
-        assert capsys.readouterr().err == (
-            "search exhausted: block has 7 lent locals (cap 6) at 2:17\n"
-        )
-        assert main(["check", path, "--budget", "0"]) == EXIT_RESOURCE
-        assert capsys.readouterr().err == (
-            "search exhausted: search budget of 0 nodes exhausted\n"
-        )
+    def test_lent_locals_have_no_cap(self, tmp_path, capsys):
+        # a capsule block of k lent locals, the last storing the first into
+        # the outer x: every k gets a verdict, a leak of the first into the
+        # capsule a type error at its location; a spent budget has none
+        cases = ((7, False, EXIT_OK), (40, False, EXIT_OK), (40, True, EXIT_TYPE))
+        for k, leak, code in cases:
+            lent = " ".join(f"lent D z{i} = new D({i});" for i in range(1, k))
+            body = "z1" if leak else "w"
+            src = (
+                "class D { int f; }\nclass C { mut D f1; mut D f2; }\n"
+                "mut D z = new D(1);\nmut C x = new C(z, z);\n"
+                f"capsule C y = {{ {lent} lent D u = (x.f1 = z1); "
+                f"mut D w = new D(0); new C({body}, {body}) }};\ny\n"
+            )
+            path = write(tmp_path, src)
+            assert main(["check", path]) == code
+            err = capsys.readouterr().err
+            if leak:
+                assert re.fullmatch(r"type error: no derivation for goal mut C at 5:\d+\n",
+                                    err)
+            else:
+                assert err == ""
+            assert main(["check", path, "--budget", "0"]) == EXIT_RESOURCE
+            assert capsys.readouterr().err == (
+                "search exhausted: search budget of 0 nodes exhausted\n"
+            )
 
 
 class TestRun:

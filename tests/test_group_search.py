@@ -1,56 +1,50 @@
-"""The lent-group search against an unpruned oracle.
+"""Lent groups from the sharing pass against an unpruned oracle.
 
-`Checker.check_block` enumerates each set partition of a block's lent
-locals once (`typecheck._partitions`), and skips a candidate when one of
-its premises repeats a check that already failed under the same nogood key
-(`typecheck._group_part`: the groups the premise mentions, the mutable
-group, and which kinds of other group occur); it drops a prefix of the
-enumeration once every completion would be skipped.  `FlatFilterSearch`
-tests every candidate's keys instead, and must yield the same contexts.
-`Checker._check` does not try the group swap for a mut goal, which it can
-never conclude.
-`UnprunedChecker` is the search as it was before: every tuple of
-`itertools.product` with duplicates dropped after sorting, every candidate
-checked in full, and the swap tried for every goal.  Both must reach the
-same verdict, message, span, derivation (rules and notes included), and
-the pruned search may not spend more ticks; an oracle that spends its
-budget is asked again with a larger one.  The oracle cuts its notes
-from its own groups as the checker does: a swap's to the swapped group's
-members the term mentions, a block's to each group's members the block
-mentions.
+`Checker.check_block` checks at most two candidate group assignments for a
+block (`Checker._candidates`): the lent locals placed by the block's
+sharing classes (`typecheck._Sharing`), then, if that fails, the same with
+the eligible mut locals joined to base groups.  `Checker._check` does not
+try the group swap for a mut goal, which it can never conclude.
+
+`UnprunedChecker` is the search as it was before: the checker's own
+candidates first, then every tuple of `itertools.product` with duplicates
+dropped after sorting, every candidate checked in full, and the swap tried
+for every goal.  Both must reach the same verdict, message, span,
+derivation (rules and notes included), and the checker may not spend more
+ticks; an oracle that spends its budget is asked again with a larger one.
+The oracle cuts its notes from its own groups as the checker does: a
+swap's to the swapped group's members the term mentions, a block's to each
+group's members the block mentions.  `PlainOrderChecker` is the same
+oracle without the checker's candidates first; it must reach the same
+verdicts, which says that no candidate the pass leaves out would type a
+block the pass rejects.
 """
 
 import itertools
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from capslang import typecheck
-from capslang.context import Gamma
+from capslang.context import Gamma, _premise_context
 from capslang.generator import GenConfig, gen_source
 from capslang.syntax import (
-    INT, Block, Decl, FieldAccess, FieldAssign, IntLit, New, Plus, Qualifier,
-    RefType, Var,
+    INT, Block, Decl, FieldAccess, IntLit, New, Qualifier, RefType, Var,
     children, free_vars, mentions, stored_type, subtype,
 )
 from capslang.typecheck import (
     DEFAULT_BUDGET,
-    MAX_LENT_LOCALS,
     Checker,
     IllTyped,
     Judgment,
     TypeCheckError,
     TypeContext,
-    _Bits,
     _Failure,
     _IN_PROGRESS,
-    _fallback_locals,
-    _group_candidates,
-    _group_part,
-    _partitions,
-    _premise_term,
+    _Sharing,
     _weaken,
     method_context,
     wf_context,
@@ -78,6 +72,10 @@ def place(base_groups, names, assignment):
     )
 
 
+def quals_of(d):
+    return getattr(d.dtype, "qualifier", None)
+
+
 def product_candidates(names, base_groups):
     """Every assignment of names to base groups or new slots in
     itertools.product order, dropping a candidate whose sorted form was seen
@@ -92,63 +90,16 @@ def product_candidates(names, base_groups):
             yield out
 
 
-class FlatFilterSearch(typecheck._GroupSearch):
-    """The reference of `_GroupSearch`: every candidate of
-    `_group_candidates` enumerated in full, then skipped when one of its
-    premises has the nogood key of a failed check.  The checker's search
-    prunes the prefixes of `_partitions` instead, and must yield the same
-    contexts in the same order."""
-
-    def __iter__(self):
-        gamma, restricted = self.gamma, self.restricted
-        block, lent_locals, base_groups = self.block, self.lent_locals, self.base_groups
-        ctx_body = TypeContext(
-            gamma,
-            base_groups + (frozenset(lent_locals),) if lent_locals else base_groups,
-            restricted,
-        )
-        if not wf_context(ctx_body):
-            return
-        if not lent_locals:
-            yield ctx_body
-        eligible = base_groups and _fallback_locals(block, base_groups)
-        if not lent_locals and not eligible:
-            return
-        bits = _Bits(gamma.muts(), base_groups)
-        muts, rst = (1 << len(bits.names)) - 1, bits.mask(restricted)
-        decls = block.decls
-        premises: dict = {}
-        nogoods: dict = {}
-
-        def part(groups, i):
-            p = premises.get(i)
-            if p is None:
-                own = bits.bit.get(decls[i].name, 0) if i < len(decls) else 0
-                names = bits.mask(mentions(_premise_term(block, i)))
-                p = premises[i] = (own, names, muts, rst & ~names)
-            return _group_part(groups, *p)
-
-        candidates = _group_candidates(lent_locals, base_groups, eligible, bits)
-        if not lent_locals:
-            last = next(candidates)
-        for groups in candidates:
-            i, self._failed = self._failed, None
-            if i is not None:
-                nogoods.setdefault(i, set()).add(part(last, i))
-            for i, known in nogoods.items():
-                if part(groups, i) in known:
-                    break
-            else:
-                last = groups
-                yield TypeContext(gamma, tuple(map(bits.set, groups)), restricted)
-
-
 class UnprunedChecker(Checker):
-    """The oracle: product-plus-dedup enumeration, every candidate's
-    premises checked in full until one candidate succeeds, and the group
-    swap tried for a mut goal too.  It records the goal of every judgment
-    the swap concludes in `swap_goals`, and how many swaps it tried for a
-    mut goal in `mut_swaps`."""
+    """The oracle: the checker's candidates (`Checker._candidates`) first,
+    then product-plus-dedup enumeration, every candidate's premises checked
+    in full until one candidate succeeds, and the group swap tried for a
+    mut goal too.  It records the goal of every judgment the swap concludes
+    in `swap_goals`, and how many swaps it tried for a mut goal in
+    `mut_swaps`."""
+
+    # the checker's candidates come first (PlainOrderChecker: they do not)
+    checker_first = True
 
     def __init__(self, table, budget=None):
         super().__init__(table, budget)
@@ -205,14 +156,25 @@ class UnprunedChecker(Checker):
         gamma_items = tuple(sorted(gamma.items()))
         base_groups = tuple(g - dom for g in ctx.groups if g - dom)
         restricted = ctx.restricted - dom
-        quals = {d.name: getattr(d.dtype, "qualifier", None) for d in decls}
+        quals = {d.name: quals_of(d) for d in decls}
         lent_locals = [x for x, q in quals.items() if q is Qualifier.LENT]
         mut_locals = [x for x, q in quals.items() if q is Qualifier.MUT]
-        if len(lent_locals) > MAX_LENT_LOCALS:
-            return super().check_block(ctx, block, goal)  # raises SearchExhausted
         first = None
-        candidates = self._group_candidates(block, lent_locals, base_groups, mut_locals)
+        ours = []
+        if self.checker_first:  # as check_block asks for them
+            ours = [c.groups for c in self._candidates(
+                block, Gamma(dict(gamma_items)), restricted,
+                [d.name for d in decls if quals_of(d) is Qualifier.LENT],
+                base_groups,
+            )]
+        emitted = set()
+        candidates = itertools.chain(
+            ours, self._group_candidates(block, lent_locals, base_groups, mut_locals)
+        )
         for groups in candidates:
+            if _norm(groups) in emitted:
+                continue
+            emitted.add(_norm(groups))
             ctx_body = TypeContext(Gamma(dict(gamma_items)), groups, restricted)
             if not wf_context(ctx_body):
                 continue
@@ -249,8 +211,6 @@ class UnprunedChecker(Checker):
             )
             if touched:
                 eligible.append((x, touched))
-        if not eligible or len(eligible) > MAX_LENT_LOCALS:
-            return
         for choice in itertools.product(*[(None,) + t for _, t in eligible]):
             if all(c is None for c in choice):
                 continue
@@ -266,6 +226,13 @@ class UnprunedChecker(Checker):
                 if _norm(out) not in emitted:
                     emitted.add(_norm(out))
                     yield out
+
+
+class PlainOrderChecker(UnprunedChecker):
+    """The oracle in its own order alone, as the search was before the
+    sharing pass: it does not try the checker's candidates first."""
+
+    checker_first = False
 
 
 def derivation(j):
@@ -312,23 +279,35 @@ def outcomes(p, checker_cls):
 ORACLE_BUDGET = 1_000_000
 
 
-def assert_same_as_oracle(sources):
+def assert_same_as_oracle(sources, oracle=UnprunedChecker):
     """Same outcome and no more ticks.  Where the oracle spends its default
     budget, it is asked again with ORACLE_BUDGET ticks, and must reach a
-    verdict: the largest searches are compared too."""
+    verdict: the largest searches are compared too.  Against
+    PlainOrderChecker only the verdicts are compared: which rejection is
+    reported first, and which accepting candidate, depend on the order."""
     for src in sources:
         p = load(src)
-        pruned, oracle = outcomes(p, Checker), outcomes(p, UnprunedChecker)
-        for (ctx, body, goal), (verdict, ticks), (want, oracle_ticks) in zip(
-            checked_bodies(p), pruned, oracle
+        ours, theirs = outcomes(p, Checker), outcomes(p, oracle)
+        for (ctx, body, goal), (got, ticks), (want, oracle_ticks) in zip(
+            checked_bodies(p), ours, theirs
         ):
             if oracle_ticks > DEFAULT_BUDGET:
                 want, oracle_ticks = outcome(
-                    UnprunedChecker(p.table, ORACLE_BUDGET), ctx, body, goal
+                    oracle(p.table, ORACLE_BUDGET), ctx, body, goal
                 )
                 assert want[0] != "SearchExhausted", src
-            assert verdict == want, src
-            assert ticks <= oracle_ticks, src
+            if oracle is PlainOrderChecker:
+                assert verdict_of(got) == verdict_of(want), src
+            else:
+                assert got == want, src
+                assert ticks <= oracle_ticks, src
+
+
+def verdict_of(outcome_verdict) -> tuple:
+    """The kind of an outcome's verdict, and an accepted one's result."""
+    if outcome_verdict[0] == "ok":
+        return "ok", outcome_verdict[2][0][1]
+    return (outcome_verdict[0],)
 
 
 def lent_source(k: int, leak: bool, seed: int) -> str:
@@ -432,19 +411,9 @@ def lent_block_source(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# lent_block_source seeds (of 0..1499) whose first failure depends on the
-# candidate order: tried after a must-share guess, the same candidates fail
-# first at another goal.  The oracle must report the plain order's failure.
-MOVED_FIRST_FAILURES = (
-    90, 161, 194, 195, 203, 220, 237, 260, 280, 302, 314, 359, 406, 430, 471,
-    493, 857, 863, 892, 971, 1103, 1143, 1152, 1158, 1162, 1181, 1260, 1285,
-    1460,
-)
-
-
-def main_ticks(src: str) -> tuple:
+def main_ticks(src: str, checker_cls=Checker) -> tuple:
     p = load(src)
-    c = Checker(p.table)
+    c = checker_cls(p.table)
     try:
         c.infer(TypeContext.make({}), p.main)
         return "ok", c.ticks
@@ -475,10 +444,46 @@ class TestAgainstOracle:
         )
 
     def test_random_lent_blocks(self):
+        assert_same_as_oracle(lent_block_source(seed) for seed in range(300))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_lent_family_plain_order(self, k):
         assert_same_as_oracle(
-            lent_block_source(seed)
-            for seed in [*range(300), *(s for s in MOVED_FIRST_FAILURES if s >= 300)]
+            (lent_source(k, leak, seed=0) for leak in (False, True)),
+            PlainOrderChecker,
         )
+
+
+# a lent_block_source seed whose mut local a2 (`new D(a1.f)`, an int read
+# of a1) reaches x's group only through `x.f1 = a2`
+SHARED_THROUGH_ASSIGNMENT = 2776
+
+
+class TestFallbackJoinsEligibleLocalsOnly:
+    """The second candidate joins only the mut locals that
+    `_fallback_locals` finds, each to a base group its initializer names.
+    Joining every mut local of a class with a base group would type one
+    more block of the sharing classes: a2 is linked with x by `x.f1 = a2`,
+    yet its initializer names no member of x's group.  The search before
+    the pass rejected the block, and so does the plain-order oracle, whose
+    fallback candidates are the eligible locals' alone; the checker keeps
+    that verdict."""
+
+    def test_rejected_as_by_the_plain_order_oracle(self):
+        src = lent_block_source(SHARED_THROUGH_ASSIGNMENT)
+        assert "mut D a2 = new D(a1.f);" in src
+        for cls in (Checker, PlainOrderChecker):
+            assert main_ticks(src, cls)[0] == "rejected"
+
+    def test_joining_the_class_would_accept(self, monkeypatch):
+        def every_mut_local(block, base_groups):
+            return [
+                (d.name, tuple(range(len(base_groups))))
+                for d in block.decls if quals_of(d) is Qualifier.MUT
+            ]
+
+        monkeypatch.setattr(typecheck, "_fallback_locals", every_mut_local)
+        assert main_ticks(lent_block_source(SHARED_THROUGH_ASSIGNMENT))[0] == "ok"
 
 
 def oracle_swaps(sources):
@@ -499,10 +504,10 @@ def oracle_swaps(sources):
 
 
 class TestNameDeclaredTwice:
-    """No source declares a name twice in one block, but a reduct may.  A
-    candidate of the search on masks is well-formed without a check of
-    its own, so a name declared twice must come out as it did when each
-    candidate was checked (`wf_context`), and as the oracle has it."""
+    """No source declares a name twice in one block, but a reduct may.  The
+    second candidate is well-formed without a check of its own, so a name
+    declared twice must come out as it would if it were checked
+    (`wf_context`), and as the oracle has it."""
 
     def test_retyped_mut_local_joins_no_group(self):
         # m is declared mut and its (last) initializer reads the lent x, so
@@ -564,7 +569,7 @@ class TestSwapNeverConcludesMut:
 
 
 class TestTicks:
-    """Ticks are deterministic, so the pruning is gated on them."""
+    """Ticks are deterministic, so the lent-group pass is gated on them."""
 
     @pytest.mark.parametrize("k, bound", [(5, 150), (6, 175)])
     def test_lent_reject(self, k, bound):
@@ -572,15 +577,16 @@ class TestTicks:
         assert verdict == "rejected"
         assert ticks < bound
 
-    # k -> (ticks, memo entries) of main, accepted and rejected: nogoods
-    # keyed on the groups a failed premise mentions skip the candidates that
-    # split the other lent locals otherwise
+    # k -> (ticks, memo entries) of main, accepted and rejected: one
+    # candidate per block, each lent local checked once (the set-partition
+    # search spent (27, 42), (51, 79), (71, 107), (85, 129) and (99, 151)
+    # ticks)
     LENT_FAMILY = {
-        2: ((27, 15), (42, 28)),
-        3: ((51, 30), (79, 49)),
-        4: ((71, 41), (107, 64)),
-        5: ((85, 48), (129, 75)),
-        6: ((99, 55), (151, 86)),
+        2: ((23, 12), (21, 13)),
+        3: ((27, 14), (25, 15)),
+        4: ((31, 16), (29, 17)),
+        5: ((35, 18), (33, 19)),
+        6: ((39, 20), (37, 21)),
     }
 
     @pytest.mark.parametrize("k", sorted(LENT_FAMILY))
@@ -597,24 +603,36 @@ class TestTicks:
         assert (c.ticks, len(c.memo)) == self.LENT_FAMILY[k][leak]
 
     @pytest.mark.parametrize("leak", [False, True])
-    def test_candidates_checked_stay_flat(self, leak, monkeypatch):
-        # the lent locals beyond the first two are mentioned by no premise
-        # that fails, so k = 4..6 check the same candidates
-        checked = []
-        search = typecheck._GroupSearch.__iter__
+    def test_ticks_grow_linearly(self, leak):
+        # no cap on lent locals: each one more costs the same, up to 40
+        ticks = []
+        for k in range(2, 41):
+            verdict, t = main_ticks(lent_source(k, leak, seed=0))
+            assert verdict == ("rejected" if leak else "ok")
+            ticks.append(t)
+        steps = {b - a for a, b in zip(ticks, ticks[1:])}
+        assert steps == {4}
 
-        def counted(self):
-            for ctx in search(self):
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_candidates_checked_stay_flat(self, leak, monkeypatch):
+        # one candidate for each of the three check_block calls (main's
+        # block, y's initializer and y's initializer under capsule
+        # promotion), whatever k
+        checked = []
+        candidates = Checker._candidates
+
+        def counted(self, *args):
+            for ctx in candidates(self, *args):
                 checked[-1] += 1
                 yield ctx
 
-        monkeypatch.setattr(typecheck._GroupSearch, "__iter__", counted)
+        monkeypatch.setattr(Checker, "_candidates", counted)
         for k in (4, 5, 6):
             checked.append(0)
             assert main_ticks(lent_source(k, leak, seed=0))[0] == (
                 "rejected" if leak else "ok"
             )
-        assert checked == [12 if leak else 8] * 3
+        assert checked == [3] * 3
 
 
 class TestSearchCost:
@@ -638,57 +656,92 @@ class TestSearchCost:
         assert main_ticks(lent_source(5, True, seed=0))[0] == "rejected"
         assert calls == {"wf_context": 3, "check_block": 3}
 
-    # leak -> (candidates built, _group_part calls) of main for k = 4, 5, 6:
-    # a prefix is dropped once every completion repeats a nogood, so the
-    # candidates built stay flat, and the keys asked of prefixes grow by
-    # about one level of them per lent local (testing every candidate built
-    # 16, 53, 204 and 67, 255, 1,080 of them, with 20, 57, 208 and 92, 317,
-    # 1,293 keys)
-    LENT_COST = {False: ([16] * 3, [22, 39, 56]), True: ([30] * 3, [73, 115, 157])}
-
     @pytest.mark.parametrize("leak", [False, True])
     def test_candidates_built_stay_flat(self, leak, monkeypatch):
-        counts = {"built": 0, "keys": 0}
-        candidates, group_part = typecheck._group_candidates, typecheck._group_part
+        # the candidates are built by one sharing pass for each of the two
+        # calls on y's initializer, which holds the lent locals, and the
+        # pass visits each of the block's 2k + 6 terms once (the
+        # set-partition search built 16 and 30 candidates, and asked 22, 39,
+        # 56 and 73, 115, 157 nogood keys)
+        counts = {"passes": 0, "terms": 0}
+        init, names = _Sharing.__init__, _Sharing._names
 
-        def counted_candidates(lent, base, eligible, bits, dead):
-            def counted(groups, free):
-                counts["built"] += not free  # a complete partition
-                return dead(groups, free)
-            return candidates(lent, base, eligible, bits, counted)
+        def counted_init(self, *args):
+            counts["passes"] += 1
+            init(self, *args)
 
-        def counted_part(*args):
-            counts["keys"] += 1
-            return group_part(*args)
+        def counted_names(self, *args):
+            counts["terms"] += 1
+            return names(self, *args)
 
-        monkeypatch.setattr(typecheck, "_group_candidates", counted_candidates)
-        monkeypatch.setattr(typecheck, "_group_part", counted_part)
-        built, keys = [], []
+        monkeypatch.setattr(_Sharing, "__init__", counted_init)
+        monkeypatch.setattr(_Sharing, "_names", counted_names)
+        passes, terms = [], []
         for k in (4, 5, 6):
-            counts.update(built=0, keys=0)
+            counts.update(passes=0, terms=0)
             assert main_ticks(lent_source(k, leak, seed=0))[0] == (
                 "rejected" if leak else "ok"
             )
-            built.append(counts["built"])
-            keys.append(counts["keys"])
-        assert (built, keys) == self.LENT_COST[leak]
+            passes.append(counts["passes"])
+            terms.append(counts["terms"])
+        assert (passes, terms) == ([2] * 3, [28, 32, 36])
 
     def test_no_masks_for_one_candidate(self, monkeypatch):
         # a block with no lent local whose base groups type it has one
-        # candidate: its context is built at once, with no bit index
+        # candidate: its context is built at once, with no sharing pass
         def refused(*args):
-            raise AssertionError("bit index built")
+            raise AssertionError("sharing pass run")
 
-        monkeypatch.setattr(typecheck, "_Bits", refused)
+        monkeypatch.setattr(typecheck, "_Sharing", refused)
         for s in range(40):
             p = load(gen_source(GenConfig(seed=s, size=8, reject_rate=0.0)))
             for ctx, body, goal in checked_bodies(p):
                 Checker(p.table).check(ctx, body, goal)
 
 
+def first_labellings(base, names):
+    """The groups of each assignment of names to base groups or new ones
+    that first labels its set partition among the tuples of
+    itertools.product, in product order."""
+    k, seen, out = len(base), set(), []
+    for choice in itertools.product(range(k + len(names)), repeat=len(names)):
+        relabel: dict = {}
+        rgs = tuple(
+            c if c < k else relabel.setdefault(c, k + len(relabel)) for c in choice
+        )
+        if rgs not in seen:
+            seen.add(rgs)
+            groups = [set(g) for g in base]
+            for x, c in zip(names, rgs):
+                if c == len(groups):
+                    groups.append(set())
+                groups[c].add(x)
+            out.append(tuple(map(frozenset, groups)))
+    return out
+
+
+LINKED_TABLE = load("class C { int f; mut C n; }\n0\n").table
+
+
+def linked_block(lent, links) -> tuple:
+    """A block over outer names o0..o5, all mut, that declares the lent
+    locals lent (a name may repeat), the i-th initialized by a read of
+    links[i] (None: an int), and its gamma."""
+    mut_c = RefType(Qualifier.MUT, "C")
+    decls = tuple(
+        Decl(RefType(Qualifier.LENT, "C"), x, IntLit(0) if y is None else Var(y))
+        for x, y in zip(lent, links)
+    )
+    env = {f"o{i}": mut_c for i in range(6)}
+    env.update((x, mut_c) for x in lent)
+    return Block(decls, IntLit(0)), Gamma(env)
+
+
 @st.composite
-def enumeration_cases(draw):
-    """Disjoint non-empty base groups (0-3) and lent locals (0-5)."""
+def linked_cases(draw):
+    """Disjoint non-empty base groups (0-3) of o0..o5, and lent locals
+    (0-5), each initialized by a read of an outer name or of an earlier
+    local, or by an int."""
     n_base = draw(st.integers(0, 3))
     outer = [f"o{i}" for i in range(6)]
     owner = draw(st.lists(st.integers(0, n_base), min_size=6, max_size=6))
@@ -696,339 +749,147 @@ def enumeration_cases(draw):
         frozenset(x for x, o in zip(outer, owner) if o == i) for i in range(n_base)
     )
     base = tuple(g for g in base if g)
-    return base, [f"l{i}" for i in range(draw(st.integers(0, 5)))]
+    lent = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
+    links = [
+        draw(st.sampled_from([None] + outer + lent[:i])) for i in range(len(lent))
+    ]
+    return base, lent, links
 
 
 class TestEnumeration:
-    @settings(max_examples=120, deadline=None)
-    @given(enumeration_cases())
+    """The candidates of the sharing pass lie in the oracle's space, and
+    the oracle's own order gives every set partition once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(linked_cases())
     def test_same_sequence_as_product_with_dedup(self, case):
-        base, names = case
-        bits = _Bits([x for g in base for x in sorted(g)] + names, base)
-        got = [
-            tuple(map(bits.set, groups))
-            for groups in _group_candidates(names, base, [], bits)
-        ]
-        assert got == list(product_candidates(names, base))
+        """The pass's candidate is one of the oracle's product-with-dedup
+        candidates, with its groups in the same order: it merges no base
+        groups and places each lent local once.  Linked locals share a
+        group, which is the first base group their class meets."""
+        base, lent, links = case
+        block, gamma = linked_block(lent, links)
+        sharing = _Sharing(LINKED_TABLE, block, gamma, base)
+        groups = sharing.groups(base, lent, frozenset())
+        assert groups in list(product_candidates(lent, base))
+        index = {x: i for i, g in enumerate(groups) for x in g}
+        for x, y in zip(lent, links):
+            if y in lent:
+                assert index[x] == index[y]
+            elif y in index:  # a base group's member
+                assert index[x] < len(base)
 
     @pytest.mark.parametrize(
         "names", [["l0", "l0"], ["l0", "l1", "l0"], ["l1", "l0", "l0", "l2"]]
     )
     @pytest.mark.parametrize("base", [(), (frozenset({"o0"}), frozenset({"o1"}))])
     def test_a_name_placed_twice_keeps_one_group(self, base, names):
-        """A name declared twice has one bit: a candidate that puts it into
-        two groups (all singletons among them) is not yielded, and the
-        others come in the order of the search on sets."""
-        bits = _Bits(sorted(frozenset().union(*base, names)), base)
-        got = [
-            tuple(map(bits.set, groups))
-            for groups in _group_candidates(names, base, [], bits)
-        ]
-        want = [
-            groups
-            for groups in product_candidates(names, base)
-            if sum(map(len, groups)) == len(frozenset().union(*groups))
-        ]
-        assert got == want
-        masks = tuple(map(bits.mask, base))
-        assert len(got) < len(list(_partitions(masks, [bits.bit[x] for x in names])))
+        """A name declared twice is one node of the sharing classes: it is
+        placed in one group, and the candidate is the oracle's that puts
+        each distinct name in a new group of its own."""
+        block, gamma = linked_block(names, [None] * len(names))
+        sharing = _Sharing(LINKED_TABLE, block, gamma, base)
+        groups = sharing.groups(base, names, frozenset())
+        distinct = list(dict.fromkeys(names))
+        assert groups == base + tuple(frozenset({x}) for x in distinct)
+        assert groups in list(product_candidates(distinct, base))
 
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("k", range(4))
     def test_growth_strings_are_first_labellings(self, n, k):
-        """`_partitions` gives each set partition of n bits over k base
-        groups once, as the first product tuple that labels it (a
-        restricted growth string, Knuth, TAOCP 7.2.1.5), in product order;
-        and in the same order when the last bit repeats the first (a name
-        declared twice has one bit, placed twice)."""
-        base, bits = tuple(1 << i for i in range(k)), [1 << (k + i) for i in range(n)]
-        got = list(_partitions(base, bits))
-        assert got == first_labellings(base, bits)
-        assert len(set(got)) == len(got)
-        if n >= 2:
-            bits[-1] = bits[0]
-            assert list(_partitions(base, bits)) == first_labellings(base, bits)
+        """The oracle's plain order gives each set partition of n lent
+        locals over k base groups once, as the first product tuple that
+        labels it (a restricted growth string, Knuth, TAOCP 7.2.1.5), in
+        product order."""
+        base = tuple(frozenset({f"o{i}"}) for i in range(k))
+        names = [f"l{i}" for i in range(n)]
+        got = list(product_candidates(names, base))
+        assert got == first_labellings(base, names)
+        assert len(set(map(_norm, got))) == len(got)
 
 
-@st.composite
-def search_cases(draw):
-    """The inputs of one block's group search, and the premise that fails
-    after each candidate: outer names o0..o3, mut or read; disjoint base
-    groups (0-3) of the mut ones; a restricted set of grouped mut and read
-    names; lent locals l0..l4 (0-5 of them, one perhaps declared twice) and
-    mut locals m0, m1 (0-2), in any order, each initializer and the body
-    mentioning some of the names."""
-    quals = draw(st.lists(
-        st.sampled_from([Qualifier.MUT, Qualifier.READ]), min_size=4, max_size=4,
-    ))
-    outer = {f"o{i}": RefType(q, "C") for i, q in enumerate(quals)}
-    muts = [x for x, t in outer.items() if t.qualifier is Qualifier.MUT]
-    owner = draw(st.lists(st.integers(-1, 2), min_size=len(muts), max_size=len(muts)))
-    base = tuple(
-        g for g in (
-            frozenset(x for x, o in zip(muts, owner) if o == i) for i in range(3)
-        ) if g
-    )
-    may_restrict = sorted(frozenset().union(*base)) + [
-        x for x, t in outer.items() if t.qualifier is Qualifier.READ
-    ]
-    restricted = frozenset(
-        draw(st.sets(st.sampled_from(may_restrict))) if may_restrict else ()
-    )
-    lent = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
-    if len(lent) >= 2 and draw(st.booleans()):
-        lent[-1] = lent[0]  # a name declared twice
-    mut = [f"m{i}" for i in range(draw(st.integers(0, 2)))]
-    local = draw(st.permutations(
-        [(x, Qualifier.LENT) for x in lent] + [(x, Qualifier.MUT) for x in mut]
-    ))
-    scope = sorted(outer) + sorted(frozenset(lent + mut))
-
-    def term():
-        e = IntLit(0)
-        for x in sorted(draw(st.sets(st.sampled_from(scope), max_size=3))):
-            e = Plus(e, Var(x))
-        return e
-
-    decls = tuple(Decl(RefType(q, "C"), x, term()) for x, q in local)
-    block = Block(decls, term())
-    gamma = Gamma(dict(outer, **{d.name: stored_type(d.dtype) for d in decls}))
-    fails = draw(st.lists(st.integers(0, len(decls)), min_size=1, max_size=20))
-    lent_locals = [x for x, q in local if q is Qualifier.LENT]
-    return (block, gamma, restricted, lent_locals, base), fails
+def coarsens(groups, finer) -> bool:
+    """Every group of finer lies within a group of groups."""
+    return all(any(g <= h for h in groups) for g in finer)
 
 
-def searched(search_cls, args, fails):
-    """The groups of every context the search yields, premise fails[k] (in
-    turn) failing under the k-th."""
-    search, out = search_cls(*args), []
-    for ctx in search:
-        search.failed(fails[len(out) % len(fails)])
-        out.append(ctx.groups)
-    return out
+class LeastGroupingProbe(Checker):
+    """A checker that, at each check_block call for a block with lent
+    locals, also checks every lent-phase candidate of the oracle's order,
+    each with a fresh Checker, and counts in counts: the calls; those where
+    one sharing class meets two base groups; those with an accepting
+    candidate; those where an accepting candidate is no coarsening of the
+    pass's (the pass then misses the least accepting grouping); and those
+    where a candidate's check spent its budget."""
+
+    def __init__(self, table, counts: Counter):
+        super().__init__(table)
+        self.counts = counts
+
+    def check_block(self, ctx, block, goal):
+        decls = block.decls
+        lent = list(dict.fromkeys(
+            d.name for d in decls if quals_of(d) is Qualifier.LENT
+        ))
+        if lent and all(d.dtype is not None for d in decls):
+            dom = {d.name: stored_type(d.dtype) for d in decls}
+            gamma = ctx.gamma.updated(dom)
+            base = tuple(h for h in (g.difference(dom) for g in ctx.groups) if h)
+            restricted = ctx.restricted.difference(dom)
+            sharing = _Sharing(self.table, block, gamma, base)
+            ours = sharing.groups(base, lent, restricted)
+            accepting = [
+                groups for groups in product_candidates(lent, base)
+                if self._accepts(block, goal, TypeContext(gamma, groups, restricted))
+            ]
+            self.counts.update(
+                calls=1,
+                spanning=len({sharing.find(next(iter(g))) for g in base}) < len(base),
+                accepting=bool(accepting),
+                not_coarsening=any(not coarsens(g, ours) for g in accepting),
+            )
+        return super().check_block(ctx, block, goal)
+
+    def _accepts(self, block, goal, ctx_body) -> bool:
+        if not wf_context(ctx_body):
+            return False
+        c, env, decls = Checker(self.table), ctx_body.env, block.decls
+        try:
+            for i, d in enumerate(decls):
+                if c._try_consume(block, d, env) is None:
+                    c.check(_premise_context(ctx_body, decls, i), d.init, env[d.name])
+            c.check(ctx_body, block.body, goal)
+            return True
+        except IllTyped:
+            return False
+        except TypeCheckError:
+            self.counts.update(exhausted=1)
+            return False
 
 
-class TestPrunedSearch:
-    @settings(max_examples=400, deadline=None)
-    @given(search_cases())
-    def test_same_sequence_as_the_flat_filter(self, case):
-        """Pruning the prefixes whose completions all repeat a nogood
-        yields what enumerating every candidate and testing its keys
-        yields, for any sequence of failed premises."""
-        args, fails = case
-        assert searched(typecheck._GroupSearch, args, fails) == searched(
-            FlatFilterSearch, args, fails
-        )
-
-
-def first_labellings(base, bits):
-    """The groups (masks) of each assignment of bits to base groups or new
-    ones that first labels its set partition among the tuples of
-    itertools.product, in product order."""
-    k, seen, out = len(base), set(), []
-    for choice in itertools.product(range(k + len(bits)), repeat=len(bits)):
-        relabel: dict = {}
-        rgs = tuple(
-            c if c < k else relabel.setdefault(c, k + len(relabel)) for c in choice
-        )
-        if rgs not in seen:
-            seen.add(rgs)
-            groups = list(base)
-            for x, c in zip(bits, rgs):
-                if c == len(groups):
-                    groups.append(x)
-                else:
-                    groups[c] |= x
-            out.append(tuple(groups))
-    return out
-
-
-@st.composite
-def premise_pairs(draw, min_locals=0):
-    """Two well-formed candidates of one block (one gamma, restricted set
-    and list of base groups) and a premise of it: the names its term
-    mentions and its own local, perhaps none.  Outer names o0..o3 are
-    mut, read or imm; lent locals l0..l2 (at least min_locals of them)
-    join base groups or new ones; the mut local m0 joins none."""
-    quals = draw(st.lists(
-        st.sampled_from([Qualifier.MUT, Qualifier.READ, Qualifier.IMM]),
-        min_size=4, max_size=4,
-    ))
-    outer = {f"o{i}": RefType(q, "C") for i, q in enumerate(quals)}
-    muts = [x for x, t in outer.items() if t.qualifier is Qualifier.MUT]
-    owner = draw(st.lists(st.integers(-1, 1), min_size=len(muts), max_size=len(muts)))
-    base = tuple(
-        g for g in (
-            frozenset(x for x, o in zip(muts, owner) if o == i) for i in range(2)
-        ) if g
-    )
-    names = [f"l{i}" for i in range(draw(st.integers(min_locals, 3)))]
-    env = dict(outer, m0=RefType(Qualifier.MUT, "C"))
-    env.update((x, RefType(Qualifier.MUT, "C")) for x in names)
-    may_restrict = sorted(frozenset().union(*base) | {
-        x for x, t in outer.items() if t.qualifier is Qualifier.READ
-    })
-    restricted = frozenset(
-        draw(st.sets(st.sampled_from(may_restrict))) if may_restrict else ()
-    )
-    k = len(base) + len(names)
-    assignment = st.lists(st.integers(0, max(k - 1, 0)), min_size=len(names),
-                          max_size=len(names))
-    candidates = [place(base, names, draw(assignment)) for _ in range(2)]
-    mentioned = draw(st.sets(st.sampled_from(sorted(env) + ["q"])))
-    own = draw(st.sampled_from([None, "m0"] + names))
-    return Gamma(env), base, restricted, candidates, mentioned, own
-
-
-def _mut_c(*xs):
-    return {x: RefType(Qualifier.MUT, "C") for x in xs}
-
-
-def projection(ctx: TypeContext, e) -> tuple:
-    """The projection of ctx onto e, part by part as the `typecheck` module
-    docstring defines it: the reference `_group_part` is held to."""
-    names = mentions(e)
-    env, restricted, mg = ctx.env, ctx.restricted, ctx.mutable_group()
-    outside = restricted - names
-    return (
-        frozenset((n, env[n]) for n in names if n in env),
-        not ctx.mut_or_read_names() <= names,
-        tuple(
-            (g & names, not g <= names, not restricted.isdisjoint(g - names))
-            for g in ctx.groups
-        ),
-        not mg <= names,
-        restricted
-        and (restricted & names, bool(outside), not outside.isdisjoint(mg)),
-    )
-
-
-def nogood_key(gamma, base, restricted, groups, mentioned, own):
-    """The key `_group_part` gives the premise mentioning these names, of
-    local own (or none), under a candidate's groups."""
-    bits = _Bits(gamma.muts(), base)
-    names = bits.mask(mentioned)
-    return _group_part(
-        tuple(map(bits.mask, groups)), bits.bit.get(own, 0), names,
-        (1 << len(bits.names)) - 1, bits.mask(restricted) & ~names,
-    )
-
-
-def premise_context(gamma, groups, restricted, own):
-    ctx = TypeContext(gamma, groups, restricted)
-    assert wf_context(ctx)
-    g = ctx.group_of(own) if own else None
-    return ctx.swap(g) if g else ctx
-
-
-KEYED_TABLE = "class C { int f; mut C n; }\n0\n"
-KEYED_GOALS = [None] + [
-    RefType(q, "C") for q in (
-        Qualifier.MUT, Qualifier.LENT, Qualifier.READ, Qualifier.IMM,
-        Qualifier.CAPSULE,
-    )
-]
-
-
-@st.composite
-def keyed_terms(draw, scope, depth):
-    """A term over class C of KEYED_TABLE reading the names of scope:
-    variables, objects built around a subterm, field reads and writes, and
-    blocks of one or two lent or mut locals."""
-    kind = draw(st.integers(0, 4 if depth else 0))
-    if kind == 0:
-        return Var(draw(st.sampled_from(scope)))
-    if kind == 1:
-        return New("C", (IntLit(0), draw(keyed_terms(scope, depth - 1))))
-    if kind == 2:
-        return FieldAccess(draw(keyed_terms(scope, depth - 1)), "n")
-    if kind == 3:
-        return FieldAssign(
-            Var(draw(st.sampled_from(scope))), "n", draw(keyed_terms(scope, depth - 1))
-        )
-    decls, inner = [], list(scope)
-    for k in range(draw(st.integers(1, 2))):
-        q = draw(st.sampled_from([Qualifier.LENT, Qualifier.MUT]))
-        inner.append(f"b{depth}{k}")
-        init = draw(keyed_terms(inner, depth - 1))
-        decls.append(Decl(RefType(q, "C"), inner[-1], init))
-    return Block(tuple(decls), draw(keyed_terms(inner, depth - 1)))
-
-
-@st.composite
-def keyed_premises(draw):
-    """Two candidates of one block with two or three lent locals
-    (`premise_pairs`), a premise term over a few of its names, the term's
-    local (perhaps none) and a goal."""
-    gamma, base, restricted, candidates, _, own = draw(premise_pairs(min_locals=2))
-    scope = draw(st.lists(st.sampled_from(sorted(gamma.env)), min_size=1,
-                          max_size=3, unique=True))
-    term, goal = draw(keyed_terms(scope, 2)), draw(st.sampled_from(KEYED_GOALS))
-    return gamma, base, restricted, candidates, term, own, goal
-
-
-class TestGroupPart:
-    @settings(max_examples=400, deadline=None)
-    @given(premise_pairs())
-    # each lent local joins the mentioned group in turn, the other one a
-    # new group: different candidates, one projection
-    @example((
-        Gamma(_mut_c("o0", "m0", "l0", "l1")), (frozenset({"o0"}),), frozenset(),
-        [
-            (frozenset({"o0", "l0"}), frozenset({"l1"})),
-            (frozenset({"o0", "l1"}), frozenset({"l0"})),
-        ],
-        {"o0"}, None,
-    ))
-    def test_equal_projection_gives_equal_key(self, case):
-        """Within one block, two candidates under which a premise's context
-        has the same projection give the premise the same nogood key."""
-        gamma, base, restricted, candidates, mentioned, own = case
-        term = IntLit(0)
-        for x in sorted(mentioned):
-            term = Plus(term, Var(x))
-        projections = [
-            projection(premise_context(gamma, groups, restricted, own), term)
-            for groups in candidates
-        ]
-        keys = [
-            nogood_key(gamma, base, restricted, groups, mentioned, own)
-            for groups in candidates
-        ]
-        if projections[0] == projections[1]:
-            assert keys[0] == keys[1]
-
-    @settings(max_examples=300, deadline=None)
-    @given(keyed_premises())
-    # the term names l0 alone, which it needs mut: l1 and l2 in two groups
-    # or in one gave two group parts, and give one key
-    @example((
-        Gamma(_mut_c("m0", "l0", "l1", "l2")), (), frozenset(),
-        [
-            (frozenset({"l0"}), frozenset({"l1"}), frozenset({"l2"})),
-            (frozenset({"l0"}), frozenset({"l1", "l2"})),
-        ],
-        New("C", (IntLit(0), Var("l0"))), None, RefType(Qualifier.LENT, "C"),
-    ))
-    def test_equal_key_gives_equal_verdict(self, case):
-        """Two candidates that give a premise the same nogood key give its
-        term the same verdict, from a fresh unpruned checker each."""
-        gamma, base, restricted, candidates, term, own, goal = case
-        keys = [
-            nogood_key(gamma, base, restricted, groups, mentions(term), own)
-            for groups in candidates
-        ]
-        assume(keys[0] == keys[1])
-        table = load(KEYED_TABLE).table
-        verdicts = []
-        for groups in candidates:
-            c = UnprunedChecker(table)
+def least_grouping_evidence(sources) -> Counter:
+    """The counts of `LeastGroupingProbe` over every method body and main
+    of sources."""
+    counts: Counter = Counter()
+    for src in sources:
+        p = load(src)
+        for ctx, body, goal in checked_bodies(p):
             try:
-                c.check(premise_context(gamma, groups, restricted, own), term, goal)
-                verdicts.append("ok")
-            except IllTyped:
-                verdicts.append("rejected")
-        assert verdicts[0] == verdicts[1]
+                LeastGroupingProbe(p.table, counts).check(ctx, body, goal)
+            except TypeCheckError:
+                pass
+    return counts
+
+
+def test_least_grouping_evidence():
+    """Reported, not gated: whether the pass finds the least accepting
+    grouping.  It does in a call when every accepting candidate coarsens
+    the pass's; "not_coarsening" counts the calls where one does not.  Over
+    lent_block_source seeds 0..999 it is 0 of the 313 calls with an
+    accepting candidate; this runs a few of those seeds."""
+    counts = least_grouping_evidence(lent_block_source(s) for s in range(40))
+    print(dict(counts))
+    assert counts["calls"] > counts["accepting"] > 0
 
 
 def verdict(checker, ctx, e, goal):
