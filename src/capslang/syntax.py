@@ -100,7 +100,7 @@ _REF_TYPES: dict = {}  # (qualifier, cname) -> the one RefType for them
 
 
 class RefType(_Interned):
-    __slots__ = ("qualifier", "cname")
+    __slots__ = ("qualifier", "cname", "_str")
 
     def __new__(cls, qualifier: Qualifier, cname: str):
         t = _REF_TYPES.get((qualifier, cname))
@@ -108,6 +108,8 @@ class RefType(_Interned):
             t = _REF_TYPES[qualifier, cname] = object.__new__(cls)
             object.__setattr__(t, "qualifier", qualifier)
             object.__setattr__(t, "cname", cname)
+            # formatted once: sort keys, printing and messages ask for it
+            object.__setattr__(t, "_str", f"{qualifier.value} {cname}")
         return t
 
     def __reduce__(self):
@@ -117,7 +119,7 @@ class RefType(_Interned):
         return f"RefType(qualifier={self.qualifier!r}, cname={self.cname!r})"
 
     def __str__(self) -> str:
-        return f"{self.qualifier} {self.cname}"
+        return self._str
 
 
 Type = Union[IntType, RefType]

@@ -15,7 +15,31 @@ goal-directed backtracking search:
   unless the goal is mut: the swap weakens its premise's mut result to
   lent, and by induction a premise with a mut goal ends at mut, so a swap
   never concludes a mut goal (see `Checker._check`);
-* unrestriction is attempted when the goal is capsule/imm/int.
+* unrestriction is attempted when the goal is capsule/imm/int;
+* a block with declarations whose body is a name its gamma types mut, or
+  a `new` with such a name among its arguments, tries its structural rule
+  last against a capsule or imm goal, after the four rules above: the
+  structural attempt always fails there (`Checker._recovered_only`).
+
+The last cut is exact.  Let x be a name that gamma types mut.  By
+induction on the derivation, no check of x against capsule or imm
+succeeds: t-var gives mut or lent, neither <= capsule or imm; a swap or
+unrestriction checks x against the same goal, with x still mut in gamma;
+capsule promotion checks x against mut in a context where the mutable
+group is one more group, so x is grouped (t-var gives lent) or restricted
+(t-var fails); immutability promotion restricts x and checks it against
+read.  Neither premise goal admits a promotion or unrestriction, mut no
+swap, and read none either: that context restricts every mut name, so
+every group has a restricted member.  Likewise no check of x against int
+succeeds: t-var gives a reference, and a swap or unrestriction keeps
+gamma.  So no check of `new C(..., x, ...)` against capsule or imm
+succeeds: t-new gives mut; a swap or unrestriction keeps x mut in gamma;
+and each promotion's premise is concluded by t-new alone, which checks x
+against its field type in the promotion's context: mut fails as that
+promotion's check of x did, imm and int fail as above.  A block's
+structural rule checks its body against the block's goal in each
+candidate, whose gamma is the block's, so it fails for every candidate.
+Run last, it raises the failure it raised when it came first.
 
 Results are memoized per judgment, keyed by subterm identity, the context
 and the goal.  A TypeContext (module `context`) hashes its gamma, the set
@@ -229,6 +253,9 @@ def _weaken(t: Type) -> Type:
 
 _LEAVES = (Var, IntLit)
 
+# the goals that a block's promotion may meet where its own rule cannot
+_RECOVERED = (Qualifier.CAPSULE, Qualifier.IMM)
+
 
 class _InProgress:
     pass
@@ -328,12 +355,16 @@ class Checker:
         # the first failure is kept as a record, not as the exception: a
         # local holding the exception would tie this frame into a cycle
         first: Optional[_Failure] = None
-        try:
-            j = self._structural(ctx, e, goal)
-            if goal is None or subtype(j.result, goal):
-                return self._sub(j, goal)
-        except IllTyped as err:
-            first = _Failure(err)
+        # a block that only the rules below can type tries its structural
+        # rule last (see `_recovered_only`)
+        late = e.__class__ is Block and self._recovered_only(ctx, e, goal)
+        if not late:
+            try:
+                j = self._structural(ctx, e, goal)
+                if goal is None or subtype(j.result, goal):
+                    return self._sub(j, goal)
+            except IllTyped as err:
+                first = _Failure(err)
         if goal is None:
             raise first.error()  # with no goal, only a failure leads here
         if isinstance(goal, RefType):
@@ -384,8 +415,36 @@ class Checker:
                     return Judgment(e, j.result, "t-unrst", (j,))
             except IllTyped as err:
                 first = first or _Failure(err)
+        if late:
+            # the structural attempt fails, and raises the failure it raised
+            # when it came first; were it to succeed, its judgment stands
+            j = self._structural(ctx, e, goal)
+            if subtype(j.result, goal):
+                return self._sub(j, goal)
         raise first.error() if first else IllTyped(
             f"no derivation for goal {goal}", _span(e)
+        )
+
+    def _recovered_only(self, ctx: TypeContext, block: Block, goal) -> bool:
+        """Whether block's structural rule cannot meet goal, so that only a
+        promotion, a swap or unrestriction can type it: goal is capsule or
+        imm, block declares names, and its body is a name that block's
+        gamma types mut, or a `new` with such a name among its arguments
+        (see the module docstring)."""
+        if not (
+            goal.__class__ is RefType and goal.qualifier in _RECOVERED and block.decls
+        ):
+            return False
+        body = block.body
+        if body.__class__ is Var:
+            names = (body,)
+        elif body.__class__ is New:
+            names = body.args
+        else:
+            return False
+        return any(
+            a.__class__ is Var and _is_mut(_block_type(ctx, block, a.name))
+            for a in names
         )
 
     def _swap_goals(self, goal: Type):
@@ -829,6 +888,15 @@ class _Sharing:
 
 def _is_mut(t) -> bool:
     return _qualifier(t) is Qualifier.MUT
+
+
+def _block_type(ctx: TypeContext, block: Block, x: str):
+    """The type block's gamma gives x: its last declaration's stored type,
+    else ctx's (None for an untyped declaration or an unknown name)."""
+    for d in reversed(block.decls):
+        if d.name == x:
+            return stored_type(d.dtype) if d.dtype is not None else None
+    return ctx.env.get(x)
 
 
 # ---------------------------------------------------------------------------

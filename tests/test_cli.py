@@ -212,18 +212,19 @@ class TestRun:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "budget, code, found", [(75, EXIT_RESOURCE, 16), (200, EXIT_OK, 0)]
+        "budget, code, found", [(20, EXIT_RESOURCE, 1), (200, EXIT_OK, 0)]
     )
     def test_verify_meta_inconclusive(self, capsys, budget, code, found):
-        # a reduct needs at most 145 ticks here; at budget 75, subject
-        # reduction runs out of budget at 16 steps and finds no violation:
-        # resource exhaustion, not a counterexample
-        path = str(CORPUS / "accept" / "nested_mix_clone.caps")
+        # the program typechecks in 18 ticks, and its simplified form, the
+        # trace's first term, needs 21; at budget 20, subject reduction runs
+        # out of budget at that one step and finds no violation: resource
+        # exhaustion, not a counterexample
+        path = str(CORPUS / "accept" / "typing_two.caps")
         args = ["run", path, "--verify-meta", "--budget", str(budget)]
         assert main(args) == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == found
-        assert all('"inconclusive: search budget of 75 ' in x for x in lines)
+        assert all('"inconclusive: search budget of 20 ' in x for x in lines)
 
     def test_verify_meta_conclusive_wins(self, tmp_path, capsys, monkeypatch):
         # one conclusive violation among inconclusive ones is a violation
